@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from relayplan import rates, solver
+from relayplan import oracle, rates, solver
 from relayplan.scenario import (
     channel_state,
     default_scenario,
@@ -350,3 +350,100 @@ def test_feasibility_report_flags_violations():
     wild = traj.copy()
     wild[3] += 50.0
     assert any("velocity" in p for p in solver.feasibility_report(sc, wild, good))
+
+
+
+# ---- derivatives of the subproblems handed to the barrier ----
+
+FD_REL_TOL = 1e-5
+
+
+@pytest.fixture(scope="module")
+def subproblems():
+    """(objective, blocks, start) of the first subproblem of each shape.
+
+    The joint driver starts from the min-rate solution, so one joint solve
+    hands the barrier both drivers' subproblems: epigraph trajectory and
+    power steps, then sum-rate ones.  Targets of 0.467 and 0.615 bps/Hz lie
+    inside the range of the 12-slot trajectory bounds, so the trajectory
+    steps keep target rows on a strict subset of the slots.
+    """
+    calls = []
+    real = solver.concave_max
+
+    def spy(objective, blocks, z0, **kwargs):
+        calls.append((objective, list(blocks), np.array(z0)))
+        return real(objective, blocks, z0, **kwargs)
+
+    sc = dataclasses.replace(
+        default_scenario(slots=12), rate_targets=np.array([0.467, 0.615])
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "concave_max", spy)
+        solver.algorithm3_joint(sc)
+    first = {}
+    for objective, blocks, z0 in calls:
+        first.setdefault(len(z0), (objective, blocks, z0))
+    return sc.slot_count, first
+
+
+def assert_matches(got, want, where):
+    """Analytic `got` against difference quotients `want`, relative to the
+    analytic scale; where that is zero (linear terms, a start with no
+    motion) `want` holds only rounding noise and is held to the bound."""
+    scale = float(np.max(np.abs(got))) or 1.0
+    assert float(np.max(np.abs(got - want))) <= FD_REL_TOL * scale, where
+
+
+def test_subproblems_cover_every_block_kind(subproblems):
+    n, first = subproblems
+    # trajectory sum / min, power sum / min
+    assert sorted(first) == [2 * n, 2 * n + 1, 3 * n, 3 * n + 1]
+    labels = {size: [(b.label, b.count) for b in blocks]
+              for size, (_, blocks, _) in first.items()}
+    for size in (2 * n + 1, 3 * n + 1):
+        assert ("epigraph rate v1", n) in labels[size]
+        assert ("epigraph rate v2", n) in labels[size]
+    assert ("velocity", n + 1) in labels[2 * n]
+    assert any(label == "decoding order" and c > 0 for label, c in labels[3 * n])
+    kept = [c for label, c in labels[2 * n] if label.startswith("rate target")]
+    assert len(kept) == 2 and all(0 < c < n for c in kept)
+
+
+def test_subproblem_derivatives_match_finite_differences(subproblems):
+    """Objectives, and every block against the barrier's contract:
+    add_gradient adds sum w grad g, add_hessian adds
+    sum (w1 hess g - w2 grad g grad g^T)."""
+    rng = np.random.default_rng(5)
+    n, first = subproblems
+    for size, (objective, blocks, z0) in sorted(first.items()):
+        # coordinates are in units of 100 m, powers in units of the budget
+        step = 1e-3 if size <= 2 * n + 1 else 1e-4
+
+        def value(z):
+            return objective(z, 0)[0]
+
+        _, grad, hess = objective(z0, 2)
+        assert_matches(grad, oracle.finite_diff_gradient(value, z0, step), size)
+        assert_matches(hess, oracle.finite_diff_hessian(value, z0, step), size)
+        for blk in blocks:
+            w = rng.uniform(0.5, 1.5, blk.count)
+            zero = np.zeros(blk.count)
+            where = (size, blk.label)
+
+            def weighted(z):
+                return float(w @ blk.values(z))
+
+            got = np.zeros(size)
+            blk.add_gradient(z0, w, got)
+            assert_matches(got, oracle.finite_diff_gradient(weighted, z0, step), where)
+            got = np.zeros((size, size))
+            blk.add_hessian(z0, w, zero, got)
+            assert_matches(got, oracle.finite_diff_hessian(weighted, z0, step), where)
+            jac = np.array([
+                oracle.finite_diff_gradient(lambda z: blk.values(z)[i], z0, step)
+                for i in range(blk.count)
+            ])
+            got = np.zeros((size, size))
+            blk.add_hessian(z0, zero, w, got)
+            assert_matches(got, -(jac.T * w) @ jac, where)
