@@ -28,7 +28,9 @@ def policy_states(h_r, h_1, h_2, r_th: float) -> np.ndarray:
     h_r, h_1, h_2 = np.broadcast_arrays(*np.atleast_1d(h_r, h_1, h_2))
     if np.any(h_r <= 0) or np.any(h_1 <= 0) or np.any(h_2 <= 0):
         raise ValueError("gains must be positive")
-    half_log = lambda num, den: 0.5 * (np.log2(num) - np.log2(den))
+    # the ratio form of modes.select_mode: a difference of two logs can round
+    # a one-ulp gain ratio to zero and classify a near-tie the other way
+    half_log = lambda num, den: 0.5 * np.log2(num / den)
     first = h_1 >= h_2
     states = np.select(
         [

@@ -23,20 +23,13 @@ Bookkeeping conventions:
 
 import dataclasses
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from . import rates, sca
-from .barrier import (
-    BoxBlock,
-    InfeasibleStartError,
-    LinearBlock,
-    SolveInfo,
-    concave_max,
-    feasibility_violations,
-)
-from .modes import ModeSchedule, mode_schedule, select_mode
+from .barrier import BoxBlock, LinearBlock, concave_max
+from .modes import ModeSchedule, mode_schedule
 from .scenario import (
     Scenario,
     channel_state,
@@ -228,11 +221,7 @@ def _rebalance_for_targets(sc, cs, modes, powers: PowerAllocation,
 
 def _oma_schedule(cs, sc) -> ModeSchedule:
     """Policy states with the NOMA gain threshold pushed to infinity."""
-    n = len(cs.h_r)
-    states = np.empty(n, dtype=int)
-    for i in range(n):
-        states[i], _ = select_mode(cs.h_r[i], cs.h_1[i], cs.h_2[i], np.inf)
-    return ModeSchedule(states=states, modes=np.full(n, 3, dtype=int))
+    return mode_schedule(cs, dataclasses.replace(sc, mode_threshold=np.inf))
 
 
 # ---- bound-term assembly ----
@@ -250,14 +239,17 @@ class _PowerTerms:
     Row n evaluates to
         cm * (log2(cu0 + cur*pr) + log2(cv0 + cv1*p1 + cv2*p2)
               - t0 - a1*p1 - a2*p2 - ar*pr)
-    which equals the linearized DC rate of the vehicle at slot n.
+    which equals the linearized DC rate of the vehicle at slot n.  A slot's
+    variables are its (p1, p2, pr) divided by ``scale``.
     """
 
-    __slots__ = ("cm", "cu0", "cur", "cv0", "cv1", "cv2", "t0", "a1", "a2", "ar")
+    COEFFS = ("cm", "cu0", "cur", "cv0", "cv1", "cv2", "t0", "a1", "a2", "ar")
+    __slots__ = COEFFS + ("scale",)
 
-    def __init__(self, n):
-        for name in self.__slots__:
+    def __init__(self, n, scale):
+        for name in self.COEFFS:
             setattr(self, name, np.zeros(n))
+        self.scale = scale
 
     def fill(self, sel, lb: sca.PowerLB, p1l, p2l, prl):
         self.cm[sel] = lb.c_m
@@ -272,48 +264,47 @@ class _PowerTerms:
         self.t0[sel] = lb.sub_anchor - lb.d * p1l - lb.t * p2l - lb.c * prl
 
     def sub(self, idx) -> "_PowerTerms":
-        out = _PowerTerms(0)
-        for name in self.__slots__:
+        out = _PowerTerms(0, self.scale)
+        for name in self.COEFFS:
             setattr(out, name, getattr(self, name)[idx])
         return out
 
-    def uv(self, p1, p2, pr):
-        return self.cu0 + self.cur * pr, self.cv0 + self.cv1 * p1 + self.cv2 * p2
-
-    def values(self, p1, p2, pr):
-        """Bound rates, or None when a log argument leaves its domain."""
-        u, v = self.uv(p1, p2, pr)
-        if np.any(u <= 0.0) or np.any(v <= 0.0):
-            return None
-        lin = self.t0 + self.a1 * p1 + self.a2 * p2 + self.ar * pr
-        return self.cm * (np.log2(u) + np.log2(v) - lin)
-
-    def grads(self, p1, p2, pr):
-        """(d/dp1, d/dp2, d/dpr) of the bound rates, in watt units."""
-        u, v = self.uv(p1, p2, pr)
-        gv = self.cm / (LN2 * v)
-        return (
-            self.cv1 * gv - self.cm * self.a1,
-            self.cv2 * gv - self.cm * self.a2,
+    def local(self, v, order):
+        """Row values (-inf where a log argument leaves its domain), then
+        with ``order`` >= 1 the (m, 3) gradients and with ``order`` 2 the
+        (m, 3, 3) Hessians over the scaled slot variables ``v``."""
+        p1, p2, pr = (v * self.scale).T
+        u = self.cu0 + self.cur * pr
+        w = self.cv0 + self.cv1 * p1 + self.cv2 * p2
+        bad = (u <= 0.0) | (w <= 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lin = self.t0 + self.a1 * p1 + self.a2 * p2 + self.ar * pr
+            vals = self.cm * (np.log2(u) + np.log2(w) - lin)
+        out = (np.where(bad, -np.inf, vals),)
+        if order == 0:
+            return out
+        gw = self.cm / (LN2 * w)
+        grad = np.column_stack((
+            self.cv1 * gw - self.cm * self.a1,
+            self.cv2 * gw - self.cm * self.a2,
             self.cur * self.cm / (LN2 * u) - self.cm * self.ar,
-        )
-
-    def hessians(self, p1, p2, pr):
-        """(h11, h12, h22, hrr): nonzero curvature entries, watt units."""
-        u, v = self.uv(p1, p2, pr)
-        cv = -self.cm / (LN2 * v * v)
-        return (
-            cv * self.cv1 * self.cv1,
-            cv * self.cv1 * self.cv2,
-            cv * self.cv2 * self.cv2,
-            -self.cm * self.cur * self.cur / (LN2 * u * u),
-        )
+        )) * self.scale
+        if order == 1:
+            return out + (grad,)
+        cw = -self.cm / (LN2 * w * w)
+        hess = np.zeros((len(u), 3, 3))
+        hess[:, 0, 0] = cw * self.cv1 * self.cv1
+        hess[:, 0, 1] = hess[:, 1, 0] = cw * self.cv1 * self.cv2
+        hess[:, 1, 1] = cw * self.cv2 * self.cv2
+        hess[:, 2, 2] = -self.cm * self.cur * self.cur / (LN2 * u * u)
+        return out + (grad, hess * np.outer(self.scale, self.scale))
 
 
 def _power_terms(sc, cs, modes, anchor: PowerAllocation) -> Dict[int, _PowerTerms]:
     n = len(modes)
     gr, g1, g2 = _normalized_gains(sc, cs, modes)
-    out = {1: _PowerTerms(n), 2: _PowerTerms(n)}
+    scale = np.array([sc.avg_bs_power, sc.avg_bs_power, sc.avg_relay_power])
+    out = {1: _PowerTerms(n, scale), 2: _PowerTerms(n, scale)}
     for m in (1, 2, 3):
         sel = modes == m
         if not np.any(sel):
@@ -333,7 +324,8 @@ class _TrajTerms:
     Row n evaluates to cm * log2(A) with
         A = base + dr * psi_r(x, y) + dk * psi_k(x, y),
     psi being the inverse-gain distance quadratics; dr, dk <= 0 keep A
-    concave, so the row is concave in the coordinates.
+    concave, so the row is concave in the coordinates.  A slot's variables
+    are its (x, y) divided by LENGTH_SCALE.
     """
 
     __slots__ = ("cm", "base", "dr", "dk", "vx", "vy", "s", "bx", "by", "hh")
@@ -361,19 +353,30 @@ class _TrajTerms:
         psi_k = self.s * ((x - self.vx) ** 2 + (y - self.vy) ** 2 + self.hh)
         return self.base + self.dr * psi_r + self.dk * psi_k
 
-    def values(self, x, y):
+    def local(self, v, order):
+        """Row values (-inf where A <= 0), then with ``order`` >= 1 the (m, 2)
+        gradients and with ``order`` 2 the (m, 2, 2) Hessians over the
+        scaled slot coordinates ``v``."""
+        x, y = (LENGTH_SCALE * v).T
         a = self.argument(x, y)
-        if np.any(a <= 0.0):
-            return None
-        return self.cm * np.log2(a)
-
-    def arg_grads(self, x, y):
-        """(A, dA/dx, dA/dy, d2A/dx2) -- the cross second derivative is 0."""
-        a = self.argument(x, y)
-        ax = 2.0 * self.s * (self.dr * (x - self.bx) + self.dk * (x - self.vx))
-        ay = 2.0 * self.s * (self.dr * (y - self.by) + self.dk * (y - self.vy))
-        axx = 2.0 * self.s * (self.dr + self.dk)
-        return a, ax, ay, axx
+        bad = a <= 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = (np.where(bad, -np.inf, self.cm * np.log2(a)),)
+        if order == 0:
+            return out
+        da = 2.0 * self.s * np.column_stack((
+            self.dr * (x - self.bx) + self.dk * (x - self.vx),
+            self.dr * (y - self.by) + self.dk * (y - self.vy),
+        ))
+        scale = self.cm / (LN2 * a)
+        grad = LENGTH_SCALE * scale[:, None] * da
+        if order == 1:
+            return out + (grad,)
+        # A's Hessian is 2 s (dr + dk) I
+        curv = scale * (2.0 * self.s * (self.dr + self.dk))
+        q = self.cm / (LN2 * a * a)
+        hess = curv[:, None, None] * np.eye(2) - q[:, None, None] * da[:, :, None] * da[:, None, :]
+        return out + (grad, LENGTH_SCALE**2 * hess)
 
 
 def _traj_terms(sc, cs_l, modes, powers) -> Dict[int, _TrajTerms]:
@@ -404,94 +407,69 @@ def _traj_terms(sc, cs_l, modes, powers) -> Dict[int, _TrajTerms]:
     return out
 
 
-# ---- objective callables ----
+# ---- rate rows ----
 
 
-def _slot_block_add(h, nvar, n_slots, a, b, vals):
-    """Add per-slot values onto the (a, b) block diagonal of a flat Hessian."""
-    start = a * n_slots * nvar + b * n_slots
-    h.ravel()[start : start + (n_slots - 1) * (nvar + 1) + 1 : nvar + 1] += vals
+class SlotRowBlock:
+    """Rows row_n(z[cols[n]]) - rhs_n (- z[epi_idx]) >= 0, one per slot.
 
+    ``terms.local`` gives each row's value, gradient and Hessian over its
+    own slot's d variables, whose positions in z are the row of ``cols``;
+    this block scatters them into the barrier's dense gradient and Hessian.
+    """
 
-class _PowerSumObjective:
-    """Sum of both vehicles' power-side bound rates over all slots."""
-
-    def __init__(self, terms, n_slots, ps, pr_scale, nvar):
+    def __init__(self, terms, cols, rhs, epi_idx=None, label="rate target"):
         self.terms = terms
-        self.n = n_slots
-        self.ps = ps
-        self.prs = pr_scale
-        self.nvar = nvar
+        self.cols = np.asarray(cols, dtype=int)
+        self.rhs = rhs
+        self.epi = epi_idx
+        self.count = len(self.cols)
+        self.label = label
 
-    def _powers(self, z):
-        n = self.n
-        return self.ps * z[:n], self.ps * z[n : 2 * n], self.prs * z[2 * n : 3 * n]
+    def values(self, z):
+        g = self.terms.local(z[self.cols], 0)[0] - self.rhs
+        return g if self.epi is None else g - z[self.epi]
 
-    def __call__(self, z, order=0):
-        n = self.n
-        p1, p2, pr = self._powers(z)
-        vals = [self.terms[k].values(p1, p2, pr) for k in (1, 2)]
-        if vals[0] is None or vals[1] is None:
-            return None
-        value = float(vals[0].sum() + vals[1].sum())
-        if order == 0:
-            return (value,)
-        grad = np.zeros(self.nvar)
-        for k in (1, 2):
-            g1, g2, gr = self.terms[k].grads(p1, p2, pr)
-            grad[:n] += self.ps * g1
-            grad[n : 2 * n] += self.ps * g2
-            grad[2 * n : 3 * n] += self.prs * gr
-        if order == 1:
-            return value, grad
-        hess = np.zeros((self.nvar, self.nvar))
-        for k in (1, 2):
-            h11, h12, h22, hrr = self.terms[k].hessians(p1, p2, pr)
-            _slot_block_add(hess, self.nvar, n, 0, 0, self.ps * self.ps * h11)
-            _slot_block_add(hess, self.nvar, n, 0, 1, self.ps * self.ps * h12)
-            _slot_block_add(hess, self.nvar, n, 1, 0, self.ps * self.ps * h12)
-            _slot_block_add(hess, self.nvar, n, 1, 1, self.ps * self.ps * h22)
-            _slot_block_add(hess, self.nvar, n, 2, 2, self.prs * self.prs * hrr)
-        return value, grad, hess
+    def add_gradient(self, z, w, out):
+        _, g = self.terms.local(z[self.cols], 1)
+        out[self.cols] += w[:, None] * g
+        if self.epi is not None:
+            out[self.epi] -= w.sum()
+
+    def add_hessian(self, z, w1, w2, out):
+        _, g, h = self.terms.local(z[self.cols], 2)
+        wg = w2[:, None] * g
+        out[self.cols[:, :, None], self.cols[:, None, :]] += (
+            w1[:, None, None] * h - wg[:, :, None] * g[:, None, :]
+        )
+        if self.epi is not None:
+            out[self.cols, self.epi] += wg
+            out[self.epi, self.cols] += wg
+            out[self.epi, self.epi] -= w2.sum()
 
 
-class _TrajSumObjective:
-    """Sum of both vehicles' trajectory-side bound rates over all slots."""
+class _RowSumObjective:
+    """Sum of rate rows over all slots: the rows with w1 = 1 and w2 = 0."""
 
-    def __init__(self, terms, n_slots, nvar):
-        self.terms = terms
-        self.n = n_slots
+    def __init__(self, rows, nvar):
+        self.rows = rows
         self.nvar = nvar
 
     def __call__(self, z, order=0):
-        n, ell = self.n, LENGTH_SCALE
-        x, y = ell * z[:n], ell * z[n : 2 * n]
-        vals = [self.terms[k].values(x, y) for k in (1, 2)]
-        if vals[0] is None or vals[1] is None:
+        vals = [row.values(z) for row in self.rows]
+        if not all(np.all(np.isfinite(v)) for v in vals):
             return None
-        value = float(vals[0].sum() + vals[1].sum())
+        value = float(sum(v.sum() for v in vals))
         if order == 0:
             return (value,)
         grad = np.zeros(self.nvar)
-        blocks = []
-        for k in (1, 2):
-            t = self.terms[k]
-            a, ax, ay, axx = t.arg_grads(x, y)
-            scale = t.cm / (LN2 * a)
-            grad[:n] += ell * scale * ax
-            grad[n : 2 * n] += ell * scale * ay
-            blocks.append((t, a, ax, ay, axx, scale))
+        for row in self.rows:
+            row.add_gradient(z, np.ones(row.count), grad)
         if order == 1:
             return value, grad
         hess = np.zeros((self.nvar, self.nvar))
-        e2 = ell * ell
-        for t, a, ax, ay, axx, scale in blocks:
-            q = t.cm / (LN2 * a * a)
-            _slot_block_add(hess, self.nvar, n, 0, 0, e2 * (scale * axx - q * ax * ax))
-            _slot_block_add(hess, self.nvar, n, 1, 1, e2 * (scale * axx - q * ay * ay))
-            xy = -e2 * q * ax * ay
-            _slot_block_add(hess, self.nvar, n, 0, 1, xy)
-            _slot_block_add(hess, self.nvar, n, 1, 0, xy)
+        for row in self.rows:
+            row.add_hessian(z, np.ones(row.count), np.zeros(row.count), hess)
         return value, grad, hess
 
 
@@ -514,140 +492,6 @@ class _EpigraphObjective:
 
 
 # ---- constraint blocks beyond the generic barrier ones ----
-
-
-class PowerRateBlock:
-    """Rows: vehicle-k bound rate at selected slots >= rhs (+ epigraph t)."""
-
-    def __init__(self, term: _PowerTerms, idx, rhs, n_slots, nvar, ps, prs,
-                 epi_idx=None, label="rate target"):
-        self.term = term
-        self.idx = np.asarray(idx, dtype=int)
-        self.rhs = np.broadcast_to(np.asarray(rhs, dtype=float), self.idx.shape)
-        self.n = n_slots
-        self.nvar = nvar
-        self.ps = ps
-        self.prs = prs
-        self.epi = epi_idx
-        self.count = len(self.idx)
-        self.label = label
-
-    def _powers(self, z):
-        i, n = self.idx, self.n
-        return self.ps * z[i], self.ps * z[n + i], self.prs * z[2 * n + i]
-
-    def values(self, z):
-        p1, p2, pr = self._powers(z)
-        u, v = self.term.uv(p1, p2, pr)
-        bad = (u <= 0.0) | (v <= 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lin = self.term.t0 + self.term.a1 * p1 + self.term.a2 * p2 + self.term.ar * pr
-            g = self.term.cm * (np.log2(np.where(bad, 1.0, u))
-                                + np.log2(np.where(bad, 1.0, v)) - lin) - self.rhs
-        if self.epi is not None:
-            g = g - z[self.epi]
-        return np.where(bad, -np.inf, g)
-
-    def _scaled_grads(self, z):
-        p1, p2, pr = self._powers(z)
-        g1, g2, gr = self.term.grads(p1, p2, pr)
-        return self.ps * g1, self.ps * g2, self.prs * gr
-
-    def add_gradient(self, z, w, out):
-        g1, g2, gr = self._scaled_grads(z)
-        i, n = self.idx, self.n
-        out[i] += w * g1
-        out[n + i] += w * g2
-        out[2 * n + i] += w * gr
-        if self.epi is not None:
-            out[self.epi] -= w.sum()
-
-    def add_hessian(self, z, w1, w2, out):
-        p1, p2, pr = self._powers(z)
-        h11, h12, h22, hrr = self.term.hessians(p1, p2, pr)
-        s2, r2 = self.ps * self.ps, self.prs * self.prs
-        g = self._scaled_grads(z)
-        i, n, nv = self.idx, self.n, self.nvar
-        flat = out.ravel()
-        offs = (0, n, 2 * n)
-        curv = {(0, 0): s2 * h11, (0, 1): s2 * h12, (1, 1): s2 * h22, (2, 2): r2 * hrr}
-        for a in range(3):
-            for b in range(a, 3):
-                vals = w1 * curv.get((a, b), 0.0) - w2 * g[a] * g[b]
-                rows = (offs[a] + i) * nv + offs[b] + i
-                flat[rows] += vals
-                if a != b:
-                    flat[(offs[b] + i) * nv + offs[a] + i] += vals
-        if self.epi is not None:
-            for a in range(3):
-                cross = w2 * g[a]
-                flat[(offs[a] + i) * nv + self.epi] += cross
-                flat[self.epi * nv + offs[a] + i] += cross
-            flat[self.epi * (nv + 1)] -= w2.sum()
-
-
-class TrajRateBlock:
-    """Rows: vehicle-k trajectory-side bound at selected slots >= rhs (+ t)."""
-
-    def __init__(self, term: _TrajTerms, idx, rhs, n_slots, nvar,
-                 epi_idx=None, label="rate target"):
-        self.term = term
-        self.idx = np.asarray(idx, dtype=int)
-        self.rhs = np.broadcast_to(np.asarray(rhs, dtype=float), self.idx.shape)
-        self.n = n_slots
-        self.nvar = nvar
-        self.epi = epi_idx
-        self.count = len(self.idx)
-        self.label = label
-
-    def _coords(self, z):
-        i, n = self.idx, self.n
-        return LENGTH_SCALE * z[i], LENGTH_SCALE * z[n + i]
-
-    def values(self, z):
-        x, y = self._coords(z)
-        a = self.term.argument(x, y)
-        bad = a <= 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = self.term.cm * np.log2(np.where(bad, 1.0, a)) - self.rhs
-        if self.epi is not None:
-            g = g - z[self.epi]
-        return np.where(bad, -np.inf, g)
-
-    def add_gradient(self, z, w, out):
-        x, y = self._coords(z)
-        a, ax, ay, _ = self.term.arg_grads(x, y)
-        scale = LENGTH_SCALE * self.term.cm / (LN2 * a)
-        i, n = self.idx, self.n
-        out[i] += w * scale * ax
-        out[n + i] += w * scale * ay
-        if self.epi is not None:
-            out[self.epi] -= w.sum()
-
-    def add_hessian(self, z, w1, w2, out):
-        x, y = self._coords(z)
-        a, ax, ay, axx = self.term.arg_grads(x, y)
-        ell = LENGTH_SCALE
-        scale = self.term.cm / (LN2 * a)
-        q = self.term.cm / (LN2 * a * a)
-        gx, gy = ell * scale * ax, ell * scale * ay
-        e2 = ell * ell
-        hxx = e2 * (scale * axx - q * ax * ax)
-        hyy = e2 * (scale * axx - q * ay * ay)
-        hxy = -e2 * q * ax * ay
-        i, n, nv = self.idx, self.n, self.nvar
-        flat = out.ravel()
-        flat[i * nv + i] += w1 * hxx - w2 * gx * gx
-        flat[(n + i) * nv + n + i] += w1 * hyy - w2 * gy * gy
-        cross = w1 * hxy - w2 * gx * gy
-        flat[i * nv + n + i] += cross
-        flat[(n + i) * nv + i] += cross
-        if self.epi is not None:
-            flat[i * nv + self.epi] += w2 * gx
-            flat[self.epi * nv + i] += w2 * gx
-            flat[(n + i) * nv + self.epi] += w2 * gy
-            flat[self.epi * nv + n + i] += w2 * gy
-            flat[self.epi * (nv + 1)] -= w2.sum()
 
 
 class VelocityChainBlock:
@@ -813,79 +657,77 @@ def _epigraph_start(bound_rows_min):
 # ---- single linearize-and-solve passes ----
 
 
+def _subproblem(sc, terms, cols, z0, blocks, objective: str, step: str, diag: Dict):
+    """Add both vehicles' rate rows to the fixed ``blocks`` and solve.
+
+    ``cols[n]`` holds the positions in z of slot n's variables.  For "sum"
+    the objective is the rows summed, and a vehicle's target rows are kept
+    at the slots whose bound clears the target at the start; the others
+    are dropped and recorded under ``step``.  For "min" an epigraph scalar
+    is appended to z and every row must stay above it.  Returns (z, bound,
+    info), bound being the subproblem's optimum.
+    """
+    rows = [SlotRowBlock(terms[k], cols, 0.0) for k in (1, 2)]
+    start = [row.values(z0) for row in rows]
+    blocks = list(blocks)
+    if objective == "min":
+        t_idx = len(z0)
+        z0 = np.append(z0, _epigraph_start(float(min(start[0].min(), start[1].min()))))
+        for k in (1, 2):
+            blocks.append(SlotRowBlock(
+                terms[k], cols, 0.0, epi_idx=t_idx, label=f"epigraph rate v{k}"
+            ))
+        obj = _EpigraphObjective(len(z0), t_idx)
+    else:
+        for k, r0 in zip((1, 2), start):
+            target = float(sc.rate_targets[k - 1])
+            if target <= 0.0:
+                continue
+            rhs = target - TARGET_SLACK
+            keep = r0 - rhs > TARGET_MARGIN
+            dropped = np.nonzero(~keep)[0]
+            if len(dropped):
+                diag.setdefault("dropped_target_rows", []).append(
+                    {"step": step, "vehicle": k, "slots": dropped.tolist()}
+                )
+            if np.any(keep):
+                idx = np.nonzero(keep)[0]
+                blocks.append(SlotRowBlock(
+                    terms[k].sub(idx), cols[idx], rhs, label=f"rate target v{k}"
+                ))
+        obj = _RowSumObjective(rows, len(z0))
+    z, info = concave_max(obj, blocks, z0)
+    bound = float(z[-1]) if objective == "min" else obj(z, 0)[0]
+    return z, bound, info
+
+
 def _power_step(sc, cs, modes, start: PowerAllocation, objective: str, diag: Dict):
     """Build and solve one power subproblem around ``start``."""
     n = sc.slot_count
     ps, prs = sc.avg_bs_power, sc.avg_relay_power
-    epi = objective == "min"
-    nvar = 3 * n + (1 if epi else 0)
-    terms = _power_terms(sc, cs, modes, start)
-    z0 = np.concatenate([start.p1 / ps, start.p2 / ps, start.pr / prs])
-
+    nvar = 3 * n + (1 if objective == "min" else 0)
     blocks = [BoxBlock(np.arange(3 * n), 0.0, np.inf, "power nonnegativity")]
     a = np.zeros((2, nvar))
     a[0, : 2 * n] = -1.0
     a[1, 2 * n : 3 * n] = -1.0
     blocks.append(LinearBlock(a, np.array([float(n), float(n)]), "energy budget"))
+    m1, m2 = np.nonzero(modes == 1)[0], np.nonzero(modes == 2)[0]
+    hi = np.concatenate([n + m1, m2])  # stronger message index per slot
+    lo = np.concatenate([m1, n + m2])
+    if len(hi):
+        blocks.append(PairDiffBlock(hi, lo, nvar, "decoding order"))
 
-    if not epi:
-        m1, m2 = np.nonzero(modes == 1)[0], np.nonzero(modes == 2)[0]
-        hi = np.concatenate([n + m1, m2])  # stronger message index per slot
-        lo = np.concatenate([m1, n + m2])
-        if len(hi):
-            blocks.append(PairDiffBlock(hi, lo, nvar, "decoding order"))
-        for k in (1, 2):
-            target = float(sc.rate_targets[k - 1])
-            if target <= 0.0:
-                continue
-            rhs = target - TARGET_SLACK
-            r0 = terms[k].values(start.p1, start.p2, start.pr)
-            keep = r0 - rhs > TARGET_MARGIN
-            dropped = np.nonzero(~keep)[0]
-            if len(dropped):
-                diag.setdefault("dropped_target_rows", []).append(
-                    {"step": "power", "vehicle": k, "slots": dropped.tolist()}
-                )
-            if np.any(keep):
-                idx = np.nonzero(keep)[0]
-                blocks.append(
-                    PowerRateBlock(
-                        terms[k].sub(idx), idx, rhs, n, nvar, ps, prs,
-                        label=f"rate target v{k}",
-                    )
-                )
-        obj = _PowerSumObjective(terms, n, ps, prs, nvar)
-    else:
-        t_idx = 3 * n
-        anchors = [terms[k].values(start.p1, start.p2, start.pr) for k in (1, 2)]
-        t0 = _epigraph_start(float(min(anchors[0].min(), anchors[1].min())))
-        z0 = np.append(z0, t0)
-        idx = np.arange(n)
-        for k in (1, 2):
-            blocks.append(
-                PowerRateBlock(
-                    terms[k], idx, 0.0, n, nvar, ps, prs, epi_idx=t_idx,
-                    label=f"epigraph rate v{k}",
-                )
-            )
-        obj = _EpigraphObjective(nvar, t_idx)
-
-    z, info = concave_max(obj, blocks, z0)
-    new = PowerAllocation(ps * z[:n], ps * z[n : 2 * n], prs * z[2 * n : 3 * n])
-    bound = float(z[3 * n]) if epi else obj(z, 0)[0]
-    return new, bound, info
+    z0 = np.concatenate([start.p1 / ps, start.p2 / ps, start.pr / prs])
+    cols = np.arange(3 * n).reshape(3, n).T
+    terms = _power_terms(sc, cs, modes, start)
+    z, bound, info = _subproblem(sc, terms, cols, z0, blocks, objective, "power", diag)
+    return PowerAllocation(ps * z[:n], ps * z[n : 2 * n], prs * z[2 * n : 3 * n]), bound, info
 
 
 def _traj_step(sc, powers, modes, start_traj, objective: str, diag: Dict):
     """Build and solve one trajectory subproblem around ``start_traj``."""
     n = sc.slot_count
-    epi = objective == "min"
-    nvar = 2 * n + (1 if epi else 0)
-    cs_l = channel_state(start_traj, sc)
-    terms = _traj_terms(sc, cs_l, modes, powers)
-    traj = _clamp_into_box(sc, start_traj)
-    z0 = np.concatenate([traj[:, 0], traj[:, 1]]) / LENGTH_SCALE
-
+    nvar = 2 * n + (1 if objective == "min" else 0)
     xmin, xmax, ymin, ymax = (float(v) for v in sc.flight_box)
     lo = np.concatenate([np.full(n, xmin), np.full(n, ymin)]) / LENGTH_SCALE
     hi = np.concatenate([np.full(n, xmax), np.full(n, ymax)]) / LENGTH_SCALE
@@ -894,48 +736,12 @@ def _traj_step(sc, powers, modes, start_traj, objective: str, diag: Dict):
         VelocityChainBlock(n, sc.uav_start, sc.uav_end, sc.step_radius, nvar),
     ]
 
-    if not epi:
-        x0, y0 = traj[:, 0], traj[:, 1]
-        for k in (1, 2):
-            target = float(sc.rate_targets[k - 1])
-            if target <= 0.0:
-                continue
-            rhs = target - TARGET_SLACK
-            r0 = terms[k].values(x0, y0)
-            keep = r0 - rhs > TARGET_MARGIN
-            dropped = np.nonzero(~keep)[0]
-            if len(dropped):
-                diag.setdefault("dropped_target_rows", []).append(
-                    {"step": "trajectory", "vehicle": k, "slots": dropped.tolist()}
-                )
-            if np.any(keep):
-                idx = np.nonzero(keep)[0]
-                blocks.append(
-                    TrajRateBlock(
-                        terms[k].sub(idx), idx, rhs, n, nvar,
-                        label=f"rate target v{k}",
-                    )
-                )
-        obj = _TrajSumObjective(terms, n, nvar)
-    else:
-        t_idx = 2 * n
-        anchors = [terms[k].values(traj[:, 0], traj[:, 1]) for k in (1, 2)]
-        t0 = _epigraph_start(float(min(anchors[0].min(), anchors[1].min())))
-        z0 = np.append(z0, t0)
-        idx = np.arange(n)
-        for k in (1, 2):
-            blocks.append(
-                TrajRateBlock(
-                    terms[k], idx, 0.0, n, nvar, epi_idx=t_idx,
-                    label=f"epigraph rate v{k}",
-                )
-            )
-        obj = _EpigraphObjective(nvar, t_idx)
-
-    z, info = concave_max(obj, blocks, z0)
-    new_traj = LENGTH_SCALE * np.column_stack([z[:n], z[n : 2 * n]])
-    bound = float(z[2 * n]) if epi else obj(z, 0)[0]
-    return new_traj, bound, info
+    traj = _clamp_into_box(sc, start_traj)
+    z0 = np.concatenate([traj[:, 0], traj[:, 1]]) / LENGTH_SCALE
+    cols = np.arange(2 * n).reshape(2, n).T
+    terms = _traj_terms(sc, channel_state(start_traj, sc), modes, powers)
+    z, bound, info = _subproblem(sc, terms, cols, z0, blocks, objective, "trajectory", diag)
+    return LENGTH_SCALE * np.column_stack([z[:n], z[n : 2 * n]]), bound, info
 
 
 def _damped_traj_accept(sc, powers, modes, anchor, cand, objective, diag):

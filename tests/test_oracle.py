@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relayplan import oracle
@@ -51,6 +51,7 @@ def static_scenario(**overrides):
     h_2=st.floats(1e-6, 1e3),
     r_th=st.floats(0.0, 2.0),
 )
+@example(h_r=1.0, h_1=1.0000000000000002e-06, h_2=1e-06, r_th=0.0)  # one-ulp gain ratio
 def test_policy_states_match_scalar_selection(h_r, h_1, h_2, r_th):
     state = int(oracle.policy_states(np.array([h_r]), np.array([h_1]), np.array([h_2]), r_th)[0])
     assert (state, STATE_MODE[state]) == select_mode(h_r, h_1, h_2, r_th)
