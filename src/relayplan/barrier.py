@@ -6,23 +6,44 @@ with f concave and every g_i concave, both smooth on the interior.  The
 barrier stages maximize f(z) + mu * sum_i log g_i(z) by damped Newton steps,
 with mu shrinking from n_c by factors of 10 down to 1e-8 * n_c.  The start
 must be strictly interior; the line search keeps every iterate interior and
-inside the objective's own domain (the objective may return None to reject a
-trial point, which the search treats as -inf).
+inside the objective's own domain (an objective row that is not finite
+rejects a trial point, which the search treats as -inf).
 
-Constraint blocks supply their rows in batches so structured problems avoid
-forming per-row gradients:
+Row protocol.  The objective is a list of row blocks whose rows sum to f,
+and every constraint block holds rows g_i.  Each block is evaluated once per
+barrier evaluation:
 
-    count          -> number of rows m
-    values(z)      -> (m,) array of g_i(z)
-    add_gradient(z, w, out)       out += sum_i w_i * grad g_i
-    add_hessian(z, w1, w2, out)   out += sum_i (w1_i * hess g_i
-                                               - w2_i * grad g_i grad g_i^T)
+    count               number of rows m
+    cols                (m, k) positions in z that row i reads, fixed for
+                        the solve; None for dense affine rows
+    evaluate(z, order)  (values, grad, hess): values (m,); with order >= 1
+                        grad (m, k), row i's gradient over cols[i]; with
+                        order 2 hess (m, k, k) over the same positions, or
+                        None for affine rows.  Dense rows give grad (m, n).
 
-where the solver passes w = mu/g, w1 = mu/g, w2 = mu/g^2.
+Newton system.  With w1 = 1, w2 = 0 for objective rows and w1 = mu/g,
+w2 = mu/g^2 for constraint rows, each step solves (-H) d = grad for
+
+    -H = sum_i (w2_i grad g_i grad g_i^T - w1_i hess g_i)
+       = [[A, B], [B^T, C]] + V V^T.
+
+The caller declares a band (nb, bw): the first nb variables are slotted and
+every local entry between two of them lies within bw of the diagonal, so A
+is banded.  The other nk variables (the min-rate epigraph scalar) are the
+dense border B, C, and each dense affine row (an energy budget) adds the
+column sqrt(w2_i) a_i to V.  ``Scatter`` maps every local entry into this
+structure once per solve and raises on an entry outside the band;
+``NewtonSystem.solve`` factors A with ``cholesky_banded``, runs one
+``cho_solve_banded`` on [g, V, B], eliminates the border through its
+nk x nk Schur complement and V through the r x r capacitance matrix
+I + V^T K^-1 V (Woodbury).  Assembly and solve cost
+O(nb * (bw + 1) * (bw + 1 + nk + r)) per step, linear in the slot count,
+against O(n^2) assembly and an O(n^3) dense factorisation.  Without a
+declared band the band spans every variable.
 """
 
 import dataclasses
-from typing import Callable, List, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -32,6 +53,7 @@ MAX_HALVINGS = 60
 KKT_TOL = 1e-6
 MU_FLOOR_REL = 1e-8
 MAX_NEWTON_PER_STAGE = 120
+RIDGE_TRIES = 12
 
 
 class InfeasibleStartError(ValueError):
@@ -44,20 +66,16 @@ class InfeasibleStartError(ValueError):
 class LinearBlock:
     """Rows a_i . z + b_i >= 0 with a dense coefficient matrix."""
 
+    cols = None
+
     def __init__(self, a, b, label="linear"):
         self.a = np.asarray(a, dtype=float)
         self.b = np.asarray(b, dtype=float)
         self.count = self.a.shape[0]
         self.label = label
 
-    def values(self, z):
-        return self.a @ z + self.b
-
-    def add_gradient(self, z, w, out):
-        out += self.a.T @ w
-
-    def add_hessian(self, z, w1, w2, out):
-        out -= (self.a.T * w2) @ self.a
+    def evaluate(self, z, order):
+        return self.a @ z + self.b, (self.a if order else None), None
 
 
 class BoxBlock:
@@ -72,47 +90,12 @@ class BoxBlock:
         self.hi_idx, self.hi = idx[keep_hi], hi[keep_hi]
         self.count = len(self.lo_idx) + len(self.hi_idx)
         self.label = label
+        self.cols = np.concatenate([self.lo_idx, self.hi_idx])[:, None]
+        self._grad = np.repeat([1.0, -1.0], [len(self.lo_idx), len(self.hi_idx)])[:, None]
 
-    def values(self, z):
-        return np.concatenate([z[self.lo_idx] - self.lo, self.hi - z[self.hi_idx]])
-
-    def add_gradient(self, z, w, out):
-        nlo = len(self.lo_idx)
-        np.add.at(out, self.lo_idx, w[:nlo])
-        np.subtract.at(out, self.hi_idx, w[nlo:])
-
-    def add_hessian(self, z, w1, w2, out):
-        nlo = len(self.lo_idx)
-        d = out.ravel()
-        n = out.shape[0]
-        np.subtract.at(d, self.lo_idx * (n + 1), w2[:nlo])
-        np.subtract.at(d, self.hi_idx * (n + 1), w2[nlo:])
-
-
-class BallBlock:
-    """r^2 - ||z[idx] - c||^2 >= 0 (one Euclidean ball over an index subset)."""
-
-    def __init__(self, idx, center, radius, label="ball"):
-        self.idx = np.asarray(idx, dtype=int)
-        self.center = np.asarray(center, dtype=float)
-        self.r2 = float(radius) ** 2
-        self.count = 1
-        self.label = label
-
-    def values(self, z):
-        d = z[self.idx] - self.center
-        return np.array([self.r2 - d @ d])
-
-    def add_gradient(self, z, w, out):
-        d = z[self.idx] - self.center
-        np.add.at(out, self.idx, -2.0 * w[0] * d)
-
-    def add_hessian(self, z, w1, w2, out):
-        d = z[self.idx] - self.center
-        grad = np.zeros(len(self.idx))
-        grad -= 2.0 * d
-        sub = -2.0 * w1[0] * np.eye(len(self.idx)) - w2[0] * np.outer(grad, grad)
-        out[np.ix_(self.idx, self.idx)] += sub
+    def evaluate(self, z, order):
+        vals = np.concatenate([z[self.lo_idx] - self.lo, self.hi - z[self.hi_idx]])
+        return vals, (self._grad if order else None), None
 
 
 @dataclasses.dataclass
@@ -120,74 +103,218 @@ class SolveInfo:
     converged: bool
     stages: int
     newton_steps: int
+    capped_stages: int  # stages that ran MAX_NEWTON_PER_STAGE steps
     kkt_residual: float
     mu_final: float
     line_search_failed: bool
     message: str = ""
 
 
-def _barrier_eval(objective, blocks, z, mu, order):
-    """phi, grad, hess of f + mu * sum log g; None if z is out of domain."""
-    res = objective(z, order)
-    if res is None:
+# ---- structured Newton system ----
+
+
+def _small_solve(m, b):
+    """Solve with a small symmetric matrix; LinAlgError unless it is PD."""
+    return sla.cho_solve((np.linalg.cholesky(m), True), b, check_finite=False)
+
+
+class NewtonSystem:
+    """-H = [[A, B], [B^T, C]] + V V^T with A banded.
+
+    ``band`` (bw + 1, nb) holds A in LAPACK lower form,
+    band[i, j] = A[j + i, j]; ``border`` (nb, nk) holds B, ``corner``
+    (nk, nk) C and ``lowrank`` (n, r) V.
+    """
+
+    def __init__(self, band, border, corner, lowrank):
+        self.band = band
+        self.border = border
+        self.corner = corner
+        self.lowrank = lowrank
+
+    def solve(self, g):
+        """d with (-H) d = g.  When a factor is not positive definite, a
+        ridge starting at 1e-10 * trace/n grows by 100 per try."""
+        trace = self.band[0].sum() + np.trace(self.corner) + np.sum(self.lowrank**2)
+        scale = max(float(trace) / len(g), 1e-12)
+        ridge = 0.0
+        for _ in range(RIDGE_TRIES):
+            try:
+                return self._solve(g, ridge)
+            except np.linalg.LinAlgError:
+                ridge = scale * 1e-10 if ridge == 0.0 else ridge * 100.0
+        raise np.linalg.LinAlgError("Newton system not positive definite despite damping")
+
+    def _solve(self, g, ridge):
+        nb, nk = self.border.shape
+        v = self.lowrank
+        r = v.shape[1]
+        band = self.band
+        if ridge:
+            band = band.copy()
+            band[0] += ridge
+        fac = sla.cholesky_banded(band, lower=True, check_finite=False)
+        rhs = np.column_stack([g, v])
+        sol = sla.cho_solve_banded(
+            (fac, True), np.hstack([rhs[:nb], self.border]), check_finite=False
+        )
+        k_inv = sol[:, : 1 + r]  # K^-1 [g, V], K the band with its border
+        if nk:
+            x = sol[:, 1 + r :]  # A^-1 B
+            schur = self.corner - self.border.T @ x
+            schur[np.diag_indices(nk)] += ridge
+            tail = _small_solve(schur, rhs[nb:] - self.border.T @ k_inv)
+            k_inv = np.vstack([k_inv - x @ tail, tail])
+        d = k_inv[:, 0]
+        if r:
+            cap = np.eye(r) + v.T @ k_inv[:, 1:]
+            d = d - k_inv[:, 1:] @ _small_solve(cap, v.T @ d)
+        return d
+
+
+def _accumulate(idx, weights, size):
+    if not idx:
+        return np.zeros(size)
+    return np.bincount(np.concatenate(idx), np.concatenate(weights), minlength=size)
+
+
+class Scatter:
+    """Index maps from row blocks' local derivatives into a NewtonSystem.
+
+    Built once per solve from each block's ``cols``.  Only the lower
+    triangle is stored, so a local entry above the diagonal maps to a trash
+    slot; an entry between two banded variables farther than ``bw`` apart
+    raises ValueError.
+    """
+
+    def __init__(self, n: int, band: Tuple[int, int], blocks: Sequence):
+        nb, bw = band
+        nk = n - nb
+        self.n, self.nb, self.bw, self.nk = n, nb, bw, nk
+        self.off_border = off_border = (bw + 1) * nb
+        self.off_corner = off_corner = off_border + nb * nk
+        self.trash = off_corner + nk * nk
+        self.maps = []
+        for blk in blocks:
+            if blk.cols is None:
+                self.maps.append(None)
+                continue
+            cols = np.asarray(blk.cols, dtype=int)
+            r, c = np.broadcast_arrays(cols[:, :, None], cols[:, None, :])
+            idx = np.full(r.shape, self.trash)
+            banded = (r >= c) & (r < nb)
+            wide = banded & (r - c > bw)
+            if np.any(wide):
+                i = tuple(np.argwhere(wide)[0])
+                raise ValueError(
+                    f"{getattr(blk, 'label', 'block')} row {i[0]} couples positions "
+                    f"{c[i]} and {r[i]}, outside the band of width {bw}"
+                )
+            idx[banded] = ((r - c) * nb + c)[banded]
+            border = (r >= nb) & (c < nb)
+            idx[border] = (off_border + c * nk + r - nb)[border]
+            corner = (r >= c) & (c >= nb)
+            idx[corner] = (off_corner + (r - nb) * nk + c - nb)[corner]
+            self.maps.append((cols.ravel(), idx.ravel()))
+
+    def gradient(self, evals, w1s):
+        """sum_i w1_i grad g_i over every block's rows."""
+        idx, weights, dense = [], [], np.zeros(self.n)
+        for m, (_, g, _), w1 in zip(self.maps, evals, w1s):
+            if m is None:
+                dense += g.T @ w1
+            else:
+                idx.append(m[0])
+                weights.append((w1[:, None] * g).ravel())
+        return _accumulate(idx, weights, self.n) + dense
+
+    def system(self, evals, w1s, w2s) -> NewtonSystem:
+        """-H = sum_i (w2_i grad g_i grad g_i^T - w1_i hess g_i); a block
+        whose w2 is None adds no rank-one terms."""
+        idx, weights, lowrank = [], [], []
+        for m, (_, g, h), w1, w2 in zip(self.maps, evals, w1s, w2s):
+            if m is None:
+                if h is not None:
+                    raise ValueError("dense rows must be affine")
+                if w2 is not None:
+                    lowrank.append(g.T * np.sqrt(w2))
+                continue
+            neg = None
+            if w2 is not None:
+                neg = (w2[:, None] * g)[:, :, None] * g[:, None, :]
+            if h is not None:
+                curv = w1[:, None, None] * h
+                if neg is None:
+                    neg = -curv
+                else:
+                    neg -= curv
+            if neg is not None:
+                idx.append(m[1])
+                weights.append(neg.ravel())
+        nb, nk, off_border, off_corner = self.nb, self.nk, self.off_border, self.off_corner
+        packed = _accumulate(idx, weights, self.trash + 1)
+        corner = packed[off_corner : self.trash].reshape(nk, nk)
+        return NewtonSystem(
+            packed[:off_border].reshape(self.bw + 1, nb),
+            packed[off_border:off_corner].reshape(nb, nk),
+            corner + np.tril(corner, -1).T,
+            np.hstack(lowrank) if lowrank else np.zeros((self.n, 0)),
+        )
+
+
+# ---- barrier method ----
+
+
+def _barrier_eval(objective, blocks, z, mu, order, scatter):
+    """phi, grad and NewtonSystem of f + mu * sum log g, up to ``order``;
+    None if z is out of domain."""
+    obj = [src.evaluate(z, order) for src in objective]
+    if not all(np.all(np.isfinite(e[0])) for e in obj):
         return None
-    gs = [blk.values(z) for blk in blocks]
-    if any(np.any(g <= 0) for g in gs):
+    rows = [blk.evaluate(z, order) for blk in blocks]
+    if any(np.any(e[0] <= 0) for e in rows):
         return None
-    phi = res[0] + mu * sum(np.sum(np.log(g)) for g in gs)
+    phi = float(sum(e[0].sum() for e in obj)) + mu * sum(np.sum(np.log(e[0])) for e in rows)
     if order == 0:
         return (phi,)
-    grad = res[1].copy()
-    for blk, g in zip(blocks, gs):
-        blk.add_gradient(z, mu / g, grad)
+    evals = obj + rows
+    w1 = [np.ones(len(e[0])) for e in obj] + [mu / e[0] for e in rows]
+    grad = scatter.gradient(evals, w1)
     if order == 1:
         return phi, grad
-    hess = res[2].copy()
-    for blk, g in zip(blocks, gs):
-        blk.add_hessian(z, mu / g, mu / g**2, hess)
-    return phi, grad, hess
-
-
-def _newton_direction(hess, grad):
-    """Solve (-H) d = grad with escalating ridge damping if not PD."""
-    neg = -hess
-    scale = max(float(np.trace(neg)) / neg.shape[0], 1e-12)
-    ridge = 0.0
-    for _ in range(12):
-        try:
-            m = neg if ridge == 0.0 else neg + ridge * np.eye(neg.shape[0])
-            c = np.linalg.cholesky(m)
-            return sla.cho_solve((c, True), grad)
-        except np.linalg.LinAlgError:
-            ridge = scale * 1e-10 if ridge == 0.0 else ridge * 100.0
-    raise np.linalg.LinAlgError("Newton system not positive definite despite damping")
+    w2 = [None] * len(obj) + [mu / e[0] ** 2 for e in rows]
+    return phi, grad, scatter.system(evals, w1, w2)
 
 
 def concave_max(
-    objective: Callable,
+    objective: Sequence,
     blocks: Sequence,
     z0: np.ndarray,
     kkt_tol: float = KKT_TOL,
     mu_floor_rel: float = MU_FLOOR_REL,
+    band: Optional[Tuple[int, int]] = None,
 ) -> Tuple[np.ndarray, SolveInfo]:
-    """Maximize a smooth concave objective over concave inequality blocks.
+    """Maximize the sum of the ``objective`` blocks' rows over the
+    constraint ``blocks``, both in the row protocol of this module.
 
-    objective(z, order) returns (value,), (value, grad) or (value, grad, hess)
-    per `order` in {0, 1, 2}, or None when z is outside its domain.  Returns
-    the final iterate and a SolveInfo; raises InfeasibleStartError when z0 is
-    not strictly interior.
+    ``band`` = (nb, bw) declares the first nb variables banded with
+    bandwidth bw and the rest dense border; by default the band spans every
+    variable.  Returns the final iterate and a SolveInfo; raises
+    InfeasibleStartError when z0 is not strictly interior.
     """
     z = np.asarray(z0, dtype=float).copy()
+    objective, blocks = list(objective), list(blocks)
     for blk in blocks:
-        vals = blk.values(z)
+        vals = blk.evaluate(z, 0)[0]
         if np.any(vals <= 0):
             bad = int(np.argmin(vals))
             raise InfeasibleStartError(
                 f"start violates {getattr(blk, 'label', 'constraint')} row {bad} "
                 f"(value {vals[bad]:.3e})"
             )
-    if objective(z, 0) is None:
+    if not all(np.all(np.isfinite(src.evaluate(z, 0)[0])) for src in objective):
         raise InfeasibleStartError("start lies outside the objective domain")
+    scatter = Scatter(len(z), band or (len(z), len(z) - 1), objective + blocks)
 
     n_c = int(sum(blk.count for blk in blocks))
     if n_c == 0:
@@ -202,17 +329,18 @@ def concave_max(
                 break
             mu /= 10.0
     steps = 0
+    capped = 0
     kkt = np.inf
     ls_failed = False
     message = ""
     for stage, mu in enumerate(mus):
         for _ in range(MAX_NEWTON_PER_STAGE):
-            phi, grad, hess = _barrier_eval(objective, blocks, z, mu, 2)
+            phi, grad, newton = _barrier_eval(objective, blocks, z, mu, 2, scatter)
             kkt = float(np.max(np.abs(grad)))
             if kkt <= kkt_tol:
                 break
             try:
-                d = _newton_direction(hess, grad)
+                d = newton.solve(grad)
             except np.linalg.LinAlgError as exc:
                 ls_failed = True
                 message = f"stage {stage}: {exc}"
@@ -225,7 +353,7 @@ def concave_max(
             alpha = 1.0
             accepted = False
             for _ in range(MAX_HALVINGS):
-                trial = _barrier_eval(objective, blocks, z + alpha * d, mu, 0)
+                trial = _barrier_eval(objective, blocks, z + alpha * d, mu, 0, scatter)
                 if trial is not None and trial[0] >= phi + ARMIJO_C1 * alpha * slope:
                     z = z + alpha * d
                     accepted = True
@@ -236,28 +364,21 @@ def concave_max(
                 ls_failed = True
                 message = f"stage {stage}: line search exhausted {MAX_HALVINGS} halvings"
                 break
+        else:
+            capped += 1
         if ls_failed:
             break
-    final = _barrier_eval(objective, blocks, z, mus[-1], 1)
+    final = _barrier_eval(objective, blocks, z, mus[-1], 1, scatter)
     if final is not None:
         kkt = float(np.max(np.abs(final[1])))
     info = SolveInfo(
         converged=(not ls_failed) and kkt <= kkt_tol,
         stages=len(mus),
         newton_steps=steps,
+        capped_stages=capped,
         kkt_residual=kkt,
         mu_final=mus[-1],
         line_search_failed=ls_failed,
         message=message,
     )
     return z, info
-
-
-def feasibility_violations(blocks: Sequence, z: np.ndarray, tol: float = 1e-6) -> List[str]:
-    """Constraint rows violated beyond tol, as human-readable labels."""
-    out = []
-    for blk in blocks:
-        vals = blk.values(z)
-        for i in np.nonzero(vals < -tol)[0]:
-            out.append(f"{getattr(blk, 'label', 'constraint')}[{int(i)}] = {vals[int(i)]:.3e}")
-    return out

@@ -270,9 +270,10 @@ class _PowerTerms:
         return out
 
     def local(self, v, order):
-        """Row values (-inf where a log argument leaves its domain), then
-        with ``order`` >= 1 the (m, 3) gradients and with ``order`` 2 the
-        (m, 3, 3) Hessians over the scaled slot variables ``v``."""
+        """(values, grad, hess): row values (-inf where a log argument
+        leaves its domain), with ``order`` >= 1 the (m, 3) gradients and
+        with ``order`` 2 the (m, 3, 3) Hessians over the scaled slot
+        variables ``v``; None beyond ``order``."""
         p1, p2, pr = (v * self.scale).T
         u = self.cu0 + self.cur * pr
         w = self.cv0 + self.cv1 * p1 + self.cv2 * p2
@@ -280,9 +281,9 @@ class _PowerTerms:
         with np.errstate(divide="ignore", invalid="ignore"):
             lin = self.t0 + self.a1 * p1 + self.a2 * p2 + self.ar * pr
             vals = self.cm * (np.log2(u) + np.log2(w) - lin)
-        out = (np.where(bad, -np.inf, vals),)
+        vals = np.where(bad, -np.inf, vals)
         if order == 0:
-            return out
+            return vals, None, None
         gw = self.cm / (LN2 * w)
         grad = np.column_stack((
             self.cv1 * gw - self.cm * self.a1,
@@ -290,14 +291,14 @@ class _PowerTerms:
             self.cur * self.cm / (LN2 * u) - self.cm * self.ar,
         )) * self.scale
         if order == 1:
-            return out + (grad,)
+            return vals, grad, None
         cw = -self.cm / (LN2 * w * w)
         hess = np.zeros((len(u), 3, 3))
         hess[:, 0, 0] = cw * self.cv1 * self.cv1
         hess[:, 0, 1] = hess[:, 1, 0] = cw * self.cv1 * self.cv2
         hess[:, 1, 1] = cw * self.cv2 * self.cv2
         hess[:, 2, 2] = -self.cm * self.cur * self.cur / (LN2 * u * u)
-        return out + (grad, hess * np.outer(self.scale, self.scale))
+        return vals, grad, hess * np.outer(self.scale, self.scale)
 
 
 def _power_terms(sc, cs, modes, anchor: PowerAllocation) -> Dict[int, _PowerTerms]:
@@ -354,16 +355,17 @@ class _TrajTerms:
         return self.base + self.dr * psi_r + self.dk * psi_k
 
     def local(self, v, order):
-        """Row values (-inf where A <= 0), then with ``order`` >= 1 the (m, 2)
-        gradients and with ``order`` 2 the (m, 2, 2) Hessians over the
-        scaled slot coordinates ``v``."""
+        """(values, grad, hess): row values (-inf where A <= 0), with
+        ``order`` >= 1 the (m, 2) gradients and with ``order`` 2 the
+        (m, 2, 2) Hessians over the scaled slot coordinates ``v``; None
+        beyond ``order``."""
         x, y = (LENGTH_SCALE * v).T
         a = self.argument(x, y)
         bad = a <= 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = (np.where(bad, -np.inf, self.cm * np.log2(a)),)
+            vals = np.where(bad, -np.inf, self.cm * np.log2(a))
         if order == 0:
-            return out
+            return vals, None, None
         da = 2.0 * self.s * np.column_stack((
             self.dr * (x - self.bx) + self.dk * (x - self.vx),
             self.dr * (y - self.by) + self.dk * (y - self.vy),
@@ -371,12 +373,12 @@ class _TrajTerms:
         scale = self.cm / (LN2 * a)
         grad = LENGTH_SCALE * scale[:, None] * da
         if order == 1:
-            return out + (grad,)
+            return vals, grad, None
         # A's Hessian is 2 s (dr + dk) I
         curv = scale * (2.0 * self.s * (self.dr + self.dk))
         q = self.cm / (LN2 * a * a)
         hess = curv[:, None, None] * np.eye(2) - q[:, None, None] * da[:, :, None] * da[:, None, :]
-        return out + (grad, LENGTH_SCALE**2 * hess)
+        return vals, grad, LENGTH_SCALE**2 * hess
 
 
 def _traj_terms(sc, cs_l, modes, powers) -> Dict[int, _TrajTerms]:
@@ -411,178 +413,108 @@ def _traj_terms(sc, cs_l, modes, powers) -> Dict[int, _TrajTerms]:
 
 
 class SlotRowBlock:
-    """Rows row_n(z[cols[n]]) - rhs_n (- z[epi_idx]) >= 0, one per slot.
+    """Rows row_n(z[slots[n]]) - rhs_n (- z[epi_idx]) >= 0, one per slot.
 
     ``terms.local`` gives each row's value, gradient and Hessian over its
-    own slot's d variables, whose positions in z are the row of ``cols``;
-    this block scatters them into the barrier's dense gradient and Hessian.
+    own slot's d variables, whose positions in z are the row of ``slots``.
+    An epigraph scalar's position is appended to every row's ``cols``.
     """
 
-    def __init__(self, terms, cols, rhs, epi_idx=None, label="rate target"):
+    def __init__(self, terms, slots, rhs, epi_idx=None, label="rate target"):
         self.terms = terms
-        self.cols = np.asarray(cols, dtype=int)
+        self.slots = np.asarray(slots, dtype=int)
         self.rhs = rhs
         self.epi = epi_idx
-        self.count = len(self.cols)
+        self.count = len(self.slots)
         self.label = label
+        self.cols = self.slots
+        if epi_idx is not None:
+            self.cols = np.column_stack([self.slots, np.full(self.count, epi_idx)])
 
-    def values(self, z):
-        g = self.terms.local(z[self.cols], 0)[0] - self.rhs
-        return g if self.epi is None else g - z[self.epi]
-
-    def add_gradient(self, z, w, out):
-        _, g = self.terms.local(z[self.cols], 1)
-        out[self.cols] += w[:, None] * g
-        if self.epi is not None:
-            out[self.epi] -= w.sum()
-
-    def add_hessian(self, z, w1, w2, out):
-        _, g, h = self.terms.local(z[self.cols], 2)
-        wg = w2[:, None] * g
-        out[self.cols[:, :, None], self.cols[:, None, :]] += (
-            w1[:, None, None] * h - wg[:, :, None] * g[:, None, :]
-        )
-        if self.epi is not None:
-            out[self.cols, self.epi] += wg
-            out[self.epi, self.cols] += wg
-            out[self.epi, self.epi] -= w2.sum()
-
-
-class _RowSumObjective:
-    """Sum of rate rows over all slots: the rows with w1 = 1 and w2 = 0."""
-
-    def __init__(self, rows, nvar):
-        self.rows = rows
-        self.nvar = nvar
-
-    def __call__(self, z, order=0):
-        vals = [row.values(z) for row in self.rows]
-        if not all(np.all(np.isfinite(v)) for v in vals):
-            return None
-        value = float(sum(v.sum() for v in vals))
-        if order == 0:
-            return (value,)
-        grad = np.zeros(self.nvar)
-        for row in self.rows:
-            row.add_gradient(z, np.ones(row.count), grad)
-        if order == 1:
-            return value, grad
-        hess = np.zeros((self.nvar, self.nvar))
-        for row in self.rows:
-            row.add_hessian(z, np.ones(row.count), np.zeros(row.count), hess)
-        return value, grad, hess
+    def evaluate(self, z, order):
+        vals, grad, hess = self.terms.local(z[self.slots], order)
+        vals = vals - self.rhs
+        if self.epi is None:
+            return vals, grad, hess
+        if order >= 1:
+            grad = np.column_stack([grad, np.full(self.count, -1.0)])
+        if order == 2:
+            d = hess.shape[1]
+            hess, local = np.zeros((self.count, d + 1, d + 1)), hess
+            hess[:, :d, :d] = local
+        return vals - z[self.epi], grad, hess
 
 
 class _EpigraphObjective:
-    """Maximize the appended epigraph scalar."""
+    """Maximize the appended epigraph scalar: one row, z[t_idx]."""
 
-    def __init__(self, nvar, t_idx):
-        self.nvar = nvar
-        self.t_idx = t_idx
+    count = 1
+    label = "epigraph objective"
+    _grad = np.ones((1, 1))
 
-    def __call__(self, z, order=0):
-        value = float(z[self.t_idx])
-        if order == 0:
-            return (value,)
-        grad = np.zeros(self.nvar)
-        grad[self.t_idx] = 1.0
-        if order == 1:
-            return value, grad
-        return value, grad, np.zeros((self.nvar, self.nvar))
+    def __init__(self, t_idx):
+        self.cols = np.array([[t_idx]])
+
+    def evaluate(self, z, order):
+        return z[self.cols[0]], (self._grad if order else None), None
 
 
 # ---- constraint blocks beyond the generic barrier ones ----
 
 
 class VelocityChainBlock:
-    """Per-step reach circles along [start, q_0, ..., q_{N-1}, end]."""
+    """Per-step reach circles along [start, q_0, ..., q_{N-1}, end].
 
-    def __init__(self, n_slots, start, end, radius, nvar, label="velocity"):
-        self.n = n_slots
+    Gap j joins slot j - 1 (or the start) to slot j (or the end), and its
+    row reads both slots' (x, y), whose positions in z are rows of
+    ``slots``.  The first and last gaps repeat their one slot's positions
+    with zero derivatives, so every row has four columns.
+    """
+
+    # Hessian of -|q_right - q_left|^2 over (left x, left y, right x, right y)
+    _PAIR = -2.0 * np.block([[np.eye(2), -np.eye(2)], [-np.eye(2), np.eye(2)]])
+
+    def __init__(self, slots, start, end, radius, label="velocity"):
+        self.slots = np.asarray(slots, dtype=int)
+        n = len(self.slots)
         self.start = np.asarray(start, dtype=float)
         self.end = np.asarray(end, dtype=float)
         self.r2 = float(radius) ** 2
-        self.nvar = nvar
-        self.count = n_slots + 1
+        self.count = n + 1
         self.label = label
+        left = self.slots[np.r_[0, 0:n]]
+        right = self.slots[np.r_[0:n, n - 1]]
+        self.cols = np.hstack([left, right])
+        self.left = np.r_[0.0, np.ones(n)][:, None]  # gap 0 starts at uav_start
+        self.right = np.r_[np.ones(n), 0.0][:, None]  # gap n ends at uav_end
+        side = np.hstack([self.left, self.left, self.right, self.right])
+        self.hess = LENGTH_SCALE**2 * self._PAIR * side[:, :, None] * side[:, None, :]
 
-    def _ext(self, z):
-        n, ell = self.n, LENGTH_SCALE
-        ex = np.empty(n + 2)
-        ey = np.empty(n + 2)
-        ex[0], ey[0] = self.start
-        ex[1 : n + 1] = ell * z[:n]
-        ey[1 : n + 1] = ell * z[n : 2 * n]
-        ex[n + 1], ey[n + 1] = self.end
-        return ex, ey
-
-    def _diffs(self, z):
-        ex, ey = self._ext(z)
-        return np.diff(ex), np.diff(ey)
-
-    def values(self, z):
-        dx, dy = self._diffs(z)
-        return self.r2 - dx * dx - dy * dy
-
-    def add_gradient(self, z, w, out):
-        dx, dy = self._diffs(z)
-        n, ell = self.n, LENGTH_SCALE
-        # slot i closes gap i (right end) and opens gap i+1 (left end)
-        out[:n] += 2.0 * ell * (w[1:] * dx[1:] - w[:-1] * dx[:-1])
-        out[n : 2 * n] += 2.0 * ell * (w[1:] * dy[1:] - w[:-1] * dy[:-1])
-
-    def add_hessian(self, z, w1, w2, out):
-        dx, dy = self._diffs(z)
-        n, nv, ell = self.n, self.nvar, LENGTH_SCALE
-        e2 = ell * ell
-        flat = out.ravel()
-        diag_w = w1[:-1] + w1[1:]  # slot i appears in gaps i and i+1
-        idx = np.arange(n)
-        flat[idx * (nv + 1)] -= 2.0 * e2 * diag_w
-        flat[(n + idx) * (nv + 1)] -= 2.0 * e2 * diag_w
-        if n > 1:
-            # adjacent-slot coupling from interior gaps 1..n-1
-            j = np.arange(1, n)
-            for (ra, ca) in ((j - 1, j), (j, j - 1)):
-                flat[ra * nv + ca] += 2.0 * e2 * w1[j]
-                flat[(n + ra) * nv + n + ca] += 2.0 * e2 * w1[j]
-        # rank-one terms; gap gradients touch at most two slots
-        gx, gy = 2.0 * ell * dx, 2.0 * ell * dy
-        for gap in range(self.n + 1):
-            cols = []
-            if gap >= 1:  # left end is slot gap-1, gradient +2*ell*d
-                cols += [(gap - 1, gx[gap]), (n + gap - 1, gy[gap])]
-            if gap <= self.n - 1:  # right end is slot gap, gradient -2*ell*d
-                cols += [(gap, -gx[gap]), (n + gap, -gy[gap])]
-            for a, ga in cols:
-                for b, gb in cols:
-                    flat[a * nv + b] -= w2[gap] * ga * gb
+    def evaluate(self, z, order):
+        q = LENGTH_SCALE * z[self.slots]
+        gap = np.diff(np.vstack([self.start, q, self.end]), axis=0)
+        dx, dy = gap.T
+        vals = self.r2 - dx * dx - dy * dy
+        if order == 0:
+            return vals, None, None
+        g = 2.0 * LENGTH_SCALE * gap
+        grad = np.hstack([self.left * g, -self.right * g])
+        return vals, grad, (self.hess if order == 2 else None)
 
 
 class PairDiffBlock:
     """Rows z[hi] - z[lo] >= 0 (slot-wise decoding-order constraints)."""
 
-    def __init__(self, hi_idx, lo_idx, nvar, label="decoding order"):
+    def __init__(self, hi_idx, lo_idx, label="decoding order"):
         self.hi = np.asarray(hi_idx, dtype=int)
         self.lo = np.asarray(lo_idx, dtype=int)
-        self.nvar = nvar
         self.count = len(self.hi)
         self.label = label
+        self.cols = np.column_stack([self.hi, self.lo])
+        self._grad = np.tile([1.0, -1.0], (self.count, 1))
 
-    def values(self, z):
-        return z[self.hi] - z[self.lo]
-
-    def add_gradient(self, z, w, out):
-        np.add.at(out, self.hi, w)
-        np.subtract.at(out, self.lo, w)
-
-    def add_hessian(self, z, w1, w2, out):
-        nv = self.nvar
-        flat = out.ravel()
-        np.subtract.at(flat, self.hi * (nv + 1), w2)
-        np.subtract.at(flat, self.lo * (nv + 1), w2)
-        np.add.at(flat, self.hi * nv + self.lo, w2)
-        np.add.at(flat, self.lo * nv + self.hi, w2)
+    def evaluate(self, z, order):
+        return z[self.hi] - z[self.lo], (self._grad if order else None), None
 
 
 # ---- start-point preparation ----
@@ -657,27 +589,30 @@ def _epigraph_start(bound_rows_min):
 # ---- single linearize-and-solve passes ----
 
 
-def _subproblem(sc, terms, cols, z0, blocks, objective: str, step: str, diag: Dict):
+def _subproblem(sc, terms, slots, width, z0, blocks, objective: str, step: str, diag: Dict):
     """Add both vehicles' rate rows to the fixed ``blocks`` and solve.
 
-    ``cols[n]`` holds the positions in z of slot n's variables.  For "sum"
-    the objective is the rows summed, and a vehicle's target rows are kept
-    at the slots whose bound clears the target at the start; the others
-    are dropped and recorded under ``step``.  For "min" an epigraph scalar
-    is appended to z and every row must stay above it.  Returns (z, bound,
-    info), bound being the subproblem's optimum.
+    z is slot-major: ``slots[n]`` holds the positions of slot n's d
+    variables, which fill z[:d * n] in order.  The barrier sees them as a
+    band of ``width`` and at most the epigraph scalar as its border.  For
+    "sum" the objective is the rows summed, and a vehicle's target rows
+    are kept at the slots whose bound clears the target at the start; the
+    others are dropped and recorded under ``step``.  For "min" an epigraph
+    scalar is appended to z and every row must stay above it.  Capped
+    barrier stages and failed solves are counted in ``diag``.  Returns
+    (z, bound, info), bound being the subproblem's optimum.
     """
-    rows = [SlotRowBlock(terms[k], cols, 0.0) for k in (1, 2)]
-    start = [row.values(z0) for row in rows]
+    rows = [SlotRowBlock(terms[k], slots, 0.0) for k in (1, 2)]
+    start = [row.evaluate(z0, 0)[0] for row in rows]
     blocks = list(blocks)
     if objective == "min":
         t_idx = len(z0)
         z0 = np.append(z0, _epigraph_start(float(min(start[0].min(), start[1].min()))))
         for k in (1, 2):
             blocks.append(SlotRowBlock(
-                terms[k], cols, 0.0, epi_idx=t_idx, label=f"epigraph rate v{k}"
+                terms[k], slots, 0.0, epi_idx=t_idx, label=f"epigraph rate v{k}"
             ))
-        obj = _EpigraphObjective(len(z0), t_idx)
+        obj = [_EpigraphObjective(t_idx)]
     else:
         for k, r0 in zip((1, 2), start):
             target = float(sc.rate_targets[k - 1])
@@ -693,11 +628,16 @@ def _subproblem(sc, terms, cols, z0, blocks, objective: str, step: str, diag: Di
             if np.any(keep):
                 idx = np.nonzero(keep)[0]
                 blocks.append(SlotRowBlock(
-                    terms[k].sub(idx), cols[idx], rhs, label=f"rate target v{k}"
+                    terms[k].sub(idx), slots[idx], rhs, label=f"rate target v{k}"
                 ))
-        obj = _RowSumObjective(rows, len(z0))
-    z, info = concave_max(obj, blocks, z0)
-    bound = float(z[-1]) if objective == "min" else obj(z, 0)[0]
+        obj = rows
+    z, info = concave_max(obj, blocks, z0, band=(slots.size, width))
+    diag["capped_stages"] = diag.get("capped_stages", 0) + info.capped_stages
+    diag["failed_solves"] = diag.get("failed_solves", 0) + int(info.line_search_failed)
+    if objective == "min":
+        bound = float(z[-1])
+    else:
+        bound = float(sum(row.evaluate(z, 0)[0].sum() for row in rows))
     return z, bound, info
 
 
@@ -705,43 +645,47 @@ def _power_step(sc, cs, modes, start: PowerAllocation, objective: str, diag: Dic
     """Build and solve one power subproblem around ``start``."""
     n = sc.slot_count
     ps, prs = sc.avg_bs_power, sc.avg_relay_power
+    slots = np.arange(3 * n).reshape(n, 3)  # (p1, p2, pr) per slot
     nvar = 3 * n + (1 if objective == "min" else 0)
-    blocks = [BoxBlock(np.arange(3 * n), 0.0, np.inf, "power nonnegativity")]
+    blocks = [BoxBlock(slots.T.ravel(), 0.0, np.inf, "power nonnegativity")]
     a = np.zeros((2, nvar))
-    a[0, : 2 * n] = -1.0
-    a[1, 2 * n : 3 * n] = -1.0
+    a[0, slots[:, :2]] = -1.0
+    a[1, slots[:, 2]] = -1.0
     blocks.append(LinearBlock(a, np.array([float(n), float(n)]), "energy budget"))
     m1, m2 = np.nonzero(modes == 1)[0], np.nonzero(modes == 2)[0]
-    hi = np.concatenate([n + m1, m2])  # stronger message index per slot
-    lo = np.concatenate([m1, n + m2])
+    hi = np.concatenate([slots[m1, 1], slots[m2, 0]])  # stronger message per slot
+    lo = np.concatenate([slots[m1, 0], slots[m2, 1]])
     if len(hi):
-        blocks.append(PairDiffBlock(hi, lo, nvar, "decoding order"))
+        blocks.append(PairDiffBlock(hi, lo, "decoding order"))
 
-    z0 = np.concatenate([start.p1 / ps, start.p2 / ps, start.pr / prs])
-    cols = np.arange(3 * n).reshape(3, n).T
+    z0 = np.column_stack([start.p1 / ps, start.p2 / ps, start.pr / prs]).ravel()
     terms = _power_terms(sc, cs, modes, start)
-    z, bound, info = _subproblem(sc, terms, cols, z0, blocks, objective, "power", diag)
-    return PowerAllocation(ps * z[:n], ps * z[n : 2 * n], prs * z[2 * n : 3 * n]), bound, info
+    z, bound, info = _subproblem(
+        sc, terms, slots, 2, z0, blocks, objective, "power", diag
+    )
+    p = z[slots]
+    return PowerAllocation(ps * p[:, 0], ps * p[:, 1], prs * p[:, 2]), bound, info
 
 
 def _traj_step(sc, powers, modes, start_traj, objective: str, diag: Dict):
     """Build and solve one trajectory subproblem around ``start_traj``."""
     n = sc.slot_count
-    nvar = 2 * n + (1 if objective == "min" else 0)
+    slots = np.arange(2 * n).reshape(n, 2)  # (x, y) per slot
     xmin, xmax, ymin, ymax = (float(v) for v in sc.flight_box)
     lo = np.concatenate([np.full(n, xmin), np.full(n, ymin)]) / LENGTH_SCALE
     hi = np.concatenate([np.full(n, xmax), np.full(n, ymax)]) / LENGTH_SCALE
     blocks = [
-        BoxBlock(np.arange(2 * n), lo, hi, "flight box"),
-        VelocityChainBlock(n, sc.uav_start, sc.uav_end, sc.step_radius, nvar),
+        BoxBlock(slots.T.ravel(), lo, hi, "flight box"),
+        VelocityChainBlock(slots, sc.uav_start, sc.uav_end, sc.step_radius),
     ]
 
     traj = _clamp_into_box(sc, start_traj)
-    z0 = np.concatenate([traj[:, 0], traj[:, 1]]) / LENGTH_SCALE
-    cols = np.arange(2 * n).reshape(2, n).T
+    z0 = traj.ravel() / LENGTH_SCALE
     terms = _traj_terms(sc, channel_state(start_traj, sc), modes, powers)
-    z, bound, info = _subproblem(sc, terms, cols, z0, blocks, objective, "trajectory", diag)
-    return LENGTH_SCALE * np.column_stack([z[:n], z[n : 2 * n]]), bound, info
+    z, bound, info = _subproblem(
+        sc, terms, slots, 3, z0, blocks, objective, "trajectory", diag
+    )
+    return LENGTH_SCALE * z[slots], bound, info
 
 
 def _damped_traj_accept(sc, powers, modes, anchor, cand, objective, diag):

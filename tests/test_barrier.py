@@ -1,12 +1,34 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from relayplan import barrier
-from relayplan.barrier import BallBlock, BoxBlock, LinearBlock, concave_max
+from relayplan.barrier import BoxBlock, LinearBlock, NewtonSystem, Scatter, concave_max
+from relayplan.solver import VelocityChainBlock
+
+
+class Whole:
+    """One objective row over all of z, from f(z, order) returning
+    (value,), (value, grad) or (value, grad, hess), or None off its domain."""
+
+    label = "objective"
+
+    def __init__(self, f, n):
+        self.f = f
+        self.cols = np.arange(n)[None, :]
+
+    def evaluate(self, z, order):
+        res = self.f(z, order)
+        if res is None:
+            return np.array([-np.inf]), None, None
+        grad = res[1][None, :] if order >= 1 else None
+        hess = res[2][None] if order == 2 else None
+        return np.array([res[0]]), grad, hess
 
 
 def quadratic(q, lin=None):
-    """objective -z'Qz/2 + lin'z as a barrier-style callable."""
+    """objective -z'Qz/2 + lin'z as one objective row."""
     q = np.asarray(q, dtype=float)
     lin = np.zeros(q.shape[0]) if lin is None else np.asarray(lin, dtype=float)
 
@@ -19,7 +41,12 @@ def quadratic(q, lin=None):
             return val, grad
         return val, grad, -q
 
-    return f
+    return [Whole(f, q.shape[0])]
+
+
+def linear(lin):
+    lin = np.asarray(lin, dtype=float)
+    return quadratic(np.zeros((len(lin), len(lin))), lin)
 
 
 def test_box_quadratic_reaches_origin():
@@ -48,7 +75,7 @@ def test_log_budget_equal_split():
         BoxBlock(np.arange(n), 0.0, np.inf, label="nonneg"),
         LinearBlock(-np.ones((1, n)), np.array([budget]), label="budget"),
     ]
-    z, info = concave_max(f, blocks, np.full(n, 0.1))
+    z, info = concave_max([Whole(f, n)], blocks, np.full(n, 0.1))
     assert info.converged
     assert np.allclose(z, budget / n, atol=1e-5)
 
@@ -76,19 +103,10 @@ def test_random_qp_against_grid_on_2d_slices():
 
 
 def test_ball_constraint_projects_along_gradient():
-    # maximize 1'z inside unit ball at origin -> z = 1/sqrt(2) * (1,1)
-    lin = np.ones(2)
-
-    def f(z, order):
-        val = lin @ z
-        if order == 0:
-            return (val,)
-        if order == 1:
-            return val, lin.copy()
-        return val, lin.copy(), np.zeros((2, 2))
-
-    blocks = [BallBlock(np.arange(2), np.zeros(2), 1.0)]
-    z, info = concave_max(f, blocks, np.zeros(2))
+    # one slot hovering at the origin: both gaps keep it within 100 m, one
+    # scaled unit, so maximizing x + y lands at (1, 1) / sqrt(2)
+    chain = VelocityChainBlock(np.array([[0, 1]]), (0.0, 0.0), (0.0, 0.0), 100.0)
+    z, info = concave_max(linear(np.ones(2)), [chain], np.zeros(2), band=(2, 3))
     assert info.converged
     assert np.allclose(z, 1 / np.sqrt(2), atol=1e-4)
 
@@ -107,7 +125,7 @@ def test_objective_domain_start_rejected():
         return None
 
     with pytest.raises(barrier.InfeasibleStartError, match="domain"):
-        concave_max(f, [BoxBlock(np.arange(1), -1.0, 1.0)], np.zeros(1))
+        concave_max([Whole(f, 1)], [BoxBlock(np.arange(1), -1.0, 1.0)], np.zeros(1))
 
 
 def test_unconstrained_pure_newton():
@@ -123,6 +141,14 @@ def test_barrier_stage_schedule_counts():
     assert info.stages == 9
     assert info.mu_final == pytest.approx(6 * 1e-8)
     assert info.newton_steps > 0
+    assert info.capped_stages == 0
+
+
+def test_capped_stages_counted(monkeypatch):
+    monkeypatch.setattr(barrier, "MAX_NEWTON_PER_STAGE", 1)
+    blocks = [BoxBlock(np.arange(2), -1.0, 1.0)]
+    z, info = concave_max(quadratic(np.eye(2), np.array([0.9, -0.9])), blocks, np.zeros(2))
+    assert info.newton_steps == info.capped_stages == info.stages
 
 
 def test_domain_rejection_shrinks_steps():
@@ -141,14 +167,72 @@ def test_domain_rejection_shrinks_steps():
         return val, np.array([1.0]), np.zeros((1, 1))
 
     blocks = [BoxBlock(np.array([0]), -1.0, 2.0)]
-    z, info = concave_max(f, blocks, np.array([0.0]))
+    z, info = concave_max([Whole(f, 1)], blocks, np.array([0.0]))
     assert z[0] <= 0.6
     assert calls["rejected"] > 0
     assert z[0] == pytest.approx(0.6, abs=1e-3)
 
 
-def test_feasibility_violations_reporting():
-    blocks = [BoxBlock(np.arange(2), 0.0, 1.0, label="p")]
-    assert barrier.feasibility_violations(blocks, np.array([0.5, 0.5])) == []
-    out = barrier.feasibility_violations(blocks, np.array([-0.2, 0.5]))
-    assert len(out) == 1 and out[0].startswith("p[")
+# ---- the structured Newton solve ----
+
+
+def random_system(rng, nb, bw, nk, r, lowrank_scale=1.0):
+    """A positive definite band-border-low-rank system."""
+    band = rng.normal(size=(bw + 1, nb))
+    for i in range(1, bw + 1):
+        band[i, nb - i :] = 0.0  # past the end of sub-diagonal i
+    band[0] = np.abs(band[0]) + 8.0 * bw + 1.0  # diagonally dominant
+    border = 0.3 * rng.normal(size=(nb, nk))
+    m = rng.normal(size=(nk, nk))
+    corner = m @ m.T + (np.sum(border**2) + 1.0) * np.eye(nk)
+    lowrank = lowrank_scale * rng.normal(size=(nb + nk, r))
+    return NewtonSystem(band, border, corner, lowrank)
+
+
+def dense_ridge_solve(neg, g):
+    """The dense schedule: Cholesky of neg + ridge I, the ridge starting at
+    1e-10 * trace/n and growing by 100 per failed try."""
+    scale = max(float(np.trace(neg)) / len(g), 1e-12)
+    ridge = 0.0
+    for _ in range(12):
+        try:
+            c = np.linalg.cholesky(neg + ridge * np.eye(len(g)))
+            return np.linalg.solve(c.T, np.linalg.solve(c, g)), ridge
+        except np.linalg.LinAlgError:
+            ridge = scale * 1e-10 if ridge == 0.0 else ridge * 100.0
+    raise AssertionError("dense schedule found no ridge")
+
+
+@pytest.mark.parametrize("bw, nk, r", list(itertools.product((2, 3), (0, 1), (0, 2))))
+def test_structured_solve_matches_dense(bw, nk, r, dense_system):
+    rng = np.random.default_rng([bw, nk, r])
+    for nb in (bw + 1, 30):
+        system = random_system(rng, nb, bw, nk, r)
+        g = rng.normal(size=nb + nk)
+        want = np.linalg.solve(dense_system(system), g)
+        got = system.solve(g)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("nk, r", [(0, 0), (1, 2)])
+def test_indefinite_system_follows_ridge_schedule(nk, r, dense_system):
+    rng = np.random.default_rng(7 + r)
+    system = random_system(rng, 20, 3, nk, r, lowrank_scale=0.1)
+    system.band[0, 5] = -30.0
+    g = rng.normal(size=20 + nk)
+    want, ridge = dense_ridge_solve(dense_system(system), g)
+    assert ridge > 0.0
+    got = system.solve(g)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_out_of_band_entry_raises():
+    with pytest.raises(ValueError, match="outside the band of width 1"):
+        concave_max(quadratic(np.eye(3)), [], np.zeros(3), band=(3, 1))
+    pair = BoxBlock(np.arange(3), -1.0, 1.0)
+    pair.cols = np.array([[0, 2]] * pair.count)
+    with pytest.raises(ValueError, match="box row 0 couples positions 0 and 2"):
+        Scatter(4, (3, 1), [pair])
+    # the same entries are legal border couplings or inside a wider band
+    Scatter(4, (2, 1), [pair])
+    Scatter(4, (3, 2), [pair])

@@ -2,8 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from relayplan import oracle, rates, solver
+from relayplan import barrier, oracle, rates, solver
 from relayplan.scenario import (
     channel_state,
     default_scenario,
@@ -329,6 +330,49 @@ def test_minrate_history_monotone(minrate50):
     assert all(b >= a - 1e-9 for a, b in zip(hist, hist[1:]))
 
 
+def test_minrate_diagnostics_sum_barrier_counts(monkeypatch):
+    infos = []
+    real = solver.concave_max
+
+    def spy(*args, **kwargs):
+        z, info = real(*args, **kwargs)
+        infos.append(info)
+        return z, info
+
+    monkeypatch.setattr(solver, "concave_max", spy)
+    monkeypatch.setattr(barrier, "MAX_NEWTON_PER_STAGE", 5)  # force capped stages
+    diag = solver.solve_minrate(SC8).diagnostics
+    assert diag["capped_stages"] == sum(info.capped_stages for info in infos) > 0
+    assert diag["failed_solves"] == sum(info.line_search_failed for info in infos)
+
+
+# ---- structure of the Newton steps ----
+
+
+def test_driver_newton_steps_factor_a_band(monkeypatch):
+    """Both drivers' Newton steps factor a band; any dense factorisation
+    (Schur complement, capacitance) is at most 3 x 3."""
+    dense, banded = [], []
+    real_dense, real_banded = np.linalg.cholesky, scipy.linalg.cholesky_banded
+
+    def spy_dense(a, *args, **kwargs):
+        dense.append(np.shape(a))
+        return real_dense(a, *args, **kwargs)
+
+    def spy_banded(ab, *args, **kwargs):
+        banded.append(np.shape(ab))
+        return real_banded(ab, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy_dense)
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", spy_banded)
+    sc = default_scenario(slots=40)
+    solver.solve_minrate(sc)
+    solver.algorithm3_joint(sc)
+    # (p1, p2, pr) slots: 3 band rows over 120 variables; (x, y): 4 over 80
+    assert set(banded) == {(3, 120), (4, 80)}
+    assert dense and max(max(shape) for shape in dense) <= 3
+
+
 # ---- feasibility reporting ----
 
 
@@ -360,7 +404,7 @@ FD_REL_TOL = 1e-5
 
 @pytest.fixture(scope="module")
 def subproblems():
-    """(objective, blocks, start) of the first subproblem of each shape.
+    """(objective, blocks, start, band) of the first subproblem of each shape.
 
     The joint driver starts from the min-rate solution, so one joint solve
     hands the barrier both drivers' subproblems: epigraph trajectory and
@@ -372,7 +416,7 @@ def subproblems():
     real = solver.concave_max
 
     def spy(objective, blocks, z0, **kwargs):
-        calls.append((objective, list(blocks), np.array(z0)))
+        calls.append((list(objective), list(blocks), np.array(z0), kwargs["band"]))
         return real(objective, blocks, z0, **kwargs)
 
     sc = dataclasses.replace(
@@ -382,8 +426,8 @@ def subproblems():
         mp.setattr(solver, "concave_max", spy)
         solver.algorithm3_joint(sc)
     first = {}
-    for objective, blocks, z0 in calls:
-        first.setdefault(len(z0), (objective, blocks, z0))
+    for call in calls:
+        first.setdefault(len(call[2]), call)
     return sc.slot_count, first
 
 
@@ -400,7 +444,11 @@ def test_subproblems_cover_every_block_kind(subproblems):
     # trajectory sum / min, power sum / min
     assert sorted(first) == [2 * n, 2 * n + 1, 3 * n, 3 * n + 1]
     labels = {size: [(b.label, b.count) for b in blocks]
-              for size, (_, blocks, _) in first.items()}
+              for size, (_, blocks, _, _) in first.items()}
+    # slot-major layouts: (x, y) or (p1, p2, pr) per slot, epigraph last
+    bands = {size: band for size, (_, _, _, band) in first.items()}
+    assert bands == {2 * n: (2 * n, 3), 2 * n + 1: (2 * n, 3),
+                     3 * n: (3 * n, 2), 3 * n + 1: (3 * n, 2)}
     for size in (2 * n + 1, 3 * n + 1):
         assert ("epigraph rate v1", n) in labels[size]
         assert ("epigraph rate v2", n) in labels[size]
@@ -410,20 +458,30 @@ def test_subproblems_cover_every_block_kind(subproblems):
     assert len(kept) == 2 and all(0 < c < n for c in kept)
 
 
-def test_subproblem_derivatives_match_finite_differences(subproblems):
-    """Objectives, and every block against the barrier's contract:
-    add_gradient adds sum w grad g, add_hessian adds
-    sum (w1 hess g - w2 grad g grad g^T)."""
+def test_subproblem_derivatives_match_finite_differences(subproblems, dense_system):
+    """Objectives, and every block against the barrier's contract: with
+    row weights w1 and w2 a block adds sum w1 grad g to the gradient and
+    sum (w2 grad g grad g^T - w1 hess g) to -H.  Each part is scattered
+    under the drivers' own band layout, made dense and differenced, so an
+    entry in the wrong place of the band fails too."""
     rng = np.random.default_rng(5)
     n, first = subproblems
-    for size, (objective, blocks, z0) in sorted(first.items()):
+    for size, (objective, blocks, z0, band) in sorted(first.items()):
         # coordinates are in units of 100 m, powers in units of the budget
         step = 1e-3 if size <= 2 * n + 1 else 1e-4
 
-        def value(z):
-            return objective(z, 0)[0]
+        def assembled(blk, w1, w2):
+            """(gradient, dense -H) of one block under the driver's band."""
+            scatter = barrier.Scatter(size, band, [blk])
+            ev = blk.evaluate(z0, 2)
+            return scatter.gradient([ev], [w1]), dense_system(scatter.system([ev], [w1], [w2]))
 
-        _, grad, hess = objective(z0, 2)
+        def value(z):
+            return sum(src.evaluate(z, 0)[0].sum() for src in objective)
+
+        parts = [assembled(src, np.ones(src.count), None) for src in objective]
+        grad = sum(p[0] for p in parts)
+        hess = -sum(p[1] for p in parts)
         assert_matches(grad, oracle.finite_diff_gradient(value, z0, step), size)
         assert_matches(hess, oracle.finite_diff_hessian(value, z0, step), size)
         for blk in blocks:
@@ -432,18 +490,14 @@ def test_subproblem_derivatives_match_finite_differences(subproblems):
             where = (size, blk.label)
 
             def weighted(z):
-                return float(w @ blk.values(z))
+                return float(w @ blk.evaluate(z, 0)[0])
 
-            got = np.zeros(size)
-            blk.add_gradient(z0, w, got)
+            got, neg_curv = assembled(blk, w, zero)
             assert_matches(got, oracle.finite_diff_gradient(weighted, z0, step), where)
-            got = np.zeros((size, size))
-            blk.add_hessian(z0, w, zero, got)
-            assert_matches(got, oracle.finite_diff_hessian(weighted, z0, step), where)
+            assert_matches(-neg_curv, oracle.finite_diff_hessian(weighted, z0, step), where)
             jac = np.array([
-                oracle.finite_diff_gradient(lambda z: blk.values(z)[i], z0, step)
+                oracle.finite_diff_gradient(lambda z: blk.evaluate(z, 0)[0][i], z0, step)
                 for i in range(blk.count)
             ])
-            got = np.zeros((size, size))
-            blk.add_hessian(z0, zero, w, got)
-            assert_matches(got, -(jac.T * w) @ jac, where)
+            _, outer = assembled(blk, zero, w)
+            assert_matches(outer, (jac.T * w) @ jac, where)
