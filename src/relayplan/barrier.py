@@ -3,11 +3,16 @@
 maximize f(z)  subject to  g_i(z) >= 0,  i = 1..n_c
 
 with f concave and every g_i concave, both smooth on the interior.  The
-barrier stages maximize f(z) + mu * sum_i log g_i(z) by damped Newton steps,
-with mu shrinking from n_c by factors of 10 down to 1e-8 * n_c.  The start
-must be strictly interior; the line search keeps every iterate interior and
-inside the objective's own domain (an objective row that is not finite
-rejects a trial point, which the search treats as -inf).
+barrier stages maximize f(z) + mu * sum_i log g_i(z) by damped Newton steps.
+A stage's optimum lies within the duality gap n_c * mu of the optimum of f,
+so with scale = max(1, |f(z0)|) mu starts at scale / n_c and shrinks by
+factors of 10 down to a gap of GAP_REL * scale.  A stage ends when
+max |grad phi| <= KKT_TOL or when the Newton decrement grad . d is at
+rounding level, |grad . d| <= DECREMENT_REL * scale; only a slope below that
+band is a non-ascent failure.  The start must be strictly interior; the
+line search keeps every iterate interior and inside the objective's own
+domain (an objective row that is not finite rejects a trial point, which
+the search treats as -inf).
 
 Row protocol.  The objective is a list of row blocks whose rows sum to f,
 and every constraint block holds rows g_i.  Each block is evaluated once per
@@ -51,7 +56,8 @@ import scipy.linalg as sla
 ARMIJO_C1 = 1e-4
 MAX_HALVINGS = 60
 KKT_TOL = 1e-6
-MU_FLOOR_REL = 1e-8
+GAP_REL = 1e-8  # final duality gap n_c * mu, relative to the objective scale
+DECREMENT_REL = 2e-13  # Newton decrement at rounding level, same scale
 MAX_NEWTON_PER_STAGE = 120
 RIDGE_TRIES = 12
 
@@ -103,7 +109,7 @@ class SolveInfo:
     converged: bool
     stages: int
     newton_steps: int
-    capped_stages: int  # stages that ran MAX_NEWTON_PER_STAGE steps
+    capped_stages: int  # stages that ran MAX_NEWTON_PER_STAGE steps unstopped
     kkt_residual: float
     mu_final: float
     line_search_failed: bool
@@ -291,7 +297,6 @@ def concave_max(
     blocks: Sequence,
     z0: np.ndarray,
     kkt_tol: float = KKT_TOL,
-    mu_floor_rel: float = MU_FLOOR_REL,
     band: Optional[Tuple[int, int]] = None,
 ) -> Tuple[np.ndarray, SolveInfo]:
     """Maximize the sum of the ``objective`` blocks' rows over the
@@ -299,7 +304,8 @@ def concave_max(
 
     ``band`` = (nb, bw) declares the first nb variables banded with
     bandwidth bw and the rest dense border; by default the band spans every
-    variable.  Returns the final iterate and a SolveInfo; raises
+    variable.  Returns the final iterate and a SolveInfo, converged when no
+    stage failed and the last one ended on a stop test; raises
     InfeasibleStartError when z0 is not strictly interior.
     """
     z = np.asarray(z0, dtype=float).copy()
@@ -312,8 +318,10 @@ def concave_max(
                 f"start violates {getattr(blk, 'label', 'constraint')} row {bad} "
                 f"(value {vals[bad]:.3e})"
             )
-    if not all(np.all(np.isfinite(src.evaluate(z, 0)[0])) for src in objective):
+    f0 = [src.evaluate(z, 0)[0] for src in objective]
+    if not all(np.all(np.isfinite(v)) for v in f0):
         raise InfeasibleStartError("start lies outside the objective domain")
+    scale = max(1.0, abs(float(sum(v.sum() for v in f0))))
     scatter = Scatter(len(z), band or (len(z), len(z) - 1), objective + blocks)
 
     n_c = int(sum(blk.count for blk in blocks))
@@ -321,23 +329,26 @@ def concave_max(
         mus = [0.0]
     else:
         mus = []
-        mu = float(n_c)
-        floor = mu_floor_rel * n_c
+        mu = scale / n_c
+        floor = GAP_REL * scale / n_c
         while True:
             mus.append(mu)
             if mu <= floor * (1 + 1e-12):
                 break
             mu /= 10.0
+    flat = DECREMENT_REL * scale
     steps = 0
     capped = 0
     kkt = np.inf
     ls_failed = False
     message = ""
     for stage, mu in enumerate(mus):
+        stopped = False
         for _ in range(MAX_NEWTON_PER_STAGE):
             phi, grad, newton = _barrier_eval(objective, blocks, z, mu, 2, scatter)
             kkt = float(np.max(np.abs(grad)))
             if kkt <= kkt_tol:
+                stopped = True
                 break
             try:
                 d = newton.solve(grad)
@@ -345,8 +356,11 @@ def concave_max(
                 ls_failed = True
                 message = f"stage {stage}: {exc}"
                 break
-            slope = float(grad @ d)
-            if slope <= 0:  # numerical loss of ascent direction
+            slope = float(grad @ d)  # the squared Newton decrement
+            if abs(slope) <= flat:
+                stopped = True
+                break
+            if slope < 0:  # numerical loss of ascent direction
                 ls_failed = True
                 message = f"stage {stage}: non-ascent Newton direction"
                 break
@@ -364,15 +378,14 @@ def concave_max(
                 ls_failed = True
                 message = f"stage {stage}: line search exhausted {MAX_HALVINGS} halvings"
                 break
-        else:
-            capped += 1
         if ls_failed:
             break
+        capped += not stopped
     final = _barrier_eval(objective, blocks, z, mus[-1], 1, scatter)
     if final is not None:
         kkt = float(np.max(np.abs(final[1])))
     info = SolveInfo(
-        converged=(not ls_failed) and kkt <= kkt_tol,
+        converged=stopped,
         stages=len(mus),
         newton_steps=steps,
         capped_stages=capped,

@@ -821,6 +821,9 @@ def solve_minrate(sc: Scenario) -> SolverResult:
             steps += info_t.newton_steps
         else:
             bound_t = None
+        # the previous optimum sits on its energy budgets to within the
+        # barrier's final gap; back it off to a strictly interior start
+        powers = _prepare_power_start(sc, sched.modes, powers)
         powers, bound_p, info_p = _power_step(sc, cs, sched.modes, powers, "min", diag)
         steps += info_p.newton_steps
         r1, r2 = _exact_rate_arrays(sc, cs, sched.modes, powers)

@@ -136,19 +136,66 @@ def test_unconstrained_pure_newton():
 
 def test_barrier_stage_schedule_counts():
     n = 3
-    blocks = [BoxBlock(np.arange(n), -1.0, 1.0)]  # n_c = 6
-    z, info = concave_max(quadratic(np.eye(n), np.array([0.3, 0.0, -0.2])), blocks, np.zeros(n))
-    assert info.stages == 9
-    assert info.mu_final == pytest.approx(6 * 1e-8)
-    assert info.newton_steps > 0
-    assert info.capped_stages == 0
+    blocks = [BoxBlock(np.arange(n), -1.0, 1.0)]
+    n_c = 2 * n
+    obj = quadratic(40.0 * np.eye(n), np.array([0.3, 0.0, -0.2]))
+    for z0 in (np.zeros(n), np.full(n, 0.5)):
+        scale = max(1.0, abs(obj[0].evaluate(z0, 0)[0][0]))  # 1, then about 15
+        z, info = concave_max(obj, blocks, z0)
+        # mu runs from scale / n_c down by factors of 10 to a gap n_c * mu
+        # of GAP_REL * scale
+        assert info.stages == 1 + round(-np.log10(barrier.GAP_REL))
+        assert info.mu_final == pytest.approx(barrier.GAP_REL * scale / n_c)
+        assert info.newton_steps > 0
+        assert info.capped_stages == 0
 
 
 def test_capped_stages_counted(monkeypatch):
     monkeypatch.setattr(barrier, "MAX_NEWTON_PER_STAGE", 1)
     blocks = [BoxBlock(np.arange(2), -1.0, 1.0)]
-    z, info = concave_max(quadratic(np.eye(2), np.array([0.9, -0.9])), blocks, np.zeros(2))
+    # the optimum (1, -1) sits on two bounds, so every smaller mu moves it
+    # and each stage needs a step
+    z, info = concave_max(quadratic(np.eye(2), np.array([2.0, -2.0])), blocks, np.zeros(2))
     assert info.newton_steps == info.capped_stages == info.stages
+    assert not info.converged
+
+
+class LogSlots:
+    """Rows log(1 + 3 x_i) + y_i - y_i^2 over slot-major (x_i, y_i)."""
+
+    label = "objective"
+
+    def __init__(self, n):
+        self.count = n
+        self.cols = np.arange(2 * n).reshape(n, 2)
+
+    def evaluate(self, z, order):
+        x, y = z[self.cols].T
+        with np.errstate(invalid="ignore", divide="ignore"):
+            vals = np.log1p(3.0 * x) + y - y * y
+        if order == 0:
+            return vals, None, None
+        grad = np.column_stack([3.0 / (1.0 + 3.0 * x), 1.0 - 2.0 * y])
+        if order == 1:
+            return vals, grad, None
+        hess = np.zeros((self.count, 2, 2))
+        hess[:, 0, 0] = -9.0 / (1.0 + 3.0 * x) ** 2
+        hess[:, 1, 1] = -2.0
+        return vals, grad, hess
+
+
+@pytest.mark.parametrize("n", [3, 30, 300])
+def test_accuracy_holds_as_copies_grow(n):
+    # each copy maximizes log(1 + 3x) + y - y^2 on the unit square: x = 1 on
+    # its bound, y = 1/2 inside, optimum log 4 + 1/4
+    obj = [LogSlots(n)]
+    blocks = [BoxBlock(np.arange(2 * n), 0.0, 1.0)]
+    z0 = np.full(2 * n, 0.5)
+    z, info = concave_max(obj, blocks, z0, band=(2 * n, 1))
+    best = n * (np.log(4.0) + 0.25)
+    scale = max(1.0, abs(obj[0].evaluate(z0, 0)[0].sum()))
+    assert info.converged and info.capped_stages == 0
+    assert 0.0 <= best - obj[0].evaluate(z, 0)[0].sum() <= barrier.GAP_REL * scale
 
 
 def test_domain_rejection_shrinks_steps():

@@ -346,6 +346,15 @@ def test_minrate_diagnostics_sum_barrier_counts(monkeypatch):
     assert diag["failed_solves"] == sum(info.line_search_failed for info in infos)
 
 
+def test_minrate_long_horizon_converges():
+    res = solver.solve_minrate(default_scenario(slots=300))
+    bound = np.array([h["bound_power"] for h in res.history])
+    assert res.converged
+    assert res.diagnostics["capped_stages"] == 0
+    assert res.diagnostics["failed_solves"] == 0
+    assert np.all(np.diff(bound) >= -1e-9)
+
+
 # ---- structure of the Newton steps ----
 
 
