@@ -296,7 +296,6 @@ def concave_max(
     objective: Sequence,
     blocks: Sequence,
     z0: np.ndarray,
-    kkt_tol: float = KKT_TOL,
     band: Optional[Tuple[int, int]] = None,
 ) -> Tuple[np.ndarray, SolveInfo]:
     """Maximize the sum of the ``objective`` blocks' rows over the
@@ -347,7 +346,7 @@ def concave_max(
         for _ in range(MAX_NEWTON_PER_STAGE):
             phi, grad, newton = _barrier_eval(objective, blocks, z, mu, 2, scatter)
             kkt = float(np.max(np.abs(grad)))
-            if kkt <= kkt_tol:
+            if kkt <= KKT_TOL:
                 stopped = True
                 break
             try:

@@ -23,7 +23,6 @@ from relayplan.scenario import (
     Scenario,
     ScenarioError,
     channel_state,
-    initial_trajectory,
     load_scenario,
     validate_trajectory,
 )
@@ -32,6 +31,7 @@ from relayplan.solver import (
     InfeasibleProblemError,
     PowerAllocation,
     algorithm3_joint,
+    feasible_init,
     solve_minrate,
 )
 
@@ -135,22 +135,12 @@ def _out_paths(args, stem: str):
     return f"{base}/{stem}_slots.csv", f"{base}/{stem}_summary.json"
 
 
-def _equal_split(sc: Scenario) -> PowerAllocation:
-    n = sc.slot_count
-    return PowerAllocation(
-        np.full(n, 0.5 * sc.avg_bs_power),
-        np.full(n, 0.5 * sc.avg_bs_power),
-        np.full(n, sc.avg_relay_power),
-    )
-
-
 def _solve(args, driver, stem: str) -> int:
     sc = load_scenario(args.scenario, slots=args.slots)
     res = driver(sc)
     states = res.schedule.states
     modes = res.schedule.modes
-    r1 = np.array([s.r1 for s in res.slots])
-    r2 = np.array([s.r2 for s in res.slots])
+    r1, r2 = res.slots.r1, res.slots.r2
     csv_path, summary_path = _out_paths(args, stem)
     _write_slots_csv(csv_path, _slot_rows(sc, res.trajectory, res.powers, states, modes, r1, r2))
     _write_summary(
@@ -270,8 +260,7 @@ def _cmd_highsnr(args) -> int:
         for rec in report["records"]
         for key in ("noma_sum", "noma_min", "oma_sum", "oma_min")
     )
-    traj = initial_trajectory(sc)
-    powers = _equal_split(sc)
+    traj, powers = feasible_init(sc, "P2")
     cs = channel_state(traj, sc)
     sched = mode_schedule(cs, sc)
     r1, r2 = exact_rates(sched.modes, cs.h_r, cs.h_1, cs.h_2,
@@ -300,9 +289,8 @@ def _cmd_highsnr(args) -> int:
 
 def _cmd_validate(args) -> int:
     sc = load_scenario(args.scenario, slots=args.slots)
-    traj = initial_trajectory(sc)
+    traj, powers = feasible_init(sc, "P2")
     report = validate_trajectory(traj, sc)
-    powers = _equal_split(sc)
     cs = channel_state(traj, sc)
     sched = mode_schedule(cs, sc)
     r1, r2 = exact_rates(sched.modes, cs.h_r, cs.h_1, cs.h_2,

@@ -16,10 +16,15 @@ from relayplan.scenario import ChannelState, Scenario
 
 # Table rows: state -> mode
 STATE_MODE = {1: 1, 2: 3, 3: 1, 4: 3, 5: 3, 6: 2, 7: 3, 8: 2, 9: 3, 10: 3}
+# the same table as an array indexed by state (entry 0 unused)
+MODE_OF_STATE = np.array([0] + [STATE_MODE[s] for s in range(1, 11)])
 
 
 def select_mode(h_r: float, h_1: float, h_2: float, r_th: float) -> Tuple[int, int]:
-    """One slot's (state, mode) from the three gains and the threshold."""
+    """One slot's (state, mode) from the three gains and the threshold.
+
+    The scalar reference that ``policy_states`` is tested against.
+    """
     if h_r <= 0 or h_1 <= 0 or h_2 <= 0:
         raise ValueError("gains must be positive")
     if h_1 >= h_2:
@@ -39,6 +44,39 @@ def select_mode(h_r: float, h_1: float, h_2: float, r_th: float) -> Tuple[int, i
     return state, STATE_MODE[state]
 
 
+def policy_states(h_r, h_1, h_2, r_th: float) -> np.ndarray:
+    """Array version of ``select_mode``'s state classifier.
+
+    Same branch structure as the scalar selector, expressed with masks so a
+    whole horizon, or a grid of candidate relay positions, is classified at
+    once.
+    """
+    h_r, h_1, h_2 = np.broadcast_arrays(*np.atleast_1d(h_r, h_1, h_2))
+    if np.any(h_r <= 0) or np.any(h_1 <= 0) or np.any(h_2 <= 0):
+        raise ValueError("gains must be positive")
+    # the ratio form of select_mode: a difference of two logs can round a
+    # one-ulp gain ratio to zero and classify a near-tie the other way
+    half_log = lambda num, den: 0.5 * np.log2(num / den)
+    first = h_1 >= h_2
+    return np.select(
+        [
+            first & (h_r > h_1),
+            first & (h_r > h_2),
+            first,
+            ~first & (h_r > h_2),
+            ~first & (h_r > h_1),
+        ],
+        [
+            np.where(half_log(h_1, h_2) > r_th, 1, 2),
+            np.where(half_log(h_r, h_2) > r_th, 3, 4),
+            5,
+            np.where(half_log(h_2, h_1) > r_th, 6, 7),
+            np.where(half_log(h_r, h_1) > r_th, 8, 9),
+        ],
+        default=10,
+    )
+
+
 @dataclasses.dataclass(frozen=True)
 class ModeSchedule:
     """Per-slot policy state and operating mode (dense encoding of the indicator triples)."""
@@ -53,47 +91,12 @@ class ModeSchedule:
             object.__setattr__(self, name, arr)
         if self.states.shape != self.modes.shape:
             raise ValueError("states/modes length mismatch")
-        want = np.array([STATE_MODE[s] for s in self.states.tolist()])
-        if not np.array_equal(want, self.modes):
+        in_table = np.all((self.states >= 1) & (self.states <= 10))
+        if not in_table or not np.array_equal(MODE_OF_STATE[self.states], self.modes):
             raise ValueError("state/mode assignment inconsistent with the policy table")
-
-    def indicator_matrices(self):
-        """(A, B, Gamma) as (10, N) one-hot matrices; exactly one 1 per column."""
-        n = len(self.states)
-        a = np.zeros((10, n))
-        b = np.zeros((10, n))
-        g = np.zeros((10, n))
-        cols = np.arange(n)
-        rows = self.states - 1
-        a[rows, cols] = self.modes == 1
-        b[rows, cols] = self.modes == 2
-        g[rows, cols] = self.modes == 3
-        return a, b, g
-
-    def mode_fractions(self):
-        """Fraction of slots in each mode, keyed 1/2/3."""
-        n = len(self.modes)
-        return {m: float(np.sum(self.modes == m)) / n for m in (1, 2, 3)}
 
 
 def mode_schedule(cs: ChannelState, sc: Scenario) -> ModeSchedule:
     """Vectorized per-slot policy over a channel state."""
-    h_r, h_1, h_2 = cs.h_r, cs.h_1, cs.h_2
-    r_th = sc.mode_threshold
-    n = len(h_r)
-    states = np.zeros(n, dtype=int)
-    first = h_1 >= h_2
-    hi, lo = np.where(first, h_1, h_2), np.where(first, h_2, h_1)
-    noma_gain = 0.5 * np.log2(hi / lo) > r_th
-    relay_gain = np.zeros(n, dtype=bool)
-    mid = (h_r <= hi) & (h_r > lo)
-    relay_gain[mid] = 0.5 * np.log2(h_r[mid] / lo[mid]) > r_th
-    states[first & (h_r > h_1)] = np.where(noma_gain[first & (h_r > h_1)], 1, 2)
-    states[first & mid] = np.where(relay_gain[first & mid], 3, 4)
-    states[first & (h_r <= lo)] = 5
-    second = ~first
-    states[second & (h_r > h_2)] = np.where(noma_gain[second & (h_r > h_2)], 6, 7)
-    states[second & mid] = np.where(relay_gain[second & mid], 8, 9)
-    states[second & (h_r <= lo)] = 10
-    modes = np.array([STATE_MODE[s] for s in states.tolist()])
-    return ModeSchedule(states=states, modes=modes)
+    states = policy_states(cs.h_r, cs.h_1, cs.h_2, sc.mode_threshold)
+    return ModeSchedule(states=states, modes=MODE_OF_STATE[states])

@@ -9,47 +9,9 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from relayplan.modes import STATE_MODE
+from relayplan.modes import MODE_OF_STATE, policy_states
 from relayplan.rates import exact_rates, high_snr_rates, rate_mode1, rate_mode3
 from relayplan.scenario import Scenario, channel_gain, vehicle_paths
-
-_MODE_OF_STATE = np.array([0] + [STATE_MODE[s] for s in range(1, 11)])
-
-
-# ---- vectorized mode policy ----
-
-
-def policy_states(h_r, h_1, h_2, r_th: float) -> np.ndarray:
-    """Array version of the per-slot state classifier.
-
-    Same branch structure as the scalar selector, expressed with masks so a
-    whole grid of candidate relay positions can be classified at once.
-    """
-    h_r, h_1, h_2 = np.broadcast_arrays(*np.atleast_1d(h_r, h_1, h_2))
-    if np.any(h_r <= 0) or np.any(h_1 <= 0) or np.any(h_2 <= 0):
-        raise ValueError("gains must be positive")
-    # the ratio form of modes.select_mode: a difference of two logs can round
-    # a one-ulp gain ratio to zero and classify a near-tie the other way
-    half_log = lambda num, den: 0.5 * np.log2(num / den)
-    first = h_1 >= h_2
-    states = np.select(
-        [
-            first & (h_r > h_1),
-            first & (h_r > h_2),
-            first,
-            ~first & (h_r > h_2),
-            ~first & (h_r > h_1),
-        ],
-        [
-            np.where(half_log(h_1, h_2) > r_th, 1, 2),
-            np.where(half_log(h_r, h_2) > r_th, 3, 4),
-            5,
-            np.where(half_log(h_2, h_1) > r_th, 6, 7),
-            np.where(half_log(h_r, h_1) > r_th, 8, 9),
-        ],
-        default=10,
-    )
-    return states
 
 
 # ---- exhaustive placement / power search ----
@@ -78,7 +40,7 @@ def _grid_search(sc, xs, ys, p1_tri, p2_tri, pr_tri, objective, chunk_cells):
         h_1 = channel_gain(pos[:, None, :], paths[0], sc.uav_height, sc.beta0)
         h_2 = channel_gain(pos[:, None, :], paths[1], sc.uav_height, sc.beta0)
         if objective == "sum":
-            modes = _MODE_OF_STATE[policy_states(h_r[:, None], h_1, h_2, sc.mode_threshold)]
+            modes = MODE_OF_STATE[policy_states(h_r[:, None], h_1, h_2, sc.mode_threshold)]
         else:
             modes = np.full(h_1.shape, 3)
         shape = (idx.size, n_tri, n_slots)

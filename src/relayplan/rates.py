@@ -6,7 +6,6 @@ and half the relay power per vehicle).  All functions accept scalars or numpy
 arrays and broadcast.  Rates use log1p so near-zero SINRs keep precision.
 """
 
-import dataclasses
 from typing import Tuple
 
 import numpy as np
@@ -23,15 +22,6 @@ def _check_powers(*powers):
     for p in powers:
         if np.any(np.asarray(p) < 0):
             raise ValueError("powers must be nonnegative")
-
-
-def amplification_gain_noma(p1, p2, pr, h_r, sigma2):
-    """AF gain rho = pr / ((p1 + p2) h_r + sigma^2)."""
-    _check_powers(p1, p2, pr)
-    den = (np.asarray(p1) + np.asarray(p2)) * h_r + sigma2
-    if np.any(den <= 0):
-        raise ValueError("amplification denominator must be positive")
-    return pr / den
 
 
 def rate_mode1(h_r, h_1, h_2, p1, p2, pr, sigma2) -> Tuple[np.ndarray, np.ndarray]:
@@ -61,51 +51,6 @@ def rate_mode3(h_r, h_k, p_k, pr, sigma_o2):
     _check_powers(p_k, pr)
     den = pr * h_k * sigma_o2 + 2 * p_k * h_r * sigma_o2 + 2 * sigma_o2**2
     return 0.5 * _log2p1(pr * h_k * h_r * p_k / den)
-
-
-@dataclasses.dataclass(frozen=True)
-class SlotRates:
-    mode: int
-    r1: float
-    r2: float
-    sinr1: float
-    sinr2: float
-    amp_gain: float  # rho for NOMA; (rho_1, rho_2) collapsed to rho_1 for OMA
-
-
-def slot_rates(mode: int, h_r, h_1, h_2, p1, p2, pr, sc) -> SlotRates:
-    """Dispatch one slot's rates by mode using scenario noise powers."""
-    s2 = sc.noise_power
-    s = p1 + p2
-    if mode in (1, 2):
-        _check_powers(p1, p2, pr)
-        rho = amplification_gain_noma(p1, p2, pr, h_r, s2)
-        h_near, h_far = (h_1, h_2) if mode == 1 else (h_2, h_1)
-        p_near, p_far = (p1, p2) if mode == 1 else (p2, p1)
-        noise_near = pr * h_near * s2 + s * h_r * s2 + s2**2
-        sinr_near = pr * h_near * h_r * p_near / noise_near
-        noise_far = pr * h_far * s2 + s * h_r * s2 + s2**2
-        sinr_far = pr * h_far * h_r * p_far / (pr * h_far * h_r * p_near + noise_far)
-        sinr1, sinr2 = (sinr_near, sinr_far) if mode == 1 else (sinr_far, sinr_near)
-        r1, r2 = _log2p1(sinr1), _log2p1(sinr2)
-    elif mode == 3:
-        _check_powers(p1, p2, pr)
-        so2 = sc.oma_noise_power
-        sinr1 = pr * h_1 * h_r * p1 / (pr * h_1 * so2 + 2 * p1 * h_r * so2 + 2 * so2**2)
-        sinr2 = pr * h_2 * h_r * p2 / (pr * h_2 * so2 + 2 * p2 * h_r * so2 + 2 * so2**2)
-        r1, r2 = 0.5 * _log2p1(sinr1), 0.5 * _log2p1(sinr2)
-        rho = 0.5 * pr / (p1 * h_r + so2)
-    else:
-        raise ValueError(f"invalid mode {mode}")
-    return SlotRates(
-        mode=mode,
-        r1=float(r1),
-        r2=float(r2),
-        sinr1=float(sinr1),
-        sinr2=float(sinr2),
-        amp_gain=float(rho),
-    )
-
 
 
 def rates_for_mode(mode, h_r, h_1, h_2, p1, p2, pr, sigma2) -> Tuple[np.ndarray, np.ndarray]:

@@ -121,35 +121,6 @@ def convexified_rate(mode, k, p1, p2, pr, psi_r, psi_k):
 # ---- power-side DC machinery (normalized gains) ----
 
 
-def dc_rate_parts(mode, g_r, g_1, g_2, p1, p2, pr):
-    """Both log terms of the mode's DC sum-rate form: (concave, convex).
-
-    The difference concave - convex equals the DC sum-rate for modes 1-2 and
-    exactly twice the OMA rate sum for mode 3 (the 1/2 prefactor is the
-    caller's).  For modes 1-2 the interferer's p_k'*g_r term is dropped from
-    two of the arguments, which is the only approximation.
-    """
-    s = p1 + p2
-    if mode == 1:
-        concave = _log2(pr * g_1 * g_r * p1 + pr * g_1 + p1 * g_r + 1) + _log2(
-            pr * g_2 * g_r * s + pr * g_2 + s * g_r + 1
-        )
-        convex = _log2(pr * g_1 + s * g_r + 1) + _log2(pr * g_2 * g_r * p1 + pr * g_2 + p1 * g_r + 1)
-    elif mode == 2:
-        concave = _log2(pr * g_2 * g_r * p2 + pr * g_2 + p2 * g_r + 1) + _log2(
-            pr * g_1 * g_r * s + pr * g_1 + s * g_r + 1
-        )
-        convex = _log2(pr * g_2 + s * g_r + 1) + _log2(pr * g_1 * g_r * p2 + pr * g_1 + p2 * g_r + 1)
-    elif mode == 3:
-        concave = _log2(pr * g_1 * g_r * p1 + pr * g_1 + 2 * p1 * g_r + 2) + _log2(
-            pr * g_2 * g_r * p2 + pr * g_2 + 2 * p2 * g_r + 2
-        )
-        convex = _log2(pr * g_1 + 2 * p1 * g_r + 2) + _log2(pr * g_2 + 2 * p2 * g_r + 2)
-    else:
-        raise ValueError(f"invalid mode {mode}")
-    return concave, convex
-
-
 # Concave/subtracted log-argument descriptors per (mode, k).  The concave
 # argument always factors as (cu0 + g_k*pr) * (cv0 + cv1*p1 + cv2*p2); the
 # subtracted argument is affine for the SIC vehicle and OMA, and factors the

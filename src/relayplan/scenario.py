@@ -177,13 +177,6 @@ def default_scenario(slots: Optional[int] = None) -> Scenario:
 # ---- kinematics ----
 
 
-def vehicle_position(sc: Scenario, k: int, n: int) -> np.ndarray:
-    """Position of vehicle k (0-based) at slot n; n = 0 gives the initial position."""
-    if not (0 <= n <= sc.slot_count):
-        raise ScenarioError(f"slot {n} out of range 0..{sc.slot_count}")
-    return sc.vehicle_initial[k] + sc.vehicle_velocity[k] * (n * sc.slot_duration)
-
-
 def vehicle_paths(sc: Scenario) -> np.ndarray:
     """(2, N, 2) array of both vehicles' positions at slots 1..N."""
     t = np.arange(1, sc.slot_count + 1)[:, None] * sc.slot_duration

@@ -86,7 +86,7 @@ class SolverResult:
     trajectory: np.ndarray
     powers: PowerAllocation
     schedule: ModeSchedule
-    slots: List[rates.SlotRates]
+    slots: np.recarray  # per-slot exact rates, fields r1 and r2
     objective: float
     objective_history: List[float]
     history: List[Dict]
@@ -103,24 +103,6 @@ def _exact_rate_arrays(sc, cs, modes, powers):
     return rates.exact_rates(
         modes, cs.h_r, cs.h_1, cs.h_2, powers.p1, powers.p2, powers.pr, sc.noise_power
     )
-
-
-def _slot_rates_list(sc, cs, modes, powers) -> List[rates.SlotRates]:
-    out = []
-    for i, m in enumerate(modes):
-        out.append(
-            rates.slot_rates(
-                int(m),
-                cs.h_r[i],
-                cs.h_1[i],
-                cs.h_2[i],
-                powers.p1[i],
-                powers.p2[i],
-                powers.pr[i],
-                sc,
-            )
-        )
-    return out
 
 
 def _dc_objective(sc, cs, modes, powers) -> float:
@@ -841,7 +823,7 @@ def solve_minrate(sc: Scenario) -> SolverResult:
         trajectory=traj,
         powers=powers,
         schedule=sched,
-        slots=_slot_rates_list(sc, cs, sched.modes, powers),
+        slots=np.rec.fromarrays([r1, r2], names="r1,r2"),
         objective=float(min(r1.min(), r2.min())),
         objective_history=objective_history,
         history=history,
@@ -922,12 +904,13 @@ def algorithm3_joint(sc: Scenario) -> SolverResult:
         raise InfeasibleProblemError(
             f"rate targets unreachable at slots {bad}", slots=bad
         )
+    r1, r2 = _exact_rate_arrays(sc, cs, sched.modes, powers)
     return SolverResult(
         trajectory=traj,
         powers=powers,
         schedule=sched,
-        slots=_slot_rates_list(sc, cs, sched.modes, powers),
-        objective=float(np.sum(np.concatenate(_exact_rate_arrays(sc, cs, sched.modes, powers)))),
+        slots=np.rec.fromarrays([r1, r2], names="r1,r2"),
+        objective=float(np.sum(np.concatenate((r1, r2)))),
         objective_history=objective_history,
         history=history,
         newton_steps=newton_steps,

@@ -15,7 +15,7 @@ import pytest
 import relayplan
 from relayplan import oracle, sca
 from relayplan.cli import main as cli_main
-from relayplan.modes import STATE_MODE, mode_schedule
+from relayplan.modes import MODE_OF_STATE, mode_schedule, policy_states
 from relayplan.scenario import (
     channel_state,
     default_scenario,
@@ -293,8 +293,7 @@ def test_static_deployment_position():
         sc, xy_step=xy_step, power_step=0.1, objective="sum")
     x_star = float(policy_edge_x(sc, float(pos[1])))
     cs = channel_state(np.tile(pos, (sc.slot_count, 1)), sc)
-    states = oracle.policy_states(cs.h_r, cs.h_1, cs.h_2, sc.mode_threshold)
-    modes = np.array([STATE_MODE[s] for s in states.tolist()])
+    modes = MODE_OF_STATE[policy_states(cs.h_r, cs.h_1, cs.h_2, sc.mode_threshold)]
     assert not np.any(modes == 1) and np.any(modes == 2), (
         f"expected SIC at vehicle 2 only, mode counts {np.bincount(modes, minlength=4)[1:]}")
     assert powers[0] > powers[1], f"expected p1 > p2 for mode-2 slots, got {powers}"
@@ -306,8 +305,7 @@ def test_static_deployment_position():
 
 def test_minrate_is_fair_per_slot(minrate50):
     res, _ = minrate50
-    r1 = np.array([s.r1 for s in res.slots])
-    r2 = np.array([s.r2 for s in res.slots])
+    r1, r2 = res.slots.r1, res.slots.r2
     spread = float((np.abs(r1 - r2) / np.maximum(r1, r2)).max())
     ok = res.converged and spread <= 0.05
     assert report(f"min-rate solution is per-slot fair (worst spread {100 * spread:.3f}%)", ok)
@@ -333,8 +331,7 @@ def test_results_feasible_and_reproducible(n50, joint50, minrate50, tmp_path):
         ok = ok and float(np.sum(res.powers.p1 + res.powers.p2)) <= n50.bs_energy + 1e-6
         ok = ok and float(np.sum(res.powers.pr)) <= n50.relay_energy + 1e-6
     res, _ = joint50
-    r1 = np.array([s.r1 for s in res.slots])
-    r2 = np.array([s.r2 for s in res.slots])
+    r1, r2 = res.slots.r1, res.slots.r2
     t1, t2 = (float(v) for v in n50.rate_targets)
     ok = ok and bool(r1.min() >= t1 - 1e-9) and bool(r2.min() >= t2 - 1e-9)
 

@@ -52,12 +52,18 @@ def test_sumrate_summary_matches_csv(tmp_path):
     assert summary["iterations"] == len(summary["objective_history"])
 
 
-def test_rates_round_trip(tmp_path):
-    assert main(["solve-minrate", DEFAULT, "--slots", "5", "--out-dir", str(tmp_path)]) == 0
-    slots_csv = str(tmp_path / "minrate_slots.csv")
-    assert main(["rates", DEFAULT, "--slots", "5", "--trajectory", slots_csv,
+@pytest.mark.parametrize(
+    "command, stem, slots",
+    # every slot of the 8-slot sum-rate plan is in mode 1 (SIC at vehicle 1)
+    [("solve-minrate", "minrate", "5"), ("solve-sumrate", "sumrate", "8")],
+    ids=["solve-minrate", "solve-sumrate"],
+)
+def test_rates_round_trip(tmp_path, command, stem, slots):
+    assert main([command, DEFAULT, "--slots", slots, "--out-dir", str(tmp_path)]) == 0
+    slots_csv = str(tmp_path / f"{stem}_slots.csv")
+    assert main(["rates", DEFAULT, "--slots", slots, "--trajectory", slots_csv,
                  "--powers", slots_csv, "--out-dir", str(tmp_path)]) == 0
-    _, first = read_rows(tmp_path / "minrate_slots.csv")
+    _, first = read_rows(tmp_path / f"{stem}_slots.csv")
     _, second = read_rows(tmp_path / "rates_slots.csv")
     assert first == second  # bit-for-bit, rates included
 

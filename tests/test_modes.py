@@ -75,21 +75,11 @@ def test_mode_schedule_matches_scalar_policy():
 def test_default_schedule_fractions_frozen():
     sc = default_scenario()
     sched = modes.mode_schedule(channel_state(initial_trajectory(sc), sc), sc)
-    frac = sched.mode_fractions()
+    frac = {m: float(np.mean(sched.modes == m)) for m in (1, 2, 3)}
     assert frac[1] == pytest.approx(0.055, abs=1e-12)
     assert frac[2] == pytest.approx(281 / 600, abs=1e-12)
     assert frac[3] == pytest.approx(1 - 0.055 - 281 / 600, abs=1e-12)
     assert sum(frac.values()) == pytest.approx(1.0)
-
-
-def test_indicator_matrices_one_hot():
-    sc = default_scenario(slots=60)
-    sched = modes.mode_schedule(channel_state(initial_trajectory(sc), sc), sc)
-    a, b, g = sched.indicator_matrices()
-    assert a.shape == b.shape == g.shape == (10, 60)
-    assert np.all((a + b + g).sum(axis=0) == 1.0)
-    assert np.all((a.sum(axis=0) == 1) == (sched.modes == 1))
-    assert np.all((b.sum(axis=0) == 1) == (sched.modes == 2))
 
 
 def test_equidistant_hover_is_all_oma():
@@ -111,3 +101,8 @@ def test_equidistant_hover_is_all_oma():
 def test_inconsistent_schedule_rejected():
     with pytest.raises(ValueError):
         modes.ModeSchedule(states=np.array([1, 2]), modes=np.array([1, 1]))
+    for state in (0, 11, -1):  # outside the table, including wrap-around indices
+        with pytest.raises(ValueError):
+            modes.ModeSchedule(states=np.array([state]), modes=np.array([3]))
+    with pytest.raises(ValueError):
+        modes.ModeSchedule(states=np.array([0]), modes=np.array([0]))

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relayplan import oracle
-from relayplan.modes import STATE_MODE, select_mode
+from relayplan.modes import STATE_MODE, policy_states, select_mode
 from relayplan.rates import exact_rates
 from relayplan.scenario import (
     channel_gain,
@@ -53,16 +53,16 @@ def static_scenario(**overrides):
 )
 @example(h_r=1.0, h_1=1.0000000000000002e-06, h_2=1e-06, r_th=0.0)  # one-ulp gain ratio
 def test_policy_states_match_scalar_selection(h_r, h_1, h_2, r_th):
-    state = int(oracle.policy_states(np.array([h_r]), np.array([h_1]), np.array([h_2]), r_th)[0])
+    state = int(policy_states(np.array([h_r]), np.array([h_1]), np.array([h_2]), r_th)[0])
     assert (state, STATE_MODE[state]) == select_mode(h_r, h_1, h_2, r_th)
 
 
 def test_policy_states_reject_nonpositive_gains():
     good = np.array([1.0, 2.0])
     with pytest.raises(ValueError):
-        oracle.policy_states(np.array([0.0, 1.0]), good, good, 0.1)
+        policy_states(np.array([0.0, 1.0]), good, good, 0.1)
     with pytest.raises(ValueError):
-        oracle.policy_states(good, good, np.array([1.0, -2.0]), 0.1)
+        policy_states(good, good, np.array([1.0, -2.0]), 0.1)
 
 
 def test_single_point_grid_returns_that_point():

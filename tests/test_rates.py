@@ -12,15 +12,6 @@ CS = channel_state(initial_trajectory(SC), SC)
 HR, H1, H2 = CS.h_r[0], CS.h_1[0], CS.h_2[0]
 
 
-def test_amplification_gain():
-    assert rates.amplification_gain_noma(0.3, 0.2, 0.0, HR, S2) == 0.0
-    assert rates.amplification_gain_noma(0.0, 0.0, 1.0, HR, 1.0) == pytest.approx(1.0)
-    rho = rates.amplification_gain_noma(0.25, 0.25, 0.5, HR, S2)
-    assert rho == pytest.approx(0.5 / (0.5 * HR + S2), rel=1e-15)
-    with pytest.raises(ValueError):
-        rates.amplification_gain_noma(0.0, 0.0, 1.0, HR, 0.0)
-
-
 def test_mode1_slot1_regression():
     r1, r2 = rates.rate_mode1(HR, H1, H2, 0.25, 0.25, 0.5, S2)
     assert r1 == pytest.approx(2.7187517955574476, rel=1e-12)
@@ -83,21 +74,18 @@ def test_decode_at_near_vehicle_beats_far_vehicle():
         assert at_near >= at_far
 
 
-def test_slot_rates_dispatch():
-    sr = rates.slot_rates(1, HR, H1, H2, 0.25, 0.25, 0.5, SC)
-    r1, r2 = rates.rate_mode1(HR, H1, H2, 0.25, 0.25, 0.5, S2)
-    assert sr.r1 == pytest.approx(r1, rel=1e-12) and sr.r2 == pytest.approx(r2, rel=1e-12)
-    assert sr.r1 == pytest.approx(np.log2(1 + sr.sinr1), rel=1e-12)
+def test_rates_for_mode_dispatch():
+    r1, r2 = rates.rates_for_mode(1, HR, H1, H2, 0.25, 0.25, 0.5, S2)
+    assert (r1, r2) == rates.rate_mode1(HR, H1, H2, 0.25, 0.25, 0.5, S2)
 
-    sr3 = rates.slot_rates(3, HR, H1, H2, 0.25, 0.25, 0.5, SC)
-    assert sr3.r1 == pytest.approx(0.5 * np.log2(1 + sr3.sinr1), rel=1e-12)
+    o1, o2 = rates.rates_for_mode(3, HR, H1, H2, 0.25, 0.25, 0.5, S2)
+    assert o1 == rates.rate_mode3(HR, H1, 0.25, 0.5, SC.oma_noise_power)
     # equal powers: rate ordering follows the gain ordering
-    assert (sr3.r1 > sr3.r2) == (H1 > H2)
+    assert (o1 > o2) == (H1 > H2)
 
-    zero = rates.slot_rates(2, HR, H1, H2, 0.0, 0.0, 0.0, SC)
-    assert zero.r1 == 0.0 and zero.r2 == 0.0
+    assert rates.rates_for_mode(2, HR, H1, H2, 0.0, 0.0, 0.0, S2) == (0.0, 0.0)
     with pytest.raises(ValueError):
-        rates.slot_rates(4, HR, H1, H2, 0.25, 0.25, 0.5, SC)
+        rates.rates_for_mode(4, HR, H1, H2, 0.25, 0.25, 0.5, S2)
 
 
 def test_symmetric_gains_make_sic_order_irrelevant():
@@ -112,12 +100,26 @@ def test_exact_rates_matches_per_slot_dispatch():
     cs = channel_state(initial_trajectory(sc), sc)
     rng = np.random.default_rng(11)
     modes = rng.choice([1, 2, 3], size=n)
+    assert set(modes.tolist()) == {1, 2, 3}
     p1, p2, pr = rng.uniform(0.05, 0.6, (3, n))
     r1, r2 = rates.exact_rates(modes, cs.h_r, cs.h_1, cs.h_2, p1, p2, pr, S2)
+    so2 = 0.5 * S2
     for i in range(n):
-        sr = rates.slot_rates(int(modes[i]), cs.h_r[i], cs.h_1[i], cs.h_2[i], p1[i], p2[i], pr[i], sc)
-        assert r1[i] == pytest.approx(sr.r1, rel=1e-12)
-        assert r2[i] == pytest.approx(sr.r2, rel=1e-12)
+        hr, h1, h2 = cs.h_r[i], cs.h_1[i], cs.h_2[i]
+        a1, a2, ar = p1[i], p2[i], pr[i]
+        s = a1 + a2
+        if modes[i] == 3:  # each vehicle on half the band with half the relay power
+            sinr1 = ar * h1 * hr * a1 / (ar * h1 * so2 + 2 * a1 * hr * so2 + 2 * so2**2)
+            sinr2 = ar * h2 * hr * a2 / (ar * h2 * so2 + 2 * a2 * hr * so2 + 2 * so2**2)
+            want = 0.5 * np.log2(1 + sinr1), 0.5 * np.log2(1 + sinr2)
+        else:  # the near vehicle decodes free of interference, the far one sees it
+            (hn, pn), (hf, pf) = ((h1, a1), (h2, a2)) if modes[i] == 1 else ((h2, a2), (h1, a1))
+            sinr_n = ar * hn * hr * pn / (ar * hn * S2 + s * hr * S2 + S2**2)
+            sinr_f = ar * hf * hr * pf / (ar * hf * hr * pn + ar * hf * S2 + s * hr * S2 + S2**2)
+            rn, rf = np.log2(1 + sinr_n), np.log2(1 + sinr_f)
+            want = (rn, rf) if modes[i] == 1 else (rf, rn)
+        assert r1[i] == pytest.approx(want[0], rel=1e-12)
+        assert r2[i] == pytest.approx(want[1], rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

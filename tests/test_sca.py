@@ -124,25 +124,27 @@ def test_trajectory_bound_domain_violation_raises():
         sca.trajectory_lb_rate(lb, 1e3, 1e3)
 
 
+def dc_sum(mode, g_r, g_1, g_2, p1, p2, pr):
+    return sum(sca.dc_rate_vehicle(mode, k, g_r, g_1, g_2, p1, p2, pr) for k in (1, 2))
+
+
 def test_dc_parts_mode3_is_exact():
     rng = np.random.default_rng(31)
     for _ in range(50):
         g_r, g_1, g_2 = rng.uniform(1e2, 1e6, 3)
         p1, p2, pr = rng.uniform(0.05, 1.0, 3)
-        concave, convex = sca.dc_rate_parts(3, g_r, g_1, g_2, p1, p2, pr)
         exact_sum = sum(
-            np.log2(1 + pr * g * g_r * p / (pr * g + 2 * p * g_r + 2))
+            0.5 * np.log2(1 + pr * g * g_r * p / (pr * g + 2 * p * g_r + 2))
             for g, p in ((g_1, p1), (g_2, p2))
         )
-        assert concave - convex == pytest.approx(exact_sum, rel=1e-12)
+        assert dc_sum(3, g_r, g_1, g_2, p1, p2, pr) == pytest.approx(exact_sum, rel=1e-12)
 
 
 def test_dc_parts_mode1_exact_when_interference_free():
     g_r, g_1, g_2 = 3e5, 8e5, 2e5
     p1, pr = 0.4, 0.6
-    concave, convex = sca.dc_rate_parts(1, g_r, g_1, g_2, p1, 0.0, pr)
     exact = np.log2(1 + pr * g_1 * g_r * p1 / (pr * g_1 + p1 * g_r + 1))
-    assert concave - convex == pytest.approx(exact, rel=1e-12)
+    assert dc_sum(1, g_r, g_1, g_2, p1, 0.0, pr) == pytest.approx(exact, rel=1e-12)
 
 
 def test_dc_gap_characterization_power_ratio_sweep():
@@ -154,15 +156,11 @@ def test_dc_gap_characterization_power_ratio_sweep():
     for ratio in np.linspace(1.0, 20.0, 40):
         p1 = 0.5 / (1 + ratio)
         p2 = 0.5 - p1
-        concave, convex = sca.dc_rate_parts(1, g_r, g_1, g_2, p1, p2, pr)
-        d1 = sca.dc_rate_vehicle(1, 1, g_r, g_1, g_2, p1, p2, pr)
-        d2 = sca.dc_rate_vehicle(1, 2, g_r, g_1, g_2, p1, p2, pr)
-        assert d1 + d2 == pytest.approx(concave - convex, rel=1e-10)
         e1 = np.log2(1 + pr * g_1 * g_r * p1 / (pr * g_1 + (p1 + p2) * g_r + 1))
         e2 = np.log2(
             1 + pr * g_2 * g_r * p2 / (pr * g_2 * g_r * p1 + pr * g_2 + (p1 + p2) * g_r + 1)
         )
-        gaps.append((concave - convex) - (e1 + e2))
+        gaps.append(dc_sum(1, g_r, g_1, g_2, p1, p2, pr) - (e1 + e2))
     gaps = np.array(gaps)
     assert np.all(gaps >= -1e-9)  # DC overshoots when the SIC order is right
     assert gaps.max() < 0.01  # characterization: tiny at these link budgets

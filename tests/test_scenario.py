@@ -13,7 +13,6 @@ from relayplan.scenario import (
     scenario_from_dict,
     validate_trajectory,
     vehicle_paths,
-    vehicle_position,
 )
 
 
@@ -95,15 +94,12 @@ def test_with_slots_rescales_horizon():
 
 def test_vehicle_kinematics():
     sc = default_scenario()
-    assert np.allclose(vehicle_position(sc, 0, 0), [700.0, 100.0])
-    assert np.allclose(vehicle_position(sc, 1, 600), [702.0, 900.0])
+    assert np.allclose(sc.vehicle_initial[0], [700.0, 100.0])
     paths = vehicle_paths(sc)
     assert paths.shape == (2, 600, 2)
     # first row is slot 1: one slot_duration of motion
     assert np.allclose(paths[0, 0], [700.0, 101.5])
     assert np.allclose(paths[1, -1], [702.0, 900.0])
-    with pytest.raises(ScenarioError):
-        vehicle_position(sc, 0, 601)
 
 
 def test_initial_trajectory_default_hover():
