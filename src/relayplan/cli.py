@@ -8,6 +8,7 @@ scrape tracebacks.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -17,7 +18,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from relayplan import oracle as oracle_mod
-from relayplan.modes import mode_schedule
+from relayplan.modes import ModeSchedule, mode_schedule
 from relayplan.rates import exact_rates
 from relayplan.scenario import (
     Scenario,
@@ -26,7 +27,6 @@ from relayplan.scenario import (
     load_scenario,
     validate_trajectory,
 )
-from relayplan.sca import BoundDomainError
 from relayplan.solver import (
     InfeasibleProblemError,
     PowerAllocation,
@@ -64,19 +64,6 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write_slots_csv(path: str, rows: Sequence[Sequence]) -> None:
-    with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for n, x, y, p1, p2, pr, state, mode, r1, r2 in rows:
-            fh.write(
-                ", ".join(
-                    [str(int(n)), _fmt(x), _fmt(y), _fmt(p1), _fmt(p2), _fmt(pr),
-                     str(int(state)), str(int(mode)), _fmt(r1), _fmt(r2)]
-                )
-                + "\n"
-            )
-
-
 def _read_slots_csv(path: str) -> Dict[str, np.ndarray]:
     try:
         with open(path) as fh:
@@ -99,64 +86,66 @@ def _read_slots_csv(path: str) -> Dict[str, np.ndarray]:
     return {name: np.array(vals) for name, vals in zip(names, cols)}
 
 
-def _slot_rows(sc: Scenario, traj, powers: PowerAllocation, states, modes, r1, r2):
-    rows = []
-    for i in range(sc.slot_count):
-        rows.append(
-            (i + 1, traj[i, 0], traj[i, 1], powers.p1[i], powers.p2[i], powers.pr[i],
-             int(states[i]), int(modes[i]), r1[i], r2[i])
-        )
-    return rows
+def _exact_plan(sc: Scenario, traj, powers: PowerAllocation, sched: Optional[ModeSchedule] = None):
+    """(schedule, (r1, r2)): a fixed plan's exact per-slot rates under
+    ``sched``, by default the schedule of the scenario's own policy."""
+    cs = channel_state(traj, sc)
+    if sched is None:
+        sched = mode_schedule(cs, sc)
+    return sched, exact_rates(sched.modes, cs.h_r, cs.h_1, cs.h_2,
+                              powers.p1, powers.p2, powers.pr, sc.noise_power)
 
 
-def _mode_percentages(modes) -> Dict[str, float]:
-    modes = np.asarray(modes)
-    return {str(m): 100.0 * float(np.mean(modes == m)) for m in (1, 2, 3)}
+def _write_plan(args, stem: str, sc: Scenario, traj, powers: PowerAllocation,
+                sched: ModeSchedule, slot_rates, summary: Dict) -> None:
+    """Write a plan's per-slot CSV and summary JSON under ``--out-dir``.
 
-
-def _energy_usage(sc: Scenario, powers: PowerAllocation) -> Dict[str, float]:
-    return {
-        "bs_used": float(np.sum(powers.p1 + powers.p2)),
-        "bs_budget": float(sc.bs_energy),
-        "relay_used": float(np.sum(powers.pr)),
-        "relay_budget": float(sc.relay_energy),
-    }
-
-
-def _write_summary(path: str, payload: Dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _out_paths(args, stem: str):
+    The summary gains the energy use and the mode shares; a command that
+    neither iterates nor times itself keeps the defaults of 0 iterations,
+    converged and 0 s.
+    """
     base = args.out_dir.rstrip("/") if args.out_dir else "."
     os.makedirs(base, exist_ok=True)
-    return f"{base}/{stem}_slots.csv", f"{base}/{stem}_summary.json"
+    csv_path, summary_path = f"{base}/{stem}_slots.csv", f"{base}/{stem}_summary.json"
+    with open(csv_path, "w") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for n, (x, y) in enumerate(traj):
+            fh.write(", ".join(
+                [str(n + 1), _fmt(x), _fmt(y), _fmt(powers.p1[n]), _fmt(powers.p2[n]),
+                 _fmt(powers.pr[n]), str(int(sched.states[n])), str(int(sched.modes[n])),
+                 _fmt(slot_rates[0][n]), _fmt(slot_rates[1][n])]
+            ) + "\n")
+    summary = {
+        "iterations": 0,
+        "converged": True,
+        "wall_time_s": 0.0,
+        **summary,
+        "energy": {
+            "bs_used": float(np.sum(powers.p1 + powers.p2)),
+            "bs_budget": float(sc.bs_energy),
+            "relay_used": float(np.sum(powers.pr)),
+            "relay_budget": float(sc.relay_energy),
+        },
+        "mode_percentages": {str(m): 100.0 * float(np.mean(sched.modes == m)) for m in (1, 2, 3)},
+    }
+    with open(summary_path, "w") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {csv_path}")
+    print(f"wrote {summary_path}")
 
 
 def _solve(args, driver, stem: str) -> int:
     sc = load_scenario(args.scenario, slots=args.slots)
     res = driver(sc)
-    states = res.schedule.states
-    modes = res.schedule.modes
-    r1, r2 = res.slots.r1, res.slots.r2
-    csv_path, summary_path = _out_paths(args, stem)
-    _write_slots_csv(csv_path, _slot_rows(sc, res.trajectory, res.powers, states, modes, r1, r2))
-    _write_summary(
-        summary_path,
-        {
-            "objective": res.objective,
-            "objective_history": res.objective_history,
-            "iterations": len(res.objective_history),
-            "converged": res.converged,
-            "wall_time_s": res.wall_time,
-            "energy": _energy_usage(sc, res.powers),
-            "mode_percentages": _mode_percentages(modes),
-        },
-    )
-    print(f"wrote {csv_path}")
-    print(f"wrote {summary_path}")
+    _write_plan(args, stem, sc, res.trajectory, res.powers, res.schedule,
+                (res.slots.r1, res.slots.r2), {
+                    "objective": res.objective,
+                    "objective_history": res.objective_history,
+                    "iterations": len(res.objective_history),
+                    "converged": res.converged,
+                    "wall_time_s": res.wall_time,
+                })
     print(f"objective {_fmt(res.objective)} after {len(res.objective_history)} iterations")
     return EXIT_OK
 
@@ -172,29 +161,17 @@ def _cmd_rates(args) -> int:
                 f"{sc.slot_count} (use --slots to align)",
                 EXIT_PARSE,
             )
+    try:
+        sched = ModeSchedule(traj_cols["state"].astype(int), traj_cols["mode"].astype(int))
+    except ValueError as exc:
+        raise CliError(f"{args.trajectory}: {exc}", EXIT_PARSE) from exc
     traj = np.column_stack([traj_cols["x"], traj_cols["y"]])
     powers = PowerAllocation(power_cols["p1"], power_cols["p2"], power_cols["pr"])
-    states = traj_cols["state"].astype(int)
-    modes = traj_cols["mode"].astype(int)
-    cs = channel_state(traj, sc)
-    r1, r2 = exact_rates(modes, cs.h_r, cs.h_1, cs.h_2,
-                            powers.p1, powers.p2, powers.pr, sc.noise_power)
-    csv_path, summary_path = _out_paths(args, "rates")
-    _write_slots_csv(csv_path, _slot_rows(sc, traj, powers, states, modes, r1, r2))
-    _write_summary(
-        summary_path,
-        {
-            "objective": float(np.sum(r1 + r2)),
-            "min_rate": float(min(r1.min(), r2.min())),
-            "iterations": 0,
-            "converged": True,
-            "wall_time_s": 0.0,
-            "energy": _energy_usage(sc, powers),
-            "mode_percentages": _mode_percentages(modes),
-        },
-    )
-    print(f"wrote {csv_path}")
-    print(f"wrote {summary_path}")
+    _, (r1, r2) = _exact_plan(sc, traj, powers, sched)
+    _write_plan(args, "rates", sc, traj, powers, sched, (r1, r2), {
+        "objective": float(np.sum(r1 + r2)),
+        "min_rate": float(min(r1.min(), r2.min())),
+    })
     return EXIT_OK
 
 
@@ -215,28 +192,16 @@ def _cmd_oracle(args) -> int:
     n = sc.slot_count
     traj = np.tile(pos, (n, 1))
     powers = PowerAllocation(np.full(n, triple[0]), np.full(n, triple[1]), np.full(n, triple[2]))
-    cs = channel_state(traj, sc)
-    sched = mode_schedule(cs, sc)
-    modes = sched.modes if args.objective == "sum" else np.full(n, 3)
-    r1, r2 = exact_rates(modes, cs.h_r, cs.h_1, cs.h_2,
-                            powers.p1, powers.p2, powers.pr, sc.noise_power)
-    csv_path, summary_path = _out_paths(args, "oracle")
-    _write_slots_csv(csv_path, _slot_rows(sc, traj, powers, sched.states, modes, r1, r2))
-    _write_summary(
-        summary_path,
-        {
-            "objective": best,
-            "position": [float(pos[0]), float(pos[1])],
-            "powers": [float(v) for v in triple],
-            "iterations": 0,
-            "converged": True,
-            "wall_time_s": wall,
-            "energy": _energy_usage(sc, powers),
-            "mode_percentages": _mode_percentages(modes),
-        },
-    )
-    print(f"wrote {csv_path}")
-    print(f"wrote {summary_path}")
+    # the min objective scores the orthogonal mode: the policy's states with
+    # the NOMA threshold at infinity, as the min-rate driver schedules them
+    policy = sc if args.objective == "sum" else dataclasses.replace(sc, mode_threshold=np.inf)
+    sched, slot_rates = _exact_plan(policy, traj, powers)
+    _write_plan(args, "oracle", sc, traj, powers, sched, slot_rates, {
+        "objective": best,
+        "position": [float(pos[0]), float(pos[1])],
+        "powers": [float(v) for v in triple],
+        "wall_time_s": wall,
+    })
     print(f"best {args.objective} {_fmt(best)} at ({_fmt(pos[0])}, {_fmt(pos[1])})")
     return EXIT_OK
 
@@ -261,28 +226,13 @@ def _cmd_highsnr(args) -> int:
         for key in ("noma_sum", "noma_min", "oma_sum", "oma_min")
     )
     traj, powers = feasible_init(sc, "P2")
-    cs = channel_state(traj, sc)
-    sched = mode_schedule(cs, sc)
-    r1, r2 = exact_rates(sched.modes, cs.h_r, cs.h_1, cs.h_2,
-                            powers.p1, powers.p2, powers.pr, sc.noise_power)
-    csv_path, summary_path = _out_paths(args, "highsnr")
-    _write_slots_csv(csv_path, _slot_rows(sc, traj, powers, sched.states, sched.modes, r1, r2))
-    _write_summary(
-        summary_path,
-        {
-            "objective": worst,
-            "records": report["records"],
-            "violations": report["violations"],
-            "noma_split": list(report["noma_split"]),
-            "iterations": 0,
-            "converged": True,
-            "wall_time_s": 0.0,
-            "energy": _energy_usage(sc, powers),
-            "mode_percentages": _mode_percentages(sched.modes),
-        },
-    )
-    print(f"wrote {csv_path}")
-    print(f"wrote {summary_path}")
+    sched, slot_rates = _exact_plan(sc, traj, powers)
+    _write_plan(args, "highsnr", sc, traj, powers, sched, slot_rates, {
+        "objective": worst,
+        "records": report["records"],
+        "violations": report["violations"],
+        "noma_split": list(report["noma_split"]),
+    })
     print(f"worst approximation gap {_fmt(worst)} over {len(report['records'])} records")
     return EXIT_OK
 
@@ -291,28 +241,13 @@ def _cmd_validate(args) -> int:
     sc = load_scenario(args.scenario, slots=args.slots)
     traj, powers = feasible_init(sc, "P2")
     report = validate_trajectory(traj, sc)
-    cs = channel_state(traj, sc)
-    sched = mode_schedule(cs, sc)
-    r1, r2 = exact_rates(sched.modes, cs.h_r, cs.h_1, cs.h_2,
-                            powers.p1, powers.p2, powers.pr, sc.noise_power)
-    csv_path, summary_path = _out_paths(args, "validate")
-    _write_slots_csv(csv_path, _slot_rows(sc, traj, powers, sched.states, sched.modes, r1, r2))
+    sched, slot_rates = _exact_plan(sc, traj, powers)
     feasible = not report
-    _write_summary(
-        summary_path,
-        {
-            "objective": None,
-            "feasible": feasible,
-            "violations": report,
-            "iterations": 0,
-            "converged": True,
-            "wall_time_s": 0.0,
-            "energy": _energy_usage(sc, powers),
-            "mode_percentages": _mode_percentages(sched.modes),
-        },
-    )
-    print(f"wrote {csv_path}")
-    print(f"wrote {summary_path}")
+    _write_plan(args, "validate", sc, traj, powers, sched, slot_rates, {
+        "objective": None,
+        "feasible": feasible,
+        "violations": report,
+    })
     if not feasible:
         raise CliError(f"straight-line initialization violates {len(report)} constraints",
                        EXIT_INFEASIBLE)
@@ -383,7 +318,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _error_json("parse", str(exc), EXIT_PARSE)
     except OSError as exc:
         return _error_json("parse", str(exc), EXIT_PARSE)
-    except (BoundDomainError, FloatingPointError, ZeroDivisionError,
+    except (FloatingPointError, ZeroDivisionError,
             np.linalg.LinAlgError) as exc:
         return _error_json("numerical", str(exc), EXIT_NUMERICAL)
 

@@ -15,17 +15,17 @@ Power-side gains must be pre-normalized: g = h/sigma^2 for NOMA modes and
 g = 2h/sigma^2 for OMA, which makes the "+1"/"+2" constants in the log
 arguments exact.  Every log argument here factors as a product of positive
 affine terms, which is what the certificate conditions assert.
-"""
 
-import dataclasses
+Each side has one bound type, ``TrajectoryBound`` and ``PowerBound``: one row
+per slot, each in its slot's mode, whose ``local`` gives the values,
+gradients and Hessians the barrier maximizes.  A row evaluates to -inf off
+its log domain.  ``convexified_rate`` and ``dc_rate_vehicle`` are the
+functions the two bounds minorize.
+"""
 
 import numpy as np
 
 LN2 = np.log(2.0)
-
-
-class BoundDomainError(ValueError):
-    """A bound was evaluated outside its log domain (step too large)."""
 
 
 def _log2(x):
@@ -49,64 +49,120 @@ def convexity_certificate(a, b, c, d, probe) -> bool:
     return bool(prod_gap <= 1e-12 * scale) and bool(u > 0)
 
 
+def _check_modes(modes) -> np.ndarray:
+    """The per-slot mode array, every entry checked to be 1, 2 or 3."""
+    modes = np.asarray(modes)
+    bad = np.setdiff1d(modes, (1, 2, 3))
+    if bad.size:
+        raise ValueError(f"invalid mode {bad[0]}")
+    return modes
+
+
 # ---- trajectory-side bounds (psi variables) ----
 
 
-@dataclasses.dataclass(frozen=True)
-class TrajectoryLB:
-    """Linearized relaxed-SINR rate bound around (psi_r_l, psi_k_l)."""
+class TrajectoryBound:
+    """Per-slot rows of one vehicle's trajectory-side bound.
 
-    mode: int
-    c_m: float
-    d_m: np.ndarray
-    gamma_lb: np.ndarray
-    d_r: np.ndarray  # d(gamma)/d(psi_r) at the expansion point, <= 0
-    d_k: np.ndarray  # d(gamma)/d(psi_k) at the expansion point, <= 0
-    psi_r_l: np.ndarray
-    psi_k_l: np.ndarray
-
-
-def trajectory_lb_build(mode, k, p1, p2, pr, psi_r_l, psi_k_l) -> TrajectoryLB:
-    """Bound coefficients for vehicle k (1 or 2) in a mode.
-
-    d_m is the reciprocal of the convexified denominator; the convexifying
-    constant is (p1+p2)*pr for the NOMA modes and pr*p_k for OMA, and is
-    checked against the convexity certificate.
+    Row n evaluates to cm * log2(A) with
+        A = base + dr * psi_r(x, y) + dk * psi_k(x, y),
+    psi being the inverse-gain distance quadratics s * (|q - c|^2 + hh) to
+    the base station c = (bx, by) and to the vehicle's slot-n position
+    c = (vx, vy).  dr, dk <= 0 keep A concave, so the row is concave in the
+    coordinates.  A slot's variables are its (x, y) divided by ``scale``.
     """
+
+    ROWS = ("cm", "base", "dr", "dk", "vx", "vy")
+    __slots__ = ROWS + ("s", "bx", "by", "hh", "scale")
+
+    def __init__(self, n, s, bx, by, hh, scale):
+        for name in self.ROWS:
+            setattr(self, name, np.zeros(n))
+        self.s, self.bx, self.by, self.hh, self.scale = s, bx, by, hh, scale
+
+    def sub(self, idx) -> "TrajectoryBound":
+        """The rows at ``idx``, which may repeat a slot."""
+        out = TrajectoryBound(0, self.s, self.bx, self.by, self.hh, self.scale)
+        for name in self.ROWS:
+            setattr(out, name, getattr(self, name)[idx])
+        return out
+
+    def argument(self, psi_r, psi_k):
+        """A at the rows' psi values."""
+        return self.base + self.dr * psi_r + self.dk * psi_k
+
+    def local(self, v, order):
+        """(values, grad, hess): row values (-inf where A <= 0), with
+        ``order`` >= 1 the (m, 2) gradients and with ``order`` 2 the
+        (m, 2, 2) Hessians over the scaled slot coordinates ``v``; None
+        beyond ``order``."""
+        x, y = (self.scale * v).T
+        a = self.argument(
+            self.s * ((x - self.bx) ** 2 + (y - self.by) ** 2 + self.hh),
+            self.s * ((x - self.vx) ** 2 + (y - self.vy) ** 2 + self.hh),
+        )
+        bad = a <= 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.where(bad, -np.inf, self.cm * np.log2(a))
+        if order == 0:
+            return vals, None, None
+        da = 2.0 * self.s * np.column_stack((
+            self.dr * (x - self.bx) + self.dk * (x - self.vx),
+            self.dr * (y - self.by) + self.dk * (y - self.vy),
+        ))
+        slope = self.cm / (LN2 * a)
+        grad = self.scale * slope[:, None] * da
+        if order == 1:
+            return vals, grad, None
+        # A's Hessian is 2 s (dr + dk) I
+        curv = slope * (2.0 * self.s * (self.dr + self.dk))
+        q = self.cm / (LN2 * a * a)
+        hess = curv[:, None, None] * np.eye(2) - q[:, None, None] * da[:, :, None] * da[:, None, :]
+        return vals, grad, self.scale**2 * hess
+
+
+def trajectory_lb_build(modes, k, p1, p2, pr, psi_r_l, psi_k_l,
+                        vehicle, bs, s, hh, scale) -> TrajectoryBound:
+    """Vehicle k's (1 or 2) bound rows, slot n in mode ``modes[n]``.
+
+    A row linearizes the relaxed SINR pr * p_k * d_m around the expansion
+    values (psi_r_l, psi_k_l), d_m being the reciprocal of the convexified
+    denominator.  The convexifying constant is (p1+p2)*pr for the NOMA modes
+    and pr*p_k for OMA, and is checked against the convexity certificate.
+    ``vehicle`` holds the vehicle's (x, y) per slot and ``bs`` the base
+    station's; psi is s times a squared distance with hh added.
+    """
+    modes = _check_modes(modes)
     p1, p2, pr = (np.asarray(v, dtype=float) for v in (p1, p2, pr))
     psi_r_l, psi_k_l = np.asarray(psi_r_l, dtype=float), np.asarray(psi_k_l, dtype=float)
     if np.any(psi_r_l <= 0) or np.any(psi_k_l <= 0):
         raise ValueError("psi expansion values must be positive")
-    p_k = p1 if k == 1 else p2
-    if mode in (1, 2):
-        b_coef = p1 + p2
-    elif mode == 3:
-        b_coef = p_k
-    else:
-        raise ValueError(f"invalid mode {mode}")
-    a, b, c, d = pr, b_coef, 1.0, pr * b_coef
-    lhs, rhs = a * b, c * d
-    scale = np.maximum(np.abs(lhs), np.maximum(np.abs(rhs), 1e-300))
-    if np.any(np.abs(lhs - rhs) > 1e-12 * scale):
-        raise ValueError("convexifying constant failed the certificate")
-    den = a * psi_r_l + b * psi_k_l + psi_r_l * psi_k_l + d
-    if np.any(den <= 0):
-        raise ZeroDivisionError("bound denominator must be positive")
-    d_m = 1.0 / den
-    gamma_lb = d_m * pr * p_k
-    common = d_m * d_m * pr * p_k
-    d_r = -common * (pr + psi_k_l)
-    d_k = -common * (b_coef + psi_r_l)
-    c_m = 0.5 if mode == 3 else 1.0
-    return TrajectoryLB(mode, c_m, d_m, gamma_lb, d_r, d_k, psi_r_l, psi_k_l)
-
-
-def trajectory_lb_rate(lb: TrajectoryLB, psi_r, psi_k):
-    """Bound rate c_m * log2(1 + gamma_lb + d_r*dpsi_r + d_k*dpsi_k)."""
-    x = lb.gamma_lb + lb.d_r * (psi_r - lb.psi_r_l) + lb.d_k * (psi_k - lb.psi_k_l)
-    if np.any(x <= -1.0):
-        raise BoundDomainError("trajectory bound log argument is nonpositive")
-    return lb.c_m * _log2p1(x)
+    out = TrajectoryBound(len(modes), s, float(bs[0]), float(bs[1]), hh, scale)
+    out.vx, out.vy = np.asarray(vehicle, dtype=float).T
+    for m in (1, 2, 3):
+        sel = modes == m
+        if not np.any(sel):
+            continue
+        q1, q2, qr, u, w = p1[sel], p2[sel], pr[sel], psi_r_l[sel], psi_k_l[sel]
+        p_k = q1 if k == 1 else q2
+        b_coef = q1 + q2 if m in (1, 2) else p_k
+        a, b, c, d = qr, b_coef, 1.0, qr * b_coef
+        lhs, rhs = a * b, c * d
+        mag = np.maximum(np.abs(lhs), np.maximum(np.abs(rhs), 1e-300))
+        if np.any(np.abs(lhs - rhs) > 1e-12 * mag):
+            raise ValueError("convexifying constant failed the certificate")
+        den = a * u + b * w + u * w + d
+        if np.any(den <= 0):
+            raise ZeroDivisionError("bound denominator must be positive")
+        d_m = 1.0 / den
+        gamma_lb = d_m * qr * p_k
+        common = d_m * d_m * qr * p_k
+        d_r = -common * (qr + w)  # d(gamma)/d(psi_r) at the expansion point
+        d_k = -common * (b_coef + u)  # d(gamma)/d(psi_k)
+        out.cm[sel] = 0.5 if m == 3 else 1.0
+        out.base[sel] = 1.0 + gamma_lb - d_r * u - d_k * w
+        out.dr[sel], out.dk[sel] = d_r, d_k
+    return out
 
 
 def convexified_rate(mode, k, p1, p2, pr, psi_r, psi_k):
@@ -166,37 +222,67 @@ def dc_rate_vehicle(mode, k, g_r, g_1, g_2, p1, p2, pr):
     return c_m * (concave - _subtracted_value(mode, k, g_r, g_1, g_2, p1, p2, pr))
 
 
-@dataclasses.dataclass(frozen=True)
-class PowerLB:
-    """Linearized DC rate bound around (p1_l, p2_l, pr_l) for one (mode, k)."""
+class PowerBound:
+    """Per-slot rows of one vehicle's power-side bound.
 
-    mode: int
-    k: int
-    c_m: float
-    cu0: float
-    cu_r: np.ndarray  # g_k
-    cv0: float
-    cv1: np.ndarray
-    cv2: np.ndarray
-    sub_anchor: np.ndarray  # subtracted log term at the expansion point
-    norm: np.ndarray  # ln2 * (subtracted log's argument at the expansion point)
-    d: np.ndarray  # Taylor coefficient on (p1 - p1_l)
-    t: np.ndarray  # Taylor coefficient on (p2 - p2_l)
-    c: np.ndarray  # Taylor coefficient on (pr - pr_l)
-    p1_l: np.ndarray
-    p2_l: np.ndarray
-    pr_l: np.ndarray
+    Row n evaluates to
+        cm * (log2(cu0 + cur*pr) + log2(cv0 + cv1*p1 + cv2*p2)
+              - t0 - a1*p1 - a2*p2 - ar*pr),
+    the vehicle's DC rate at slot n with its subtracted log term replaced by
+    the tangent plane t0 + a1*p1 + a2*p2 + ar*pr.  A slot's variables are
+    its (p1, p2, pr) divided by ``scale``.
+    """
+
+    COEFFS = ("cm", "cu0", "cur", "cv0", "cv1", "cv2", "t0", "a1", "a2", "ar")
+    __slots__ = COEFFS + ("scale",)
+
+    def __init__(self, n, scale):
+        for name in self.COEFFS:
+            setattr(self, name, np.zeros(n))
+        self.scale = scale
+
+    def sub(self, idx) -> "PowerBound":
+        """The rows at ``idx``, which may repeat a slot."""
+        out = PowerBound(0, self.scale)
+        for name in self.COEFFS:
+            setattr(out, name, getattr(self, name)[idx])
+        return out
+
+    def local(self, v, order):
+        """(values, grad, hess): row values (-inf where a log argument
+        leaves its domain), with ``order`` >= 1 the (m, 3) gradients and
+        with ``order`` 2 the (m, 3, 3) Hessians over the scaled slot
+        variables ``v``; None beyond ``order``."""
+        p1, p2, pr = (v * self.scale).T
+        u = self.cu0 + self.cur * pr
+        w = self.cv0 + self.cv1 * p1 + self.cv2 * p2
+        bad = (u <= 0.0) | (w <= 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lin = self.t0 + self.a1 * p1 + self.a2 * p2 + self.ar * pr
+            vals = self.cm * (np.log2(u) + np.log2(w) - lin)
+        vals = np.where(bad, -np.inf, vals)
+        if order == 0:
+            return vals, None, None
+        gw = self.cm / (LN2 * w)
+        grad = np.column_stack((
+            self.cv1 * gw - self.cm * self.a1,
+            self.cv2 * gw - self.cm * self.a2,
+            self.cur * self.cm / (LN2 * u) - self.cm * self.ar,
+        )) * self.scale
+        if order == 1:
+            return vals, grad, None
+        cw = -self.cm / (LN2 * w * w)
+        hess = np.zeros((len(u), 3, 3))
+        hess[:, 0, 0] = cw * self.cv1 * self.cv1
+        hess[:, 0, 1] = hess[:, 1, 0] = cw * self.cv1 * self.cv2
+        hess[:, 1, 1] = cw * self.cv2 * self.cv2
+        hess[:, 2, 2] = -self.cm * self.cur * self.cur / (LN2 * u * u)
+        return vals, grad, hess * np.outer(self.scale, self.scale)
 
 
-def power_lb_build(mode, k, g_r, g_1, g_2, p1_l, p2_l, pr_l) -> PowerLB:
-    """Bound coefficients for vehicle k; Taylor terms are the subtracted log's
-    exact partial derivatives at the expansion point."""
-    g_r, g_1, g_2 = (np.asarray(v, dtype=float) for v in (g_r, g_1, g_2))
-    p1_l, p2_l, pr_l = (np.asarray(v, dtype=float) for v in (p1_l, p2_l, pr_l))
-    if np.any(p1_l < 0) or np.any(p2_l < 0) or np.any(pr_l < 0):
-        raise ValueError("expansion powers must be nonnegative")
-    cu0, cu_r, cv = _concave_factors(mode, k, g_r, g_1, g_2)
-    _assert_ratio_condition(mode, k, cu0, cu_r, cv, g_r)
+def _subtracted_slopes(mode, k, g_r, g_1, g_2, p1_l, p2_l, pr_l):
+    """The subtracted log term's exact partial derivatives in (p1, p2, pr)
+    at the expansion powers."""
     s_l = p1_l + p2_l
     g_k = g_1 if k == 1 else g_2
     if (mode, k) in ((1, 1), (2, 2)):
@@ -222,28 +308,33 @@ def power_lb_build(mode, k, g_r, g_1, g_2, p1_l, p2_l, pr_l) -> PowerLB:
         t = two_gr if k == 2 else np.zeros_like(norm)
         c = LN2 * g_k / norm
     # the ln2 factors cancel: coefficients are d(log2 C)/dp = dC/dp / (C ln2)
-    d, t, c = d / LN2, t / LN2, c / LN2
-    sub_anchor = _subtracted_value(mode, k, g_r, g_1, g_2, p1_l, p2_l, pr_l)
-    c_m = 0.5 if mode == 3 else 1.0
-    shape = np.broadcast(g_r, p1_l).shape
-    return PowerLB(
-        mode=mode,
-        k=k,
-        c_m=c_m,
-        cu0=cu0,
-        cu_r=np.broadcast_to(cu_r, shape).copy(),
-        cv0=cv[0],
-        cv1=np.broadcast_to(cv[1], shape).copy(),
-        cv2=np.broadcast_to(cv[2], shape).copy(),
-        sub_anchor=np.broadcast_to(sub_anchor, shape).copy(),
-        norm=np.broadcast_to(norm, shape).copy(),
-        d=np.broadcast_to(d, shape).copy(),
-        t=np.broadcast_to(t, shape).copy(),
-        c=np.broadcast_to(c, shape).copy(),
-        p1_l=np.broadcast_to(p1_l, shape).copy(),
-        p2_l=np.broadcast_to(p2_l, shape).copy(),
-        pr_l=np.broadcast_to(pr_l, shape).copy(),
-    )
+    return d / LN2, t / LN2, c / LN2
+
+
+def power_lb_build(modes, k, g_r, g_1, g_2, p1_l, p2_l, pr_l, scale) -> PowerBound:
+    """Vehicle k's (1 or 2) bound rows, slot n in mode ``modes[n]``, around
+    the expansion powers (p1_l, p2_l, pr_l).  ``scale`` holds the units of
+    a slot's (p1, p2, pr) variables."""
+    modes = _check_modes(modes)
+    g_r, g_1, g_2 = (np.asarray(v, dtype=float) for v in (g_r, g_1, g_2))
+    p1_l, p2_l, pr_l = (np.asarray(v, dtype=float) for v in (p1_l, p2_l, pr_l))
+    if np.any(p1_l < 0) or np.any(p2_l < 0) or np.any(pr_l < 0):
+        raise ValueError("expansion powers must be nonnegative")
+    out = PowerBound(len(modes), scale)
+    for m in (1, 2, 3):
+        sel = modes == m
+        if not np.any(sel):
+            continue
+        gr, g1, g2, q1, q2, qr = (v[sel] for v in (g_r, g_1, g_2, p1_l, p2_l, pr_l))
+        cu0, cu_r, cv = _concave_factors(m, k, gr, g1, g2)
+        _assert_ratio_condition(m, k, cu0, cu_r, cv, gr)
+        d, t, c = _subtracted_slopes(m, k, gr, g1, g2, q1, q2, qr)
+        out.cm[sel] = 0.5 if m == 3 else 1.0
+        out.cu0[sel], out.cur[sel] = cu0, cu_r
+        out.cv0[sel], out.cv1[sel], out.cv2[sel] = cv
+        out.a1[sel], out.a2[sel], out.ar[sel] = d, t, c
+        out.t0[sel] = _subtracted_value(m, k, gr, g1, g2, q1, q2, qr) - d * q1 - t * q2 - c * qr
+    return out
 
 
 def _assert_ratio_condition(mode, k, cu0, cu_r, cv, g_r):
@@ -262,19 +353,3 @@ def _assert_ratio_condition(mode, k, cu0, cu_r, cv, g_r):
     scale = np.maximum(np.abs(lhs), np.maximum(np.abs(rhs), 1e-300))
     if np.any(np.abs(lhs - rhs) > 1e-9 * scale):
         raise ValueError(f"ratio condition failed for mode {mode}, k {k}")
-
-
-def power_lb_rate(lb: PowerLB, p1, p2, pr):
-    """Bound rate: concave log argument minus the linearized subtracted term."""
-    u = lb.cu0 + lb.cu_r * pr
-    v = lb.cv0 + lb.cv1 * p1 + lb.cv2 * p2
-    if np.any(u <= 0) or np.any(v <= 0):
-        raise BoundDomainError("power bound log argument is nonpositive")
-    concave = _log2(u) + _log2(v)
-    taylor = (
-        lb.sub_anchor
-        + lb.d * (p1 - lb.p1_l)
-        + lb.t * (p2 - lb.p2_l)
-        + lb.c * (pr - lb.pr_l)
-    )
-    return lb.c_m * (concave - taylor)

@@ -38,8 +38,6 @@ from .scenario import (
     vehicle_paths,
 )
 
-LN2 = sca.LN2
-
 LENGTH_SCALE = 100.0  # metres per unit of a scaled coordinate
 MAX_OUTER = 30
 REL_TOL = 1e-4  # outer stopping rule on the exact objective
@@ -215,180 +213,26 @@ def _normalized_gains(sc, cs, modes):
     return fac * cs.h_r, fac * cs.h_1, fac * cs.h_2
 
 
-class _PowerTerms:
-    """Per-slot coefficient arrays of one vehicle's power-side bound.
-
-    Row n evaluates to
-        cm * (log2(cu0 + cur*pr) + log2(cv0 + cv1*p1 + cv2*p2)
-              - t0 - a1*p1 - a2*p2 - ar*pr)
-    which equals the linearized DC rate of the vehicle at slot n.  A slot's
-    variables are its (p1, p2, pr) divided by ``scale``.
-    """
-
-    COEFFS = ("cm", "cu0", "cur", "cv0", "cv1", "cv2", "t0", "a1", "a2", "ar")
-    __slots__ = COEFFS + ("scale",)
-
-    def __init__(self, n, scale):
-        for name in self.COEFFS:
-            setattr(self, name, np.zeros(n))
-        self.scale = scale
-
-    def fill(self, sel, lb: sca.PowerLB, p1l, p2l, prl):
-        self.cm[sel] = lb.c_m
-        self.cu0[sel] = lb.cu0
-        self.cur[sel] = lb.cu_r
-        self.cv0[sel] = lb.cv0
-        self.cv1[sel] = lb.cv1
-        self.cv2[sel] = lb.cv2
-        self.a1[sel] = lb.d
-        self.a2[sel] = lb.t
-        self.ar[sel] = lb.c
-        self.t0[sel] = lb.sub_anchor - lb.d * p1l - lb.t * p2l - lb.c * prl
-
-    def sub(self, idx) -> "_PowerTerms":
-        out = _PowerTerms(0, self.scale)
-        for name in self.COEFFS:
-            setattr(out, name, getattr(self, name)[idx])
-        return out
-
-    def local(self, v, order):
-        """(values, grad, hess): row values (-inf where a log argument
-        leaves its domain), with ``order`` >= 1 the (m, 3) gradients and
-        with ``order`` 2 the (m, 3, 3) Hessians over the scaled slot
-        variables ``v``; None beyond ``order``."""
-        p1, p2, pr = (v * self.scale).T
-        u = self.cu0 + self.cur * pr
-        w = self.cv0 + self.cv1 * p1 + self.cv2 * p2
-        bad = (u <= 0.0) | (w <= 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lin = self.t0 + self.a1 * p1 + self.a2 * p2 + self.ar * pr
-            vals = self.cm * (np.log2(u) + np.log2(w) - lin)
-        vals = np.where(bad, -np.inf, vals)
-        if order == 0:
-            return vals, None, None
-        gw = self.cm / (LN2 * w)
-        grad = np.column_stack((
-            self.cv1 * gw - self.cm * self.a1,
-            self.cv2 * gw - self.cm * self.a2,
-            self.cur * self.cm / (LN2 * u) - self.cm * self.ar,
-        )) * self.scale
-        if order == 1:
-            return vals, grad, None
-        cw = -self.cm / (LN2 * w * w)
-        hess = np.zeros((len(u), 3, 3))
-        hess[:, 0, 0] = cw * self.cv1 * self.cv1
-        hess[:, 0, 1] = hess[:, 1, 0] = cw * self.cv1 * self.cv2
-        hess[:, 1, 1] = cw * self.cv2 * self.cv2
-        hess[:, 2, 2] = -self.cm * self.cur * self.cur / (LN2 * u * u)
-        return vals, grad, hess * np.outer(self.scale, self.scale)
-
-
-def _power_terms(sc, cs, modes, anchor: PowerAllocation) -> Dict[int, _PowerTerms]:
-    n = len(modes)
+def _power_terms(sc, cs, modes, anchor: PowerAllocation) -> Dict[int, sca.PowerBound]:
     gr, g1, g2 = _normalized_gains(sc, cs, modes)
     scale = np.array([sc.avg_bs_power, sc.avg_bs_power, sc.avg_relay_power])
-    out = {1: _PowerTerms(n, scale), 2: _PowerTerms(n, scale)}
-    for m in (1, 2, 3):
-        sel = modes == m
-        if not np.any(sel):
-            continue
-        for k in (1, 2):
-            lb = sca.power_lb_build(
-                m, k, gr[sel], g1[sel], g2[sel],
-                anchor.p1[sel], anchor.p2[sel], anchor.pr[sel],
-            )
-            out[k].fill(sel, lb, anchor.p1[sel], anchor.p2[sel], anchor.pr[sel])
-    return out
+    return {
+        k: sca.power_lb_build(modes, k, gr, g1, g2, anchor.p1, anchor.p2, anchor.pr, scale)
+        for k in (1, 2)
+    }
 
 
-class _TrajTerms:
-    """Per-slot coefficients of one vehicle's trajectory-side bound.
-
-    Row n evaluates to cm * log2(A) with
-        A = base + dr * psi_r(x, y) + dk * psi_k(x, y),
-    psi being the inverse-gain distance quadratics; dr, dk <= 0 keep A
-    concave, so the row is concave in the coordinates.  A slot's variables
-    are its (x, y) divided by LENGTH_SCALE.
-    """
-
-    __slots__ = ("cm", "base", "dr", "dk", "vx", "vy", "s", "bx", "by", "hh")
-
-    def __init__(self, n, s, bx, by, hh):
-        self.cm = np.zeros(n)
-        self.base = np.zeros(n)
-        self.dr = np.zeros(n)
-        self.dk = np.zeros(n)
-        self.vx = np.zeros(n)
-        self.vy = np.zeros(n)
-        self.s = s
-        self.bx = bx
-        self.by = by
-        self.hh = hh
-
-    def sub(self, idx) -> "_TrajTerms":
-        out = _TrajTerms(0, self.s, self.bx, self.by, self.hh)
-        for name in ("cm", "base", "dr", "dk", "vx", "vy"):
-            setattr(out, name, getattr(self, name)[idx])
-        return out
-
-    def argument(self, x, y):
-        psi_r = self.s * ((x - self.bx) ** 2 + (y - self.by) ** 2 + self.hh)
-        psi_k = self.s * ((x - self.vx) ** 2 + (y - self.vy) ** 2 + self.hh)
-        return self.base + self.dr * psi_r + self.dk * psi_k
-
-    def local(self, v, order):
-        """(values, grad, hess): row values (-inf where A <= 0), with
-        ``order`` >= 1 the (m, 2) gradients and with ``order`` 2 the
-        (m, 2, 2) Hessians over the scaled slot coordinates ``v``; None
-        beyond ``order``."""
-        x, y = (LENGTH_SCALE * v).T
-        a = self.argument(x, y)
-        bad = a <= 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(bad, -np.inf, self.cm * np.log2(a))
-        if order == 0:
-            return vals, None, None
-        da = 2.0 * self.s * np.column_stack((
-            self.dr * (x - self.bx) + self.dk * (x - self.vx),
-            self.dr * (y - self.by) + self.dk * (y - self.vy),
-        ))
-        scale = self.cm / (LN2 * a)
-        grad = LENGTH_SCALE * scale[:, None] * da
-        if order == 1:
-            return vals, grad, None
-        # A's Hessian is 2 s (dr + dk) I
-        curv = scale * (2.0 * self.s * (self.dr + self.dk))
-        q = self.cm / (LN2 * a * a)
-        hess = curv[:, None, None] * np.eye(2) - q[:, None, None] * da[:, :, None] * da[:, None, :]
-        return vals, grad, LENGTH_SCALE**2 * hess
-
-
-def _traj_terms(sc, cs_l, modes, powers) -> Dict[int, _TrajTerms]:
-    n = len(modes)
+def _traj_terms(sc, cs_l, modes, powers) -> Dict[int, sca.TrajectoryBound]:
     paths = vehicle_paths(sc)
-    s = sc.noise_power / sc.beta0
-    bx, by = float(sc.bs_position[0]), float(sc.bs_position[1])
-    hh = sc.uav_height ** 2
-    out = {}
-    for k in (1, 2):
-        psi_k_l = cs_l.psi_1 if k == 1 else cs_l.psi_2
-        terms = _TrajTerms(n, s, bx, by, hh)
-        terms.vx = paths[k - 1, :, 0].copy()
-        terms.vy = paths[k - 1, :, 1].copy()
-        for m in (1, 2, 3):
-            sel = modes == m
-            if not np.any(sel):
-                continue
-            lb = sca.trajectory_lb_build(
-                m, k, powers.p1[sel], powers.p2[sel], powers.pr[sel],
-                cs_l.psi_r[sel], psi_k_l[sel],
-            )
-            terms.cm[sel] = lb.c_m
-            terms.base[sel] = 1.0 + lb.gamma_lb - lb.d_r * lb.psi_r_l - lb.d_k * lb.psi_k_l
-            terms.dr[sel] = lb.d_r
-            terms.dk[sel] = lb.d_k
-        out[k] = terms
-    return out
+    return {
+        k: sca.trajectory_lb_build(
+            modes, k, powers.p1, powers.p2, powers.pr,
+            cs_l.psi_r, cs_l.psi_1 if k == 1 else cs_l.psi_2,
+            paths[k - 1], sc.bs_position, sc.noise_power / sc.beta0,
+            sc.uav_height ** 2, LENGTH_SCALE,
+        )
+        for k in (1, 2)
+    }
 
 
 # ---- rate rows ----

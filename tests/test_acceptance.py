@@ -29,6 +29,8 @@ DEFAULT_JSON = str(Path(relayplan.__file__).parent / "data" / "default_paper.jso
 GOLDEN_CSV = Path(__file__).parent / "data" / "sumrate_n50_golden.csv"
 NOISE_PER_HZ = 10.0 ** (-174.0 / 10.0) / 1000.0
 MODE_K = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]
+# trajectory-bound geometry for checks made directly in psi, where it is unused
+PSI_GEOMETRY = dict(bs=(0.0, 0.0), s=1.0, hh=0.0, scale=1.0)
 
 STATIC_RAW = {
     "bs_position_m": [0.0, 0.0, 0.0],
@@ -130,36 +132,38 @@ def test_orthogonal_min_rate_dominates():
 
 
 def test_surrogate_coefficients_match_finite_differences():
+    """Bound rows against finite differences, 500 slots per (mode, vehicle):
+    the trajectory row's psi gradient at its anchor against the convexified
+    rate's (tangency), the power row's plane slopes against the subtracted
+    log term's."""
     rng = np.random.default_rng(53)
     worst = 0.0
+    ones = np.ones(500, int)
     for mode, k in MODE_K:
-        for _ in range(500):
-            p1, p2, pr = rng.uniform(0.05, 1.0, 3)
-            u, v = rng.uniform(1e-3, 0.5, 2)
+        p1, p2, pr = rng.uniform(0.05, 1.0, (3, 500))
+        u, v = rng.uniform(1e-3, 0.5, (2, 500))
+        tb = sca.trajectory_lb_build(mode * ones, k, p1, p2, pr, u, v, np.zeros((500, 2)),
+                                     **PSI_GEOMETRY)
+        f = lambda a, b: sca.convexified_rate(mode, k, p1, p2, pr, a, b)
+        hu, hv = 1e-6 * u, 1e-6 * v
+        num_r = (f(u + hu, v) - f(u - hu, v)) / (2 * hu)
+        num_k = (f(u, v + hv) - f(u, v - hv)) / (2 * hv)
+        slope = tb.cm / (sca.LN2 * tb.argument(u, v))
+        for coef, num in ((slope * tb.dr, num_r), (slope * tb.dk, num_k)):
+            worst = max(worst, float(np.max(np.abs(coef - num) / np.maximum(np.abs(num), 1e-12))))
 
-            def gamma(a, b):
-                return float(sca.trajectory_lb_build(mode, k, p1, p2, pr, a, b).gamma_lb)
-
-            hu, hv = 1e-6 * u, 1e-6 * v
-            num_r = (gamma(u + hu, v) - gamma(u - hu, v)) / (2 * hu)
-            num_k = (gamma(u, v + hv) - gamma(u, v - hv)) / (2 * hv)
-            lb = sca.trajectory_lb_build(mode, k, p1, p2, pr, u, v)
-            worst = max(worst,
-                        abs(lb.d_r - num_r) / max(abs(num_r), 1e-12),
-                        abs(lb.d_k - num_k) / max(abs(num_k), 1e-12))
-
-            g_r, g_1, g_2 = rng.uniform(1e2, 1e6, 3)
-            q1, q2, qr = rng.uniform(0.05, 1.0, 3)
-            plb = sca.power_lb_build(mode, k, g_r, g_1, g_2, q1, q2, qr)
-            f = lambda a, b, c: sca._subtracted_value(mode, k, g_r, g_1, g_2, a, b, c)
-            h = 1e-6
-            for coef, num in (
-                (float(plb.d), (f(q1 + h, q2, qr) - f(q1 - h, q2, qr)) / (2 * h)),
-                (float(plb.t), (f(q1, q2 + h, qr) - f(q1, q2 - h, qr)) / (2 * h)),
-                (float(plb.c), (f(q1, q2, qr + h) - f(q1, q2, qr - h)) / (2 * h)),
-            ):
-                denom = max(abs(num), 1e-4)  # guard the zero coefficients
-                worst = max(worst, abs(coef - num) / denom)
+        g_r, g_1, g_2 = rng.uniform(1e2, 1e6, (3, 500))
+        q1, q2, qr = rng.uniform(0.05, 1.0, (3, 500))
+        pb = sca.power_lb_build(mode * ones, k, g_r, g_1, g_2, q1, q2, qr, np.ones(3))
+        f = lambda a, b, c: sca._subtracted_value(mode, k, g_r, g_1, g_2, a, b, c)
+        h = 1e-6
+        for coef, num in (
+            (pb.a1, (f(q1 + h, q2, qr) - f(q1 - h, q2, qr)) / (2 * h)),
+            (pb.a2, (f(q1, q2 + h, qr) - f(q1, q2 - h, qr)) / (2 * h)),
+            (pb.ar, (f(q1, q2, qr + h) - f(q1, q2, qr - h)) / (2 * h)),
+        ):
+            denom = np.maximum(np.abs(num), 1e-4)  # guard the zero coefficients
+            worst = max(worst, float(np.max(np.abs(coef - num) / denom)))
     coeff_ok = worst <= 1e-5
 
     eig_min = np.inf
@@ -184,34 +188,39 @@ def test_surrogate_coefficients_match_finite_differences():
 
 
 def test_bounds_anchor_and_minorize():
+    """The rows the barrier maximizes, one slot per (mode, vehicle), evaluated
+    at 10,000 trial points through ``sub``: the trajectory rows in psi
+    through ``argument``, the power rows through ``local``."""
     rng = np.random.default_rng(59)
     anchor_err = 0.0
     overshoot = -np.inf
+    trial_rows = np.zeros(10_000, int)
     for mode, k in MODE_K:
-        p1, p2, pr = rng.uniform(0.05, 1.0, 3)
+        p = rng.uniform(0.05, 1.0, (3, 1))
         u0, v0 = rng.uniform(5e-3, 0.2, 2)
-        lb = sca.trajectory_lb_build(mode, k, p1, p2, pr, u0, v0)
-        anchor = sca.trajectory_lb_rate(lb, u0, v0)
-        target0 = sca.convexified_rate(mode, k, p1, p2, pr, u0, v0)
+        tb = sca.trajectory_lb_build([mode], k, *p, [u0], [v0], np.zeros((1, 2)),
+                                     **PSI_GEOMETRY)
+        anchor = tb.cm[0] * np.log2(tb.argument(u0, v0)[0])
+        target0 = sca.convexified_rate(mode, k, *p[:, 0], u0, v0)
         anchor_err = max(anchor_err, abs(anchor - target0) / max(abs(target0), 1e-12))
         trials = rng.uniform(0.2, 5.0, size=(10_000, 2))
         u, v = u0 * trials[:, 0], v0 * trials[:, 1]
-        arg = lb.gamma_lb + lb.d_r * (u - u0) + lb.d_k * (v - v0)
-        keep = arg > -1.0
-        bound = lb.c_m * np.log2(1 + arg[keep])
-        target = sca.convexified_rate(mode, k, p1, p2, pr, u[keep], v[keep])
+        rows = tb.sub(trial_rows)
+        arg = rows.argument(u, v)
+        keep = arg > 0.0
+        bound = rows.cm[keep] * np.log2(arg[keep])
+        target = sca.convexified_rate(mode, k, *p[:, 0], u[keep], v[keep])
         overshoot = max(overshoot, float((bound - target).max()))
 
-        g_r, g_1, g_2 = rng.uniform(1e2, 1e6, 3)
-        q = rng.uniform(0.05, 1.0, 3)
-        plb = sca.power_lb_build(mode, k, g_r, g_1, g_2, *q)
-        panchor = sca.power_lb_rate(plb, *q)
-        ptarget0 = sca.dc_rate_vehicle(mode, k, g_r, g_1, g_2, *q)
+        g = rng.uniform(1e2, 1e6, (3, 1))
+        q = rng.uniform(0.05, 1.0, (3, 1))
+        pb = sca.power_lb_build([mode], k, *g, *q, np.ones(3))
+        panchor = pb.local(q.T, 0)[0][0]
+        ptarget0 = sca.dc_rate_vehicle(mode, k, *g[:, 0], *q[:, 0])
         anchor_err = max(anchor_err, abs(panchor - ptarget0) / max(abs(ptarget0), 1e-12))
         ptrials = rng.uniform(1e-3, 2.0, size=(10_000, 3))
-        pbound = sca.power_lb_rate(plb, ptrials[:, 0], ptrials[:, 1], ptrials[:, 2])
-        ptarget = sca.dc_rate_vehicle(
-            mode, k, g_r, g_1, g_2, ptrials[:, 0], ptrials[:, 1], ptrials[:, 2])
+        pbound = pb.sub(trial_rows).local(ptrials, 0)[0]
+        ptarget = sca.dc_rate_vehicle(mode, k, *g[:, 0], *ptrials.T)
         overshoot = max(overshoot, float((pbound - ptarget).max()))
     ok = anchor_err <= 1e-12 and overshoot <= 1e-9
     assert report(

@@ -9,6 +9,7 @@ import pytest
 
 import relayplan
 from relayplan.cli import CSV_HEADER, main
+from relayplan.modes import MODE_OF_STATE
 
 DEFAULT = str(Path(relayplan.__file__).parent / "data" / "default_paper.json")
 
@@ -130,3 +131,42 @@ def test_highsnr_report(tmp_path):
     assert summary["violations"] == []
     worst = max(max(r["gap"].values()) for r in summary["records"])
     assert summary["objective"] == pytest.approx(worst)
+
+
+@pytest.mark.parametrize(
+    "state, mode",
+    [(None, "7"), ("1", "3")],  # None keeps the slot's state
+    ids=["mode-outside-1-3", "state-mode-mismatch"],
+)
+def test_rates_rejects_inconsistent_schedule(tmp_path, capsys, state, mode):
+    assert main(["validate", DEFAULT, "--slots", "4", "--out-dir", str(tmp_path)]) == 0
+    header, rows = read_rows(tmp_path / "validate_slots.csv")
+    rows[1][6] = state or rows[1][6]
+    rows[1][7] = mode
+    bad = tmp_path / "bad_slots.csv"
+    bad.write_text("\n".join(", ".join(r) for r in [header] + rows) + "\n")
+    capsys.readouterr()
+    assert main(["rates", DEFAULT, "--slots", "4", "--trajectory", str(bad),
+                 "--powers", str(bad), "--out-dir", str(tmp_path)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "parse"
+    assert not (tmp_path / "rates_slots.csv").exists()
+
+
+def test_oracle_min_round_trips_through_rates(tmp_path):
+    # at threshold 0 the policy puts the min-rate placement in NOMA state 6,
+    # which the orthogonal schedule of the min objective must not report
+    raw = json.loads(Path(DEFAULT).read_text())
+    raw["mode_threshold_bpshz"] = 0.0
+    scen = tmp_path / "noma.json"
+    scen.write_text(json.dumps(raw))
+    assert main(["oracle", str(scen), "--slots", "4", "--grid", "250", "--power-grid", "0.5",
+                 "--objective", "min", "--out-dir", str(tmp_path)]) == 0
+    oracle_csv = str(tmp_path / "oracle_slots.csv")
+    _, first = read_rows(oracle_csv)
+    assert {r[7] for r in first} == {"3"}
+    assert all(MODE_OF_STATE[int(r[6])] == 3 for r in first)
+    assert main(["rates", str(scen), "--slots", "4", "--trajectory", oracle_csv,
+                 "--powers", oracle_csv, "--out-dir", str(tmp_path)]) == 0
+    _, second = read_rows(tmp_path / "rates_slots.csv")
+    assert first == second
