@@ -52,7 +52,7 @@ def convexity_certificate(a, b, c, d, probe) -> bool:
 def _check_modes(modes) -> np.ndarray:
     """The per-slot mode array, every entry checked to be 1, 2 or 3."""
     modes = np.asarray(modes)
-    bad = np.setdiff1d(modes, (1, 2, 3))
+    bad = modes[(modes != 1) & (modes != 2) & (modes != 3)]
     if bad.size:
         raise ValueError(f"invalid mode {bad[0]}")
     return modes
@@ -138,7 +138,7 @@ def trajectory_lb_build(modes, k, p1, p2, pr, psi_r_l, psi_k_l,
     if np.any(psi_r_l <= 0) or np.any(psi_k_l <= 0):
         raise ValueError("psi expansion values must be positive")
     out = TrajectoryBound(len(modes), s, float(bs[0]), float(bs[1]), hh, scale)
-    out.vx, out.vy = np.asarray(vehicle, dtype=float).T
+    out.vx, out.vy = np.asarray(vehicle, dtype=float).T.copy()
     for m in (1, 2, 3):
         sel = modes == m
         if not np.any(sel):
