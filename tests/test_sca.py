@@ -42,7 +42,8 @@ def traj_rows(bound, psi_r, psi_k):
 
 
 def psi_at(q, centre):
-    """The geometry's psi of positions ``q`` (m, 2) towards ``centre``."""
+    """The geometry's psi of positions ``q`` (m, 2) towards ``centre``, one
+    point or one per position."""
     return GEOMETRY["s"] * (np.sum((np.atleast_2d(q) - centre) ** 2, axis=1) + GEOMETRY["hh"])
 
 
@@ -297,7 +298,7 @@ def test_mixed_mode_builds_match_references_and_single_mode_builds():
     q = rng.uniform(0.0, 1000.0, (n, 2))  # anchor positions
     vehicle = rng.uniform(0.0, 1000.0, (n, 2))
     psi_r = psi_at(q, 0.0)
-    psi_k = GEOMETRY["s"] * (np.sum((q - vehicle) ** 2, axis=1) + GEOMETRY["hh"])
+    psi_k = psi_at(q, vehicle)
     for k in (1, 2):
         pb = sca.power_lb_build(modes, k, *g, *p, ONES)
         tb = sca.trajectory_lb_build(modes, k, *p, psi_r, psi_k, vehicle, **GEOMETRY)
