@@ -177,8 +177,8 @@ def _cmd_rates(args) -> int:
 
 def _cmd_oracle(args) -> int:
     sc = load_scenario(args.scenario, slots=args.slots)
-    if args.grid <= 0 or args.power_grid <= 0:
-        raise CliError("--grid and --power-grid must be positive", EXIT_PARSE)
+    if not (0 < args.grid < np.inf and 0 < args.power_grid < np.inf):
+        raise CliError("--grid and --power-grid must be finite and positive", EXIT_PARSE)
     started = time.perf_counter()
     try:
         pos, triple, best = oracle_mod.static_placement_oracle(

@@ -10,7 +10,7 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from relayplan.modes import MODE_OF_STATE, policy_states
-from relayplan.rates import exact_rates, high_snr_rates, rate_mode1, rate_mode3
+from relayplan.rates import high_snr_rates, rate_mode1, rate_mode2, rate_mode3
 from relayplan.scenario import Scenario, channel_gain, vehicle_paths
 
 
@@ -30,6 +30,11 @@ def _grid_search(sc, xs, ys, p1_tri, p2_tri, pr_tri, objective, chunk_cells):
     n_cells = xs.size * ys.size
     n_tri = p1_tri.size
     n_slots = sc.slot_count
+    # An OMA rate reads only its own vehicle's power and pr: tabulate each
+    # vehicle's once per distinct (p_k, pr), evaluate only the policy's NOMA
+    # slots per triple, and score min (all OMA) from per-vehicle slot minima.
+    own1, inv1 = np.unique(np.stack([p1_tri, pr_tri], axis=1), axis=0, return_inverse=True)
+    own2, inv2 = np.unique(np.stack([p2_tri, pr_tri], axis=1), axis=0, return_inverse=True)
     if chunk_cells is None:
         chunk_cells = max(1, int(8e5 // max(n_tri * n_slots, 1)))
     best_val, best_cell, best_tri = -np.inf, -1, -1
@@ -39,29 +44,25 @@ def _grid_search(sc, xs, ys, p1_tri, p2_tri, pr_tri, objective, chunk_cells):
         h_r = channel_gain(pos, bs, sc.uav_height, sc.beta0)
         h_1 = channel_gain(pos[:, None, :], paths[0], sc.uav_height, sc.beta0)
         h_2 = channel_gain(pos[:, None, :], paths[1], sc.uav_height, sc.beta0)
-        if objective == "sum":
-            modes = MODE_OF_STATE[policy_states(h_r[:, None], h_1, h_2, sc.mode_threshold)]
-        else:
-            modes = np.full(h_1.shape, 3)
-        shape = (idx.size, n_tri, n_slots)
-        r1, r2 = exact_rates(
-            np.broadcast_to(modes[:, None, :], shape),
-            h_r[:, None, None],
-            h_1[:, None, :],
-            h_2[:, None, :],
-            p1_tri[None, :, None],
-            p2_tri[None, :, None],
-            pr_tri[None, :, None],
-            s2,
+        o1, o2 = (
+            rate_mode3(h_r[:, None, None], h_k[:, None, :], own[None, :, :1], own[None, :, 1:], 0.5 * s2)
+            for h_k, own in ((h_1, own1), (h_2, own2))
         )
         if objective == "sum":
+            r1, r2 = o1[:, inv1], o2[:, inv2]
+            modes = MODE_OF_STATE[policy_states(h_r[:, None], h_1, h_2, sc.mode_threshold)]
+            for mode, rate_fn in ((1, rate_mode1), (2, rate_mode2)):
+                ci, si = np.nonzero(modes == mode)
+                r1[ci, :, si], r2[ci, :, si] = rate_fn(
+                    h_r[ci, None], h_1[ci, si, None], h_2[ci, si, None], p1_tri, p2_tri, pr_tri, s2
+                )
             score = (r1 + r2).sum(axis=2)
             t1, t2 = (float(v) for v in sc.rate_targets)
             if t1 > 0.0 or t2 > 0.0:
                 ok = (r1.min(axis=2) >= t1) & (r2.min(axis=2) >= t2)
                 score = np.where(ok, score, -np.inf)
         else:
-            score = np.minimum(r1, r2).min(axis=2)
+            score = np.minimum(o1.min(axis=2)[:, inv1], o2.min(axis=2)[:, inv2])
         flat = score.ravel()
         j = int(np.argmax(flat))
         if flat[j] > best_val:
@@ -101,8 +102,8 @@ def static_placement_oracle(
     """
     if objective not in ("sum", "min"):
         raise ValueError(f"objective must be 'sum' or 'min', got {objective!r}")
-    if xy_step <= 0 or power_step <= 0:
-        raise ValueError("grid steps must be positive")
+    if not (0 < xy_step < np.inf and 0 < power_step < np.inf):
+        raise ValueError("grid steps must be finite and positive")
     x_min, x_max, y_min, y_max = sc.flight_box
     xs = _axis(x_min, x_max, xy_step)
     ys = _axis(y_min, y_max, xy_step)

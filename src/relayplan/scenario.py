@@ -93,6 +93,8 @@ class Scenario:
             raise ScenarioError("need V >= 0, tau > 0, N >= 1")
         if not (self.uav_height > 0 and self.beta0 > 0 and self.noise_power > 0):
             raise ScenarioError("need h > 0, beta0 > 0, sigma^2 > 0")
+        if not (0 < self.avg_bs_power < np.inf and 0 < self.avg_relay_power < np.inf):
+            raise ScenarioError("average powers must be finite and > 0")
         if self.mode_threshold < 0:
             raise ScenarioError("mode_threshold must be >= 0")
         if np.any(self.rate_targets < 0):

@@ -99,6 +99,28 @@ def test_parse_failures_exit_3(argv, tmp_path, capsys):
     assert err["error"]["exit_code"] == 3
 
 
+@pytest.mark.parametrize("value", [0.0, -0.5])
+@pytest.mark.parametrize("field", ["avg_bs_power_w", "avg_relay_power_w"])
+@pytest.mark.parametrize("command", [["solve-minrate"], ["oracle", "--grid", "250"]],
+                         ids=["solve-minrate", "oracle"])
+def test_nonpositive_average_power_exits_3(tmp_path, capsys, command, field, value):
+    raw = json.loads(Path(DEFAULT).read_text())
+    raw[field] = value
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps(raw))
+    assert main([command[0], str(scen), "--slots", "8", *command[1:], "--out-dir", str(tmp_path)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "parse"
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--grid", "--power-grid"])
+def test_oracle_rejects_non_finite_steps(tmp_path, capsys, flag, bad):
+    assert main(["oracle", DEFAULT, "--slots", "2", flag, bad, "--out-dir", str(tmp_path)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert "finite and positive" in err["error"]["message"]
+
+
 def test_oracle_infeasible_targets_exit_2(tmp_path, capsys):
     raw = json.loads(Path(DEFAULT).read_text())
     raw["rate_targets_bpshz"] = [60.0, 60.0]

@@ -44,6 +44,75 @@ def static_scenario(**overrides):
     return scenario_from_dict(raw)
 
 
+# Two vehicles on neighbouring lanes drive past each other, so the nearer
+# vehicle changes during the horizon; on the 3 x 3 grid of MOVING_GRID the
+# cells at x = 160 m schedule SIC at vehicle 2, then OMA, then SIC at vehicle 1.
+MOVING_RAW = dict(
+    STATIC_RAW,
+    uav_start_m=[130.0, 130.0],
+    uav_end_m=[130.0, 130.0],
+    slot_duration_s=1.0,
+    slot_count=6,
+    flight_box_m=[100.0, 160.0, 100.0, 160.0],
+    vehicle_initial_m=[[-170.0, 450.0], [400.0, 470.0]],
+    vehicle_velocity_mps=[[80.0, 0.0], [-80.0, 0.0]],
+)
+MOVING_GRID = dict(xy_step=30.0, power_step=0.1)
+
+
+def moving_scenario(**overrides):
+    raw = dict(MOVING_RAW)
+    raw.update(overrides)
+    return scenario_from_dict(raw)
+
+
+def grid_axis(lo, hi, step):
+    return [lo + step * i for i in range(round((hi - lo) / step) + 1)]
+
+
+def cell_gains(sc, x, y):
+    """(h_r, h_1 per slot, h_2 per slot) with the relay parked at (x, y)."""
+    paths = vehicle_paths(sc)
+    h_r = float(channel_gain([x, y], sc.bs_position[:2], sc.uav_height, sc.beta0))
+    h_1, h_2 = (channel_gain(np.array([x, y]), paths[k], sc.uav_height, sc.beta0) for k in (0, 1))
+    return h_r, h_1, h_2
+
+
+def cell_modes(sc, h_r, h_1, h_2):
+    return np.array([select_mode(h_r, a, b, sc.mode_threshold)[1] for a, b in zip(h_1, h_2)])
+
+
+def plain_enumeration(sc, xy_step, power_step, objective):
+    """First best (value, position, powers), one exact_rates call per grid point.
+
+    Cells and power triples are walked in (x, y, p1, p2, pr) order and only a
+    strictly better score replaces the best, so ties go to the smallest index
+    tuple.  The position is None when no candidate meets the rate targets.
+    """
+    x_min, x_max, y_min, y_max = sc.flight_box
+    bs_levels = grid_axis(0.0, 2 * sc.avg_bs_power, power_step * sc.avg_bs_power)
+    relay_levels = grid_axis(0.0, 2 * sc.avg_relay_power, power_step * sc.avg_relay_power)
+    t1, t2 = sc.rate_targets
+    best = (-math.inf, None, None)
+    for x in grid_axis(x_min, x_max, xy_step):
+        for y in grid_axis(y_min, y_max, xy_step):
+            h_r, h_1, h_2 = cell_gains(sc, x, y)
+            modes = cell_modes(sc, h_r, h_1, h_2) if objective == "sum" else np.full(h_1.shape, 3)
+            for p1, p2, pr in itertools.product(bs_levels, bs_levels, relay_levels):
+                if p1 + p2 > sc.avg_bs_power * (1 + 1e-12) or pr > sc.avg_relay_power * (1 + 1e-12):
+                    continue
+                r1, r2 = exact_rates(modes, h_r, h_1, h_2, p1, p2, pr, sc.noise_power)
+                if objective == "min":
+                    score = float(np.minimum(r1, r2).min())
+                elif np.all(r1 >= t1) and np.all(r2 >= t2):
+                    score = float((r1 + r2).sum())
+                else:
+                    continue
+                if score > best[0]:
+                    best = (score, (x, y), (p1, p2, pr))
+    return best
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     h_r=st.floats(1e-6, 1e3),
@@ -88,6 +157,15 @@ def test_empty_power_grid_is_an_error():
         oracle.static_placement_oracle(sc, xy_step=5.0, power_step=0.5, objective="max")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("step", ["xy_step", "power_step"])
+def test_grid_steps_must_be_finite(step, bad):
+    steps = dict(xy_step=5.0, power_step=0.5)
+    steps[step] = bad
+    with pytest.raises(ValueError, match="finite and positive"):
+        oracle.static_placement_oracle(static_scenario(), **steps)
+
+
 def test_min_objective_finds_perpendicular_bisector():
     sc = static_scenario(
         flight_box_m=[0.0, 1000.0, -500.0, 500.0],
@@ -98,20 +176,26 @@ def test_min_objective_finds_perpendicular_bisector():
     assert abs(pos[1]) <= 25.0
 
 
+def assert_chunking_ignored(sc, **grid):
+    runs = [oracle.static_placement_oracle(sc, chunk_cells=c, **grid) for c in (None, 1, 7)]
+    for pos, powers, best in runs[1:]:
+        assert np.array_equal(pos, runs[0][0])
+        assert np.array_equal(powers, runs[0][1])
+        assert best == runs[0][2]
+
+
 def test_grid_results_ignore_chunking():
     sc = static_scenario(
         flight_box_m=[300.0, 400.0, 150.0, 250.0],
         uav_start_m=[350.0, 200.0],
         uav_end_m=[350.0, 200.0],
     )
-    runs = [
-        oracle.static_placement_oracle(sc, xy_step=25.0, power_step=0.2, chunk_cells=c)
-        for c in (None, 1, 7)
-    ]
-    for pos, powers, best in runs[1:]:
-        assert np.array_equal(pos, runs[0][0])
-        assert np.array_equal(powers, runs[0][1])
-        assert best == runs[0][2]
+    assert_chunking_ignored(sc, xy_step=25.0, power_step=0.2)
+
+
+@pytest.mark.parametrize("objective", ["sum", "min"])
+def test_grid_results_ignore_chunking_across_modes(objective):
+    assert_chunking_ignored(moving_scenario(), objective=objective, **MOVING_GRID)
 
 
 @pytest.mark.parametrize("objective", ["sum", "min"])
@@ -133,37 +217,44 @@ def test_matches_plain_enumeration(objective):
         uav_start_m=[350.0, 210.0],
         uav_end_m=[350.0, 210.0],
     )
-    xy_step, power_step = 30.0, 0.25
-    got_pos, got_powers, got_best = oracle.static_placement_oracle(
-        sc, xy_step=xy_step, power_step=power_step, objective=objective
-    )
+    assert matches_plain_enumeration(sc, objective, xy_step=30.0, power_step=0.25)
 
-    paths = vehicle_paths(sc)
-    step = power_step * sc.avg_bs_power
-    levels = [i * step for i in range(int(2 * sc.avg_bs_power / step) + 1)]
-    best = (-math.inf, None, None)
-    for x in (320.0, 350.0, 380.0):
-        for y in (180.0, 210.0, 240.0):
-            h_r = float(channel_gain([x, y], sc.bs_position[:2], sc.uav_height, sc.beta0))
-            h_1 = float(channel_gain([x, y], paths[0, 0], sc.uav_height, sc.beta0))
-            h_2 = float(channel_gain([x, y], paths[1, 0], sc.uav_height, sc.beta0))
-            if objective == "sum":
-                _, mode = select_mode(h_r, h_1, h_2, sc.mode_threshold)
-            else:
-                mode = 3
-            for p1, p2, pr in itertools.product(levels, levels, levels):
-                if p1 + p2 > sc.avg_bs_power * (1 + 1e-12) or pr > sc.avg_relay_power * (1 + 1e-12):
-                    continue
-                r1, r2 = exact_rates(
-                    np.array([mode]), np.array([h_r]), np.array([h_1]), np.array([h_2]),
-                    np.array([p1]), np.array([p2]), np.array([pr]), sc.noise_power,
-                )
-                score = float(r1[0] + r2[0]) if objective == "sum" else float(min(r1[0], r2[0]))
-                if score > best[0]:
-                    best = (score, (x, y), (p1, p2, pr))
+
+def matches_plain_enumeration(sc, objective, **grid):
+    """Assert the oracle agrees with plain_enumeration; return whether any candidate is feasible."""
+    best = plain_enumeration(sc, objective=objective, **grid)
+    if best[1] is None:
+        # the top-pr scan finds nothing, so the full fallback scan runs and raises
+        with pytest.raises(ValueError, match="rate targets"):
+            oracle.static_placement_oracle(sc, objective=objective, **grid)
+        return False
+    got_pos, got_powers, got_best = oracle.static_placement_oracle(sc, objective=objective, **grid)
     assert got_best == pytest.approx(best[0], rel=1e-12)
     assert tuple(got_pos) == best[1]
-    assert tuple(got_powers) == pytest.approx(best[2], abs=1e-12)
+    assert tuple(got_powers) == best[2]
+    return True
+
+
+@pytest.mark.parametrize(
+    "objective, targets, feasible",
+    [("sum", [1.5, 1.5], True), ("sum", [0.0, 0.0], True), ("min", [1.5, 1.5], True),
+     ("sum", [3.0, 3.0], False)],
+    ids=["sum-targets", "sum-zero-targets", "min", "sum-infeasible-targets"],
+)
+def test_matches_plain_enumeration_across_modes(objective, targets, feasible):
+    sc = moving_scenario(rate_targets_bpshz=targets)
+    x_min, x_max, y_min, y_max = sc.flight_box
+    step = MOVING_GRID["xy_step"]
+    cells = itertools.product(grid_axis(x_min, x_max, step), grid_axis(y_min, y_max, step))
+    mixed = [(x, y) for x, y in cells if {1, 2, 3} <= set(cell_modes(sc, *cell_gains(sc, x, y)))]
+    assert mixed
+    assert matches_plain_enumeration(sc, objective, **MOVING_GRID) == feasible
+    # each mixed-mode cell on its own, so its best triple is checked even
+    # where it is not the optimum of the whole grid
+    for x, y in mixed:
+        xy = np.array([x, y])
+        one = dataclasses.replace(sc, flight_box=np.array([x, x + 1.0, y, y + 1.0]), uav_start=xy, uav_end=xy)
+        matches_plain_enumeration(one, objective, **MOVING_GRID)
 
 
 def test_gradient_of_linear_function_is_exact():

@@ -85,6 +85,15 @@ def test_loader_shape_and_sign_checks():
         scenario_from_dict(raw)
 
 
+@pytest.mark.parametrize("value", [0.0, -0.5, float("inf")])
+@pytest.mark.parametrize("field", ["avg_bs_power_w", "avg_relay_power_w"])
+def test_loader_rejects_nonpositive_average_power(field, value):
+    raw = default_dict()
+    raw[field] = value
+    with pytest.raises(ScenarioError, match="average powers"):
+        scenario_from_dict(raw)
+
+
 def test_with_slots_rescales_horizon():
     sc = default_scenario(slots=50)
     assert sc.slot_count == 50
