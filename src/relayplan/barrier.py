@@ -15,8 +15,11 @@ domain (an objective row that is not finite rejects a trial point, which
 the search treats as -inf).
 
 Row protocol.  The objective is a list of row blocks whose rows sum to f,
-and every constraint block holds rows g_i.  Each block is evaluated once per
-barrier evaluation:
+and every constraint block holds rows g_i.  A barrier evaluation runs the
+constraint blocks in list order, stops at the first with a nonpositive row,
+and runs the objective only inside every constraint, so cheap rows listed
+first spare a rejected point the costly ones.  Each block is evaluated at
+most once per barrier evaluation:
 
     count               number of rows m
     cols                (m, k) positions in z that row i reads, fixed for
@@ -273,12 +276,15 @@ class Scatter:
 
 def _barrier_eval(objective, blocks, z, mu, order, scatter):
     """phi, grad and NewtonSystem of f + mu * sum log g, up to ``order``;
-    None if z is out of domain."""
+    None if z is out of domain, found at the first nonpositive constraint
+    row before the objective is evaluated."""
+    rows = []
+    for blk in blocks:
+        rows.append(blk.evaluate(z, order))
+        if np.any(rows[-1][0] <= 0):
+            return None
     obj = [src.evaluate(z, order) for src in objective]
     if not all(np.all(np.isfinite(e[0])) for e in obj):
-        return None
-    rows = [blk.evaluate(z, order) for blk in blocks]
-    if any(np.any(e[0] <= 0) for e in rows):
         return None
     phi = float(sum(e[0].sum() for e in obj)) + mu * sum(np.sum(np.log(e[0])) for e in rows)
     if order == 0:

@@ -145,6 +145,7 @@ def _solve(args, driver, stem: str) -> int:
                     "iterations": len(res.objective_history),
                     "converged": res.converged,
                     "wall_time_s": res.wall_time,
+                    "diagnostics": res.diagnostics,
                 })
     print(f"objective {_fmt(res.objective)} after {len(res.objective_history)} iterations")
     return EXIT_OK

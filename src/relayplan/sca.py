@@ -16,12 +16,14 @@ g = 2h/sigma^2 for OMA, which makes the "+1"/"+2" constants in the log
 arguments exact.  Every log argument here factors as a product of positive
 affine terms, which is what the certificate conditions assert.
 
-Each side has one bound type, ``TrajectoryBound`` and ``PowerBound``: one row
-per slot, each in its slot's mode, whose ``local`` gives the values,
-gradients and Hessians the barrier maximizes.  A row evaluates to -inf off
-its log domain.  ``convexified_rate`` and ``dc_rate_vehicle`` are the
-functions the two bounds minorize.
+Each side has one bound type, ``TrajectoryBound`` and ``PowerBound``, built
+with both vehicles' rows stacked, vehicle 1's first: of 2N rows, row i lies
+in slot i mod N and in that slot's mode.  ``local`` gives the values,
+gradients and Hessians the barrier maximizes; a row is -inf off its log
+domain.  The bounds minorize ``convexified_rate`` and ``dc_rate_vehicle``.
 """
+
+import itertools
 
 import numpy as np
 
@@ -62,12 +64,12 @@ def _check_modes(modes) -> np.ndarray:
 
 
 class TrajectoryBound:
-    """Per-slot rows of one vehicle's trajectory-side bound.
+    """Rows of the trajectory-side bound, each of one vehicle in one slot.
 
-    Row n evaluates to cm * log2(A) with
+    A row evaluates to cm * log2(A) with
         A = base + dr * psi_r(x, y) + dk * psi_k(x, y),
     psi being the inverse-gain distance quadratics s * (|q - c|^2 + hh) to
-    the base station c = (bx, by) and to the vehicle's slot-n position
+    the base station c = (bx, by) and to the row's vehicle at its slot,
     c = (vx, vy).  dr, dk <= 0 keep A concave, so the row is concave in the
     coordinates.  A slot's variables are its (x, y) divided by ``scale``.
     """
@@ -121,29 +123,32 @@ class TrajectoryBound:
         return vals, grad, self.scale**2 * hess
 
 
-def trajectory_lb_build(modes, k, p1, p2, pr, psi_r_l, psi_k_l,
-                        vehicle, bs, s, hh, scale) -> TrajectoryBound:
-    """Vehicle k's (1 or 2) bound rows, slot n in mode ``modes[n]``.
+def trajectory_lb_build(modes, p1, p2, pr, psi_r_l, psi_1_l, psi_2_l,
+                        paths, bs, s, hh, scale) -> TrajectoryBound:
+    """Both vehicles' bound rows, vehicle 1's first; row i in slot i mod N,
+    in mode ``modes[i mod N]``.
 
-    A row linearizes the relaxed SINR pr * p_k * d_m around the expansion
-    values (psi_r_l, psi_k_l), d_m being the reciprocal of the convexified
-    denominator.  The convexifying constant is (p1+p2)*pr for the NOMA modes
-    and pr*p_k for OMA, and is checked against the convexity certificate.
-    ``vehicle`` holds the vehicle's (x, y) per slot and ``bs`` the base
-    station's; psi is s times a squared distance with hh added.
+    A row of vehicle k linearizes the relaxed SINR pr * p_k * d_m around the
+    expansion values (psi_r_l, psi_k_l), d_m being the reciprocal of the
+    convexified denominator.  The convexifying constant is (p1+p2)*pr for
+    the NOMA modes and pr*p_k for OMA, and is checked against the convexity
+    certificate.  ``paths`` holds each vehicle's (x, y) per slot and ``bs``
+    the base station's; psi is s times a squared distance with hh added.
     """
     modes = _check_modes(modes)
+    n = len(modes)
     p1, p2, pr = (np.asarray(v, dtype=float) for v in (p1, p2, pr))
-    psi_r_l, psi_k_l = np.asarray(psi_r_l, dtype=float), np.asarray(psi_k_l, dtype=float)
-    if np.any(psi_r_l <= 0) or np.any(psi_k_l <= 0):
+    psi_l = [np.asarray(v, dtype=float) for v in (psi_r_l, psi_1_l, psi_2_l)]
+    if any(np.any(v <= 0) for v in psi_l):
         raise ValueError("psi expansion values must be positive")
-    out = TrajectoryBound(len(modes), s, float(bs[0]), float(bs[1]), hh, scale)
-    out.vx, out.vy = np.asarray(vehicle, dtype=float).T.copy()
-    for m in (1, 2, 3):
-        sel = modes == m
-        if not np.any(sel):
+    out = TrajectoryBound(2 * n, s, float(bs[0]), float(bs[1]), hh, scale)
+    out.vx, out.vy = np.asarray(paths, dtype=float).reshape(2 * n, 2).T.copy()
+    for k, m in itertools.product((1, 2), (1, 2, 3)):
+        sel = np.nonzero(modes == m)[0]
+        if not len(sel):
             continue
-        q1, q2, qr, u, w = p1[sel], p2[sel], pr[sel], psi_r_l[sel], psi_k_l[sel]
+        q1, q2, qr, u, w = p1[sel], p2[sel], pr[sel], psi_l[0][sel], psi_l[k][sel]
+        rows = sel + (k - 1) * n
         p_k = q1 if k == 1 else q2
         b_coef = q1 + q2 if m in (1, 2) else p_k
         a, b, c, d = qr, b_coef, 1.0, qr * b_coef
@@ -159,9 +164,9 @@ def trajectory_lb_build(modes, k, p1, p2, pr, psi_r_l, psi_k_l,
         common = d_m * d_m * qr * p_k
         d_r = -common * (qr + w)  # d(gamma)/d(psi_r) at the expansion point
         d_k = -common * (b_coef + u)  # d(gamma)/d(psi_k)
-        out.cm[sel] = 0.5 if m == 3 else 1.0
-        out.base[sel] = 1.0 + gamma_lb - d_r * u - d_k * w
-        out.dr[sel], out.dk[sel] = d_r, d_k
+        out.cm[rows] = 0.5 if m == 3 else 1.0
+        out.base[rows] = 1.0 + gamma_lb - d_r * u - d_k * w
+        out.dr[rows], out.dk[rows] = d_r, d_k
     return out
 
 
@@ -223,12 +228,12 @@ def dc_rate_vehicle(mode, k, g_r, g_1, g_2, p1, p2, pr):
 
 
 class PowerBound:
-    """Per-slot rows of one vehicle's power-side bound.
+    """Rows of the power-side bound, each of one vehicle in one slot.
 
-    Row n evaluates to
+    A row evaluates to
         cm * (log2(cu0 + cur*pr) + log2(cv0 + cv1*p1 + cv2*p2)
               - t0 - a1*p1 - a2*p2 - ar*pr),
-    the vehicle's DC rate at slot n with its subtracted log term replaced by
+    the vehicle's DC rate at the slot with its subtracted log term replaced by
     the tangent plane t0 + a1*p1 + a2*p2 + ar*pr.  A slot's variables are
     its (p1, p2, pr) divided by ``scale``.
     """
@@ -311,29 +316,32 @@ def _subtracted_slopes(mode, k, g_r, g_1, g_2, p1_l, p2_l, pr_l):
     return d / LN2, t / LN2, c / LN2
 
 
-def power_lb_build(modes, k, g_r, g_1, g_2, p1_l, p2_l, pr_l, scale) -> PowerBound:
-    """Vehicle k's (1 or 2) bound rows, slot n in mode ``modes[n]``, around
-    the expansion powers (p1_l, p2_l, pr_l).  ``scale`` holds the units of
-    a slot's (p1, p2, pr) variables."""
+def power_lb_build(modes, g_r, g_1, g_2, p1_l, p2_l, pr_l, scale) -> PowerBound:
+    """Both vehicles' bound rows around the expansion powers (p1_l, p2_l,
+    pr_l), vehicle 1's first; row i in slot i mod N, in mode
+    ``modes[i mod N]``.  ``scale`` holds the units of a slot's (p1, p2, pr)
+    variables."""
     modes = _check_modes(modes)
+    n = len(modes)
     g_r, g_1, g_2 = (np.asarray(v, dtype=float) for v in (g_r, g_1, g_2))
     p1_l, p2_l, pr_l = (np.asarray(v, dtype=float) for v in (p1_l, p2_l, pr_l))
     if np.any(p1_l < 0) or np.any(p2_l < 0) or np.any(pr_l < 0):
         raise ValueError("expansion powers must be nonnegative")
-    out = PowerBound(len(modes), scale)
-    for m in (1, 2, 3):
-        sel = modes == m
-        if not np.any(sel):
+    out = PowerBound(2 * n, scale)
+    for k, m in itertools.product((1, 2), (1, 2, 3)):
+        sel = np.nonzero(modes == m)[0]
+        if not len(sel):
             continue
         gr, g1, g2, q1, q2, qr = (v[sel] for v in (g_r, g_1, g_2, p1_l, p2_l, pr_l))
+        rows = sel + (k - 1) * n
         cu0, cu_r, cv = _concave_factors(m, k, gr, g1, g2)
         _assert_ratio_condition(m, k, cu0, cu_r, cv, gr)
         d, t, c = _subtracted_slopes(m, k, gr, g1, g2, q1, q2, qr)
-        out.cm[sel] = 0.5 if m == 3 else 1.0
-        out.cu0[sel], out.cur[sel] = cu0, cu_r
-        out.cv0[sel], out.cv1[sel], out.cv2[sel] = cv
-        out.a1[sel], out.a2[sel], out.ar[sel] = d, t, c
-        out.t0[sel] = _subtracted_value(m, k, gr, g1, g2, q1, q2, qr) - d * q1 - t * q2 - c * qr
+        out.cm[rows] = 0.5 if m == 3 else 1.0
+        out.cu0[rows], out.cur[rows] = cu0, cu_r
+        out.cv0[rows], out.cv1[rows], out.cv2[rows] = cv
+        out.a1[rows], out.a2[rows], out.ar[rows] = d, t, c
+        out.t0[rows] = _subtracted_value(m, k, gr, g1, g2, q1, q2, qr) - d * q1 - t * q2 - c * qr
     return out
 
 

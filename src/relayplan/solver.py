@@ -213,37 +213,30 @@ def _normalized_gains(sc, cs, modes):
     return fac * cs.h_r, fac * cs.h_1, fac * cs.h_2
 
 
-def _power_terms(sc, cs, modes, anchor: PowerAllocation) -> Dict[int, sca.PowerBound]:
+def _power_terms(sc, cs, modes, anchor: PowerAllocation) -> sca.PowerBound:
     gr, g1, g2 = _normalized_gains(sc, cs, modes)
     scale = np.array([sc.avg_bs_power, sc.avg_bs_power, sc.avg_relay_power])
-    return {
-        k: sca.power_lb_build(modes, k, gr, g1, g2, anchor.p1, anchor.p2, anchor.pr, scale)
-        for k in (1, 2)
-    }
+    return sca.power_lb_build(modes, gr, g1, g2, anchor.p1, anchor.p2, anchor.pr, scale)
 
 
-def _traj_terms(sc, cs_l, modes, powers) -> Dict[int, sca.TrajectoryBound]:
-    paths = vehicle_paths(sc)
-    return {
-        k: sca.trajectory_lb_build(
-            modes, k, powers.p1, powers.p2, powers.pr,
-            cs_l.psi_r, cs_l.psi_1 if k == 1 else cs_l.psi_2,
-            paths[k - 1], sc.bs_position, sc.noise_power / sc.beta0,
-            sc.uav_height ** 2, LENGTH_SCALE,
-        )
-        for k in (1, 2)
-    }
+def _traj_terms(sc, cs_l, modes, powers) -> sca.TrajectoryBound:
+    return sca.trajectory_lb_build(
+        modes, powers.p1, powers.p2, powers.pr, cs_l.psi_r, cs_l.psi_1, cs_l.psi_2,
+        vehicle_paths(sc), sc.bs_position, sc.noise_power / sc.beta0,
+        sc.uav_height ** 2, LENGTH_SCALE,
+    )
 
 
 # ---- rate rows ----
 
 
 class SlotRowBlock:
-    """Rows row_n(z[slots[n]]) - rhs_n (- z[epi_idx]) >= 0, one per slot.
+    """Rows row_i(z[slots[i]]) - rhs_i (- z[epi_idx]) >= 0.
 
     ``terms.local`` gives each row's value, gradient and Hessian over its
-    own slot's d variables, whose positions in z are the row of ``slots``.
-    An epigraph scalar's position is appended to every row's ``cols``.
+    slot's d variables, whose positions in z are the row of ``slots``; rows
+    may share a slot.  An epigraph scalar's position is appended to every
+    row's ``cols``.
     """
 
     def __init__(self, terms, slots, rhs, epi_idx=None, label="rate target"):
@@ -409,7 +402,7 @@ def _clamp_into_box(sc, traj):
 
 
 def _epigraph_start(bound_rows_min):
-    return bound_rows_min - max(1e-9, MODE_FREEZE_TOL * abs(bound_rows_min))
+    return bound_rows_min - max(1e-9, BACKOFF * abs(bound_rows_min))
 
 
 # ---- single linearize-and-solve passes ----
@@ -420,50 +413,42 @@ def _subproblem(sc, terms, slots, width, z0, blocks, objective: str, step: str, 
 
     z is slot-major: ``slots[n]`` holds the positions of slot n's d
     variables, which fill z[:d * n] in order.  The barrier sees them as a
-    band of ``width`` and at most the epigraph scalar as its border.  For
-    "sum" the objective is the rows summed, and a vehicle's target rows
-    are kept at the slots whose bound clears the target at the start; the
-    others are dropped and recorded under ``step``.  For "min" an epigraph
-    scalar is appended to z and every row must stay above it.  Capped
-    barrier stages and failed solves are counted in ``diag``.  Returns
-    (z, bound, info), bound being the subproblem's optimum.
+    band of ``width`` and at most the epigraph scalar as its border.  The
+    2N rows of ``terms`` are stacked, vehicle 1's first, so row i reads
+    slot i mod N.  For "sum" the objective is the rows summed, and a
+    vehicle's target rows are kept at the slots whose bound clears the
+    target at the start; the others are dropped and recorded under
+    ``step``.  For "min" an epigraph scalar is appended to z and every row
+    must stay above it.  Capped barrier stages and failed solves are
+    counted in ``diag``.  Returns (z, bound, info), bound being the
+    subproblem's optimum.
     """
-    rows = [SlotRowBlock(terms[k], slots, 0.0) for k in (1, 2)]
-    start = [row.evaluate(z0, 0)[0] for row in rows]
+    row_slots = np.concatenate([slots, slots])
+    rows = SlotRowBlock(terms, row_slots, 0.0)
+    start = rows.evaluate(z0, 0)[0]
     blocks = list(blocks)
     if objective == "min":
         t_idx = len(z0)
-        z0 = np.append(z0, _epigraph_start(float(min(start[0].min(), start[1].min()))))
-        for k in (1, 2):
-            blocks.append(SlotRowBlock(
-                terms[k], slots, 0.0, epi_idx=t_idx, label=f"epigraph rate v{k}"
-            ))
+        z0 = np.append(z0, _epigraph_start(float(start.min())))
+        blocks.append(SlotRowBlock(terms, row_slots, 0.0, epi_idx=t_idx, label="epigraph rate"))
         obj = [_EpigraphObjective(t_idx)]
     else:
-        for k, r0 in zip((1, 2), start):
-            target = float(sc.rate_targets[k - 1])
-            if target <= 0.0:
-                continue
-            rhs = target - TARGET_SLACK
-            keep = r0 - rhs > TARGET_MARGIN
-            dropped = np.nonzero(~keep)[0]
-            if len(dropped):
+        targets = np.repeat(sc.rate_targets, len(slots))
+        rhs = targets - TARGET_SLACK
+        keep = start - rhs > TARGET_MARGIN
+        for k, dropped in enumerate(np.split((targets > 0.0) & ~keep, 2), 1):
+            if np.any(dropped):
                 diag.setdefault("dropped_target_rows", []).append(
-                    {"step": step, "vehicle": k, "slots": dropped.tolist()}
+                    {"step": step, "vehicle": k, "slots": np.nonzero(dropped)[0].tolist()}
                 )
-            if np.any(keep):
-                idx = np.nonzero(keep)[0]
-                blocks.append(SlotRowBlock(
-                    terms[k].sub(idx), slots[idx], rhs, label=f"rate target v{k}"
-                ))
-        obj = rows
+        idx = np.nonzero((targets > 0.0) & keep)[0]
+        if len(idx):
+            blocks.append(SlotRowBlock(terms.sub(idx), row_slots[idx], rhs[idx]))
+        obj = [rows]
     z, info = concave_max(obj, blocks, z0, band=(slots.size, width))
     diag["capped_stages"] = diag.get("capped_stages", 0) + info.capped_stages
     diag["failed_solves"] = diag.get("failed_solves", 0) + int(info.line_search_failed)
-    if objective == "min":
-        bound = float(z[-1])
-    else:
-        bound = float(sum(row.evaluate(z, 0)[0].sum() for row in rows))
+    bound = float(z[-1]) if objective == "min" else float(rows.evaluate(z, 0)[0].sum())
     return z, bound, info
 
 

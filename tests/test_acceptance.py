@@ -140,10 +140,11 @@ def test_surrogate_coefficients_match_finite_differences():
     worst = 0.0
     ones = np.ones(500, int)
     for mode, k in MODE_K:
+        vehicle_k = np.arange(500) + (k - 1) * 500  # vehicle k's rows of the stacked builds
         p1, p2, pr = rng.uniform(0.05, 1.0, (3, 500))
         u, v = rng.uniform(1e-3, 0.5, (2, 500))
-        tb = sca.trajectory_lb_build(mode * ones, k, p1, p2, pr, u, v, np.zeros((500, 2)),
-                                     **PSI_GEOMETRY)
+        tb = sca.trajectory_lb_build(mode * ones, p1, p2, pr, u, v, v,
+                                     np.zeros((2, 500, 2)), **PSI_GEOMETRY).sub(vehicle_k)
         f = lambda a, b: sca.convexified_rate(mode, k, p1, p2, pr, a, b)
         hu, hv = 1e-6 * u, 1e-6 * v
         num_r = (f(u + hu, v) - f(u - hu, v)) / (2 * hu)
@@ -154,7 +155,7 @@ def test_surrogate_coefficients_match_finite_differences():
 
         g_r, g_1, g_2 = rng.uniform(1e2, 1e6, (3, 500))
         q1, q2, qr = rng.uniform(0.05, 1.0, (3, 500))
-        pb = sca.power_lb_build(mode * ones, k, g_r, g_1, g_2, q1, q2, qr, np.ones(3))
+        pb = sca.power_lb_build(mode * ones, g_r, g_1, g_2, q1, q2, qr, np.ones(3)).sub(vehicle_k)
         f = lambda a, b, c: sca._subtracted_value(mode, k, g_r, g_1, g_2, a, b, c)
         h = 1e-6
         for coef, num in (
@@ -198,8 +199,8 @@ def test_bounds_anchor_and_minorize():
     for mode, k in MODE_K:
         p = rng.uniform(0.05, 1.0, (3, 1))
         u0, v0 = rng.uniform(5e-3, 0.2, 2)
-        tb = sca.trajectory_lb_build([mode], k, *p, [u0], [v0], np.zeros((1, 2)),
-                                     **PSI_GEOMETRY)
+        tb = sca.trajectory_lb_build([mode], *p, [u0], [v0], [v0], np.zeros((2, 1, 2)),
+                                     **PSI_GEOMETRY).sub([k - 1])
         anchor = tb.cm[0] * np.log2(tb.argument(u0, v0)[0])
         target0 = sca.convexified_rate(mode, k, *p[:, 0], u0, v0)
         anchor_err = max(anchor_err, abs(anchor - target0) / max(abs(target0), 1e-12))
@@ -214,7 +215,7 @@ def test_bounds_anchor_and_minorize():
 
         g = rng.uniform(1e2, 1e6, (3, 1))
         q = rng.uniform(0.05, 1.0, (3, 1))
-        pb = sca.power_lb_build([mode], k, *g, *q, np.ones(3))
+        pb = sca.power_lb_build([mode], *g, *q, np.ones(3)).sub([k - 1])
         panchor = pb.local(q.T, 0)[0][0]
         ptarget0 = sca.dc_rate_vehicle(mode, k, *g[:, 0], *q[:, 0])
         anchor_err = max(anchor_err, abs(panchor - ptarget0) / max(abs(ptarget0), 1e-12))

@@ -220,6 +220,32 @@ def test_domain_rejection_shrinks_steps():
     assert z[0] == pytest.approx(0.6, abs=1e-3)
 
 
+def test_box_rejection_skips_the_objective():
+    """A trial point that leaves the box is rejected by the box rows before
+    the objective is evaluated there: the objective sees interior points
+    only."""
+    obj = quadratic(np.eye(2), np.full(2, 10.0))  # optimum far outside the box
+    box = BoxBlock(np.arange(2), -1.0, 1.0)
+    seen, outside = [], []
+    real_obj, real_box = obj[0].evaluate, box.evaluate
+
+    def objective_evaluate(z, order):
+        seen.append(z.copy())
+        return real_obj(z, order)
+
+    def box_evaluate(z, order):
+        res = real_box(z, order)
+        if np.any(res[0] <= 0):
+            outside.append(z.copy())
+        return res
+
+    obj[0].evaluate, box.evaluate = objective_evaluate, box_evaluate
+    z, info = concave_max(obj, [box], np.zeros(2))
+    assert info.converged and np.allclose(z, 1.0, atol=1e-6)
+    assert outside  # the line search did try points outside the box
+    assert seen and all(np.all(np.abs(p) < 1.0) for p in seen)
+
+
 # ---- the structured Newton solve ----
 
 

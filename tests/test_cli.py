@@ -53,6 +53,14 @@ def test_sumrate_summary_matches_csv(tmp_path):
     assert summary["iterations"] == len(summary["objective_history"])
 
 
+def test_solve_summaries_carry_solver_health(tmp_path):
+    for command, stem in (("solve-sumrate", "sumrate"), ("solve-minrate", "minrate")):
+        assert main([command, DEFAULT, "--slots", "6", "--out-dir", str(tmp_path)]) == 0
+        diagnostics = json.loads((tmp_path / f"{stem}_summary.json").read_text())["diagnostics"]
+        for key in ("capped_stages", "failed_solves"):
+            assert type(diagnostics[key]) is int, (stem, key)
+
+
 @pytest.mark.parametrize(
     "command, stem, slots",
     # every slot of the 8-slot sum-rate plan is in mode 1 (SIC at vehicle 1)

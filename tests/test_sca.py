@@ -14,10 +14,11 @@ VEHICLE = (500.0, 500.0)
 
 
 def power_bound(mode, k, gains, powers):
-    """One slot's power bound in ``mode``, expanded at ``powers``."""
+    """Vehicle k's row of one slot's power bound in ``mode``, expanded at
+    ``powers``: row k - 1 of the stacked build."""
     return sca.power_lb_build(
-        np.array([mode]), k, *np.reshape(gains, (3, 1)), *np.reshape(powers, (3, 1)), ONES
-    )
+        np.array([mode]), *np.reshape(gains, (3, 1)), *np.reshape(powers, (3, 1)), ONES
+    ).sub([k - 1])
 
 
 def power_rows(bound, powers):
@@ -27,11 +28,15 @@ def power_rows(bound, powers):
 
 
 def traj_bound(mode, k, powers, psi_l):
-    """One slot's trajectory bound in ``mode``, expanded at psi_l = (psi_r, psi_k)."""
+    """Vehicle k's row of one slot's trajectory bound in ``mode``, expanded at
+    psi_l = (psi_r, psi_k): row k - 1 of the stacked build, both vehicles
+    at VEHICLE."""
+    psi_r, psi_k = np.reshape(psi_l, (2, 1))
+    vehicle = np.reshape(VEHICLE, (1, 2))
     return sca.trajectory_lb_build(
-        np.array([mode]), k, *np.reshape(powers, (3, 1)), *np.reshape(psi_l, (2, 1)),
-        np.reshape(VEHICLE, (1, 2)), **GEOMETRY
-    )
+        np.array([mode]), *np.reshape(powers, (3, 1)), psi_r, psi_k, psi_k,
+        (vehicle, vehicle), **GEOMETRY
+    ).sub([k - 1])
 
 
 def traj_rows(bound, psi_r, psi_k):
@@ -288,8 +293,10 @@ def test_power_bound_off_domain_is_minus_inf():
 
 
 def test_mixed_mode_builds_match_references_and_single_mode_builds():
-    """One build over slots in modes 1, 2 and 3: at the anchor every row is its
-    reference rate, and every row equals that slot's single-slot build."""
+    """One build over slots in modes 1, 2 and 3 stacks both vehicles' rows,
+    vehicle 1's first: at the anchor row (k - 1) * n + i is vehicle k's
+    reference rate at slot i, and equals row k - 1 of slot i's single-slot
+    build."""
     rng = np.random.default_rng(47)
     modes = np.array([1, 3, 2, 2, 3, 1, 3, 1, 2])
     n = len(modes)
@@ -297,23 +304,27 @@ def test_mixed_mode_builds_match_references_and_single_mode_builds():
     p = rng.uniform(0.05, 1.0, (3, n))
     q = rng.uniform(0.0, 1000.0, (n, 2))  # anchor positions
     vehicle = rng.uniform(0.0, 1000.0, (n, 2))
+    paths = np.stack([vehicle, vehicle[::-1]])
     psi_r = psi_at(q, 0.0)
-    psi_k = psi_at(q, vehicle)
+    psi = [psi_at(q, path) for path in paths]
+    pb = sca.power_lb_build(modes, *g, *p, ONES)
+    tb = sca.trajectory_lb_build(modes, *p, psi_r, *psi, paths, **GEOMETRY)
+    assert pb.cm.shape == tb.cm.shape == (2 * n,)
     for k in (1, 2):
-        pb = sca.power_lb_build(modes, k, *g, *p, ONES)
-        tb = sca.trajectory_lb_build(modes, k, *p, psi_r, psi_k, vehicle, **GEOMETRY)
+        rows = np.arange(n) + (k - 1) * n
         dc = [sca.dc_rate_vehicle(m, k, *g[:, i], *p[:, i]) for i, m in enumerate(modes)]
-        relaxed = [sca.convexified_rate(m, k, *p[:, i], psi_r[i], psi_k[i])
+        relaxed = [sca.convexified_rate(m, k, *p[:, i], psi_r[i], psi[k - 1][i])
                    for i, m in enumerate(modes)]
-        np.testing.assert_allclose(pb.local(p.T, 0)[0], dc, rtol=1e-12)
-        np.testing.assert_allclose(tb.local(q, 0)[0], relaxed, rtol=1e-12)
+        np.testing.assert_allclose(pb.sub(rows).local(p.T, 0)[0], dc, rtol=1e-12)
+        np.testing.assert_allclose(tb.sub(rows).local(q, 0)[0], relaxed, rtol=1e-12)
         for i, m in enumerate(modes):
             sl = slice(i, i + 1)
-            one_p = sca.power_lb_build(modes[sl], k, *g[:, sl], *p[:, sl], ONES)
+            one_p = sca.power_lb_build(modes[sl], *g[:, sl], *p[:, sl], ONES)
             one_t = sca.trajectory_lb_build(
-                modes[sl], k, *p[:, sl], psi_r[sl], psi_k[sl], vehicle[sl], **GEOMETRY
+                modes[sl], *p[:, sl], psi_r[sl], psi[0][sl], psi[1][sl], paths[:, sl],
+                **GEOMETRY
             )
             for name in sca.PowerBound.COEFFS:
-                assert getattr(one_p, name)[0] == getattr(pb, name)[i], (m, k, name)
+                assert getattr(one_p, name)[k - 1] == getattr(pb, name)[rows[i]], (m, k, name)
             for name in sca.TrajectoryBound.ROWS:
-                assert getattr(one_t, name)[0] == getattr(tb, name)[i], (m, k, name)
+                assert getattr(one_t, name)[k - 1] == getattr(tb, name)[rows[i]], (m, k, name)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from relayplan import barrier, oracle, rates, solver
+from relayplan import barrier, oracle, rates, sca, solver
 from relayplan.scenario import (
     channel_state,
     default_scenario,
@@ -464,13 +464,48 @@ def test_subproblems_cover_every_block_kind(subproblems):
     bands = {size: band for size, (_, _, _, band) in first.items()}
     assert bands == {2 * n: (2 * n, 3), 2 * n + 1: (2 * n, 3),
                      3 * n: (3 * n, 2), 3 * n + 1: (3 * n, 2)}
-    for size in (2 * n + 1, 3 * n + 1):
-        assert ("epigraph rate v1", n) in labels[size]
-        assert ("epigraph rate v2", n) in labels[size]
+    # both vehicles' rows stacked in one block, vehicle 1's first: row i
+    # reads slot i mod n
+    for d in (2, 3):
+        slots = np.arange(d * n).reshape(n, d)[np.arange(2 * n) % n]
+        (rows,) = first[d * n][0]  # the sum-rate objective
+        np.testing.assert_array_equal(rows.cols, slots)
+        assert rows.count == 2 * n
+        objective, blocks = first[d * n + 1][:2]
+        assert [b.label for b in objective] == ["epigraph objective"]
+        (rows,) = [b for b in blocks if b.label == "epigraph rate"]
+        np.testing.assert_array_equal(rows.cols, np.column_stack([slots, np.full(2 * n, d * n)]))
+        assert rows.count == 2 * n
     assert ("velocity", n + 1) in labels[2 * n]
     assert any(label == "decoding order" and c > 0 for label, c in labels[3 * n])
     kept = [c for label, c in labels[2 * n] if label.startswith("rate target")]
-    assert len(kept) == 2 and all(0 < c < n for c in kept)
+    assert len(kept) == 1 and 0 < kept[0] < 2 * n
+
+
+def test_minrate_evaluation_makes_one_local_call(monkeypatch):
+    """A min-rate barrier evaluation computes the rate rows with one ``local``
+    call over both vehicles, and none when a cheaper row rejects the point."""
+    calls = [0]
+    per_eval, per_accepted = [], []
+    for cls in (sca.PowerBound, sca.TrajectoryBound):
+        def local(self, v, order, _real=cls.local):
+            calls[0] += 1
+            return _real(self, v, order)
+        monkeypatch.setattr(cls, "local", local)
+    real_eval = barrier._barrier_eval
+
+    def counted(*args):
+        before = calls[0]
+        res = real_eval(*args)
+        per_eval.append(calls[0] - before)
+        if res is not None:
+            per_accepted.append(per_eval[-1])
+        return res
+
+    monkeypatch.setattr(barrier, "_barrier_eval", counted)
+    solver.solve_minrate(SC8)
+    assert set(per_accepted) == {1}
+    assert set(per_eval) == {0, 1}
 
 
 def test_subproblem_derivatives_match_finite_differences(subproblems, dense_system):
