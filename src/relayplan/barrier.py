@@ -41,13 +41,13 @@ is banded.  The other nk variables (the min-rate epigraph scalar) are the
 dense border B, C, and each dense affine row (an energy budget) adds the
 column sqrt(w2_i) a_i to V.  ``Scatter`` maps every local entry into this
 structure once per solve and raises on an entry outside the band;
-``NewtonSystem.solve`` factors A with ``cholesky_banded``, runs one
-``cho_solve_banded`` on [g, V, B], eliminates the border through its
-nk x nk Schur complement and V through the r x r capacitance matrix
-I + V^T K^-1 V (Woodbury).  Assembly and solve cost
-O(nb * (bw + 1) * (bw + 1 + nk + r)) per step, linear in the slot count,
-against O(n^2) assembly and an O(n^3) dense factorisation.  Without a
-declared band the band spans every variable.
+``NewtonSystem.solve`` calls LAPACK directly (a scipy wrapper call costs
+more than these small solves): ``pbtrf`` factors A, one ``pbtrs`` solves
+[g, V, B], and ``potrf``/``potrs`` eliminate the border through its nk x nk
+Schur complement and V through the r x r capacitance matrix I + V^T K^-1 V
+(Woodbury).  Assembly and solve cost O(nb * (bw + 1) * (bw + 1 + nk + r))
+per step, linear in the slot count, against O(n^2) assembly and an O(n^3)
+dense factorisation.  Without a declared band the band spans every variable.
 """
 
 import dataclasses
@@ -63,6 +63,9 @@ GAP_REL = 1e-8  # final duality gap n_c * mu, relative to the objective scale
 DECREMENT_REL = 2e-13  # Newton decrement at rounding level, same scale
 MAX_NEWTON_PER_STAGE = 120
 RIDGE_TRIES = 12
+
+_PBTRF, _PBTRS, _POTRF, _POTRS = sla.get_lapack_funcs(
+    ("pbtrf", "pbtrs", "potrf", "potrs"), dtype=np.float64)
 
 
 class InfeasibleStartError(ValueError):
@@ -122,9 +125,19 @@ class SolveInfo:
 # ---- structured Newton system ----
 
 
+def _lapack(routine, *args):
+    """A LAPACK Cholesky factor or solve in lower form; LinAlgError unless PD."""
+    out, info = routine(*args, lower=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"leading minor {info} not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK {routine.__name__}")
+    return out
+
+
 def _small_solve(m, b):
     """Solve with a small symmetric matrix; LinAlgError unless it is PD."""
-    return sla.cho_solve((np.linalg.cholesky(m), True), b, check_finite=False)
+    return _lapack(_POTRS, _lapack(_POTRF, m), b)
 
 
 class NewtonSystem:
@@ -144,14 +157,16 @@ class NewtonSystem:
     def solve(self, g):
         """d with (-H) d = g.  When a factor is not positive definite, a
         ridge starting at 1e-10 * trace/n grows by 100 per try."""
-        trace = self.band[0].sum() + np.trace(self.corner) + np.sum(self.lowrank**2)
-        scale = max(float(trace) / len(g), 1e-12)
         ridge = 0.0
         for _ in range(RIDGE_TRIES):
             try:
                 return self._solve(g, ridge)
             except np.linalg.LinAlgError:
-                ridge = scale * 1e-10 if ridge == 0.0 else ridge * 100.0
+                if ridge:
+                    ridge *= 100.0
+                    continue
+                trace = self.band[0].sum() + np.trace(self.corner) + np.sum(self.lowrank**2)
+                ridge = max(float(trace) / len(g), 1e-12) * 1e-10
         raise np.linalg.LinAlgError("Newton system not positive definite despite damping")
 
     def _solve(self, g, ridge):
@@ -162,11 +177,9 @@ class NewtonSystem:
         if ridge:
             band = band.copy()
             band[0] += ridge
-        fac = sla.cholesky_banded(band, lower=True, check_finite=False)
+        fac = _lapack(_PBTRF, band)  # band is kept intact for a ridge retry
         rhs = np.column_stack([g, v])
-        sol = sla.cho_solve_banded(
-            (fac, True), np.hstack([rhs[:nb], self.border]), check_finite=False
-        )
+        sol = _lapack(_PBTRS, fac, np.hstack([rhs[:nb], self.border]))
         k_inv = sol[:, : 1 + r]  # K^-1 [g, V], K the band with its border
         if nk:
             x = sol[:, 1 + r :]  # A^-1 B
@@ -266,7 +279,7 @@ class Scatter:
         return NewtonSystem(
             packed[:off_border].reshape(self.bw + 1, nb),
             packed[off_border:off_corner].reshape(nb, nk),
-            corner + np.tril(corner, -1).T,
+            corner + np.tril(corner, -1).T if nk > 1 else corner,
             np.hstack(lowrank) if lowrank else np.zeros((self.n, 0)),
         )
 
@@ -281,12 +294,12 @@ def _barrier_eval(objective, blocks, z, mu, order, scatter):
     rows = []
     for blk in blocks:
         rows.append(blk.evaluate(z, order))
-        if np.any(rows[-1][0] <= 0):
+        if (rows[-1][0] <= 0).any():
             return None
     obj = [src.evaluate(z, order) for src in objective]
-    if not all(np.all(np.isfinite(e[0])) for e in obj):
+    if not all(np.isfinite(e[0]).all() for e in obj):
         return None
-    phi = float(sum(e[0].sum() for e in obj)) + mu * sum(np.sum(np.log(e[0])) for e in rows)
+    phi = float(sum(e[0].sum() for e in obj)) + mu * sum(np.log(e[0]).sum() for e in rows)
     if order == 0:
         return (phi,)
     evals = obj + rows

@@ -89,7 +89,7 @@ class SolverResult:
     objective_history: List[float]
     history: List[Dict]
     newton_steps: List[int]
-    converged: bool
+    converged: bool  # the outer gain test passed and no subproblem solve failed
     wall_time: float
     diagnostics: Dict
 
@@ -178,6 +178,8 @@ def _rebalance_for_targets(sc, cs, modes, powers: PowerAllocation,
                 return None
             for _ in range(80):
                 m = 0.5 * (a + b)
+                if m == a or m == b:  # a fixed point: later halvings change nothing
+                    break
                 if (rate_pair(m)[idx] >= target) == want_low:
                     b = m
                 else:
@@ -643,7 +645,7 @@ def solve_minrate(sc: Scenario) -> SolverResult:
         objective_history.append(exact)
         newton_steps.append(steps)
         if prev is not None and abs(_relative_gain(exact, prev)) < REL_TOL:
-            converged = True
+            converged = diag["failed_solves"] == 0
             break
         prev = exact
     r1, r2 = _exact_rate_arrays(sc, cs, sched.modes, powers)
@@ -723,7 +725,7 @@ def algorithm3_joint(sc: Scenario) -> SolverResult:
                 )
                 frozen = True
             if abs(gain) < REL_TOL:
-                converged = True
+                converged = diag["failed_solves"] == 0
                 break
             if abs(gain) < MODE_FREEZE_TOL:
                 frozen = True

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from relayplan import barrier
 from relayplan.barrier import BoxBlock, LinearBlock, NewtonSystem, Scatter, concave_max
@@ -262,13 +263,16 @@ def random_system(rng, nb, bw, nk, r, lowrank_scale=1.0):
     return NewtonSystem(band, border, corner, lowrank)
 
 
-def dense_ridge_solve(neg, g):
+def dense_ridge_solve(neg, g, failures=0):
     """The dense schedule: Cholesky of neg + ridge I, the ridge starting at
-    1e-10 * trace/n and growing by 100 per failed try."""
+    1e-10 * trace/n and growing by 100 per failed try; the first
+    ``failures`` tries fail whatever the matrix."""
     scale = max(float(np.trace(neg)) / len(g), 1e-12)
     ridge = 0.0
-    for _ in range(12):
+    for k in range(12):
         try:
+            if k < failures:
+                raise np.linalg.LinAlgError("forced")
             c = np.linalg.cholesky(neg + ridge * np.eye(len(g)))
             return np.linalg.solve(c.T, np.linalg.solve(c, g)), ridge
         except np.linalg.LinAlgError:
@@ -297,6 +301,76 @@ def test_indefinite_system_follows_ridge_schedule(nk, r, dense_system):
     assert ridge > 0.0
     got = system.solve(g)
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("factor", ["schur", "capacitance"])
+def test_small_factor_failure_follows_ridge_schedule(factor, dense_system, monkeypatch):
+    """The band is positive definite but a small dense factor is not, so the
+    solve retries on the dense schedule's ridges.  A negative corner makes
+    the Schur complement indefinite.  The capacitance matrix I + V^T K^-1 V
+    is positive definite whenever K is, so its failure is injected: potrf
+    reports the first capacitance factor not positive definite."""
+    rng = np.random.default_rng(11)
+    system = random_system(rng, 20, 3, 1, 2, lowrank_scale=0.1)
+    assert barrier._PBTRF(system.band, lower=1)[1] == 0
+    g = rng.normal(size=21)
+    caps, real_potrf = [], barrier._POTRF
+
+    def potrf(m, **kwargs):
+        c, info = real_potrf(m, **kwargs)
+        if m.shape == (2, 2):
+            caps.append(info)
+            if factor == "capacitance" and len(caps) == 1:
+                info = 1
+        return c, info
+
+    monkeypatch.setattr(barrier, "_POTRF", potrf)
+    if factor == "schur":
+        system.corner -= np.trace(system.corner) + 50.0
+    want, ridge = dense_ridge_solve(dense_system(system), g, failures=int(factor == "capacitance"))
+    assert ridge > 0.0
+    got = system.solve(g)
+    assert np.array_equal(got, system._solve(g, ridge))
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    if factor == "capacitance":
+        assert caps[:2] == [0, 0]  # factored again at the first ridge
+
+
+def scipy_wrapper_solve(system, g):
+    """NewtonSystem's solve at ridge 0 through scipy's checking wrappers."""
+    nb, nk = system.border.shape
+    v = system.lowrank
+    r = v.shape[1]
+    fac = sla.cholesky_banded(system.band, lower=True, check_finite=False)
+    rhs = np.column_stack([g, v])
+    rhs_b = np.hstack([rhs[:nb], system.border])
+    sol = sla.cho_solve_banded((fac, True), rhs_b, check_finite=False)
+    k_inv = sol[:, : 1 + r]
+    if nk:
+        x = sol[:, 1 + r :]
+        schur = system.corner - system.border.T @ x
+        tail = sla.cho_solve((np.linalg.cholesky(schur), True), rhs[nb:] - system.border.T @ k_inv)
+        k_inv = np.vstack([k_inv - x @ tail, tail])
+    d = k_inv[:, 0]
+    if r:
+        cap = np.eye(r) + v.T @ k_inv[:, 1:]
+        d = d - k_inv[:, 1:] @ sla.cho_solve((np.linalg.cholesky(cap), True), v.T @ d)
+    return d
+
+
+@pytest.mark.parametrize("bw, nk, r", list(itertools.product((2, 3), (0, 1, 2), (0, 2))))
+def test_lapack_solve_matches_scipy_wrappers_bit_for_bit(bw, nk, r):
+    rng = np.random.default_rng([bw, nk, r, 1])
+    for nb in (bw + 1, 30, 90):
+        system = random_system(rng, nb, bw, nk, r)
+        g = rng.normal(size=nb + nk)
+        assert np.array_equal(system.solve(g), scipy_wrapper_solve(system, g))
+
+
+def test_illegal_lapack_argument_raises():
+    fac = barrier._lapack(barrier._PBTRF, np.array([[4.0] * 5, [1.0] * 4 + [0.0]]))
+    with pytest.raises(ValueError, match="illegal value"):
+        barrier._lapack(barrier._PBTRS, fac, np.ones((3, 1)))  # 3 rows for 5 unknowns
 
 
 def test_out_of_band_entry_raises():

@@ -1,10 +1,13 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
+import relayplan
 from relayplan import barrier, oracle, rates, sca, solver
+from relayplan.cli import main
 from relayplan.scenario import (
     channel_state,
     default_scenario,
@@ -361,6 +364,38 @@ def test_minrate_long_horizon_converges():
     assert np.all(np.diff(bound) >= -1e-9)
 
 
+@pytest.mark.parametrize(
+    "command, stem, driver",
+    [("solve-minrate", "minrate", solver.solve_minrate),
+     ("solve-sumrate", "sumrate", solver.algorithm3_joint)],
+    ids=["minrate", "sumrate"],
+)
+def test_failed_subproblem_solve_is_not_converged(monkeypatch, tmp_path, command, stem, driver):
+    """One of the driver's own subproblem solves reports a failed line
+    search (the sum-rate warm start's min-rate solves are left alone): the
+    plan reads unconverged in the result and in the CLI summary."""
+    real = solver.concave_max
+    failed = []
+
+    def fail_once(obj, *args, **kwargs):
+        z, info = real(obj, *args, **kwargs)
+        if not failed and (obj[0].label == "epigraph objective") == (stem == "minrate"):
+            failed.append(True)
+            info = dataclasses.replace(info, line_search_failed=True)
+        return z, info
+
+    monkeypatch.setattr(solver, "concave_max", fail_once)
+    res = driver(default_scenario(slots=6))
+    assert res.diagnostics["failed_solves"] == 1
+    assert res.converged is False
+    failed.clear()
+    scenario = str(Path(relayplan.__file__).parent / "data" / "default_paper.json")
+    assert main([command, scenario, "--slots", "6", "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / f"{stem}_summary.json").read_text())
+    assert summary["diagnostics"]["failed_solves"] == 1
+    assert summary["converged"] is False
+
+
 # ---- structure of the Newton steps ----
 
 
@@ -368,7 +403,7 @@ def test_driver_newton_steps_factor_a_band(monkeypatch):
     """Both drivers' Newton steps factor a band; any dense factorisation
     (Schur complement, capacitance) is at most 3 x 3."""
     dense, banded = [], []
-    real_dense, real_banded = np.linalg.cholesky, scipy.linalg.cholesky_banded
+    real_dense, real_banded = barrier._POTRF, barrier._PBTRF
 
     def spy_dense(a, *args, **kwargs):
         dense.append(np.shape(a))
@@ -378,8 +413,8 @@ def test_driver_newton_steps_factor_a_band(monkeypatch):
         banded.append(np.shape(ab))
         return real_banded(ab, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "cholesky", spy_dense)
-    monkeypatch.setattr(scipy.linalg, "cholesky_banded", spy_banded)
+    monkeypatch.setattr(barrier, "_POTRF", spy_dense)
+    monkeypatch.setattr(barrier, "_PBTRF", spy_banded)
     sc = default_scenario(slots=40)
     solver.solve_minrate(sc)
     solver.algorithm3_joint(sc)
