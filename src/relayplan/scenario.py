@@ -89,15 +89,15 @@ class Scenario:
         self._check()
 
     def _check(self):
-        if not (self.uav_max_speed >= 0 and self.slot_duration > 0 and self.slot_count >= 1):
-            raise ScenarioError("need V >= 0, tau > 0, N >= 1")
+        if not (self.uav_max_speed >= 0 and 0 < self.slot_duration < np.inf and self.slot_count >= 1):
+            raise ScenarioError("need V >= 0, finite tau > 0, N >= 1")
         if not (self.uav_height > 0 and self.beta0 > 0 and self.noise_power > 0):
             raise ScenarioError("need h > 0, beta0 > 0, sigma^2 > 0")
         if not (0 < self.avg_bs_power < np.inf and 0 < self.avg_relay_power < np.inf):
             raise ScenarioError("average powers must be finite and > 0")
-        if self.mode_threshold < 0:
+        if not self.mode_threshold >= 0:  # inf is legal: the OMA-only policy
             raise ScenarioError("mode_threshold must be >= 0")
-        if np.any(self.rate_targets < 0):
+        if not np.all(self.rate_targets >= 0):
             raise ScenarioError("rate targets must be >= 0")
         x_min, x_max, y_min, y_max = self.flight_box
         if not (x_min < x_max and y_min < y_max):

@@ -1,8 +1,11 @@
 """Alternating-optimization drivers for trajectory and power planning.
 
 Two decision blocks alternate: the relay track (2N coordinates) and the
-transmit powers (3N per-slot values).  Each outer iteration linearizes the
-rate expressions once (module ``sca``) and solves the resulting concave
+transmit powers (3N per-slot values).  One loop serves both problems:
+``solve_minrate`` maximizes the worst per-slot rate with every slot
+orthogonal, and ``algorithm3_joint`` maximizes the sum rate under the mode
+policy, starting from the fairness plan.  Each step linearizes the rate
+expressions once (module ``sca``) and solves the resulting concave
 subproblem with the feasible-start barrier engine (module ``barrier``).
 Decision vectors are preconditioned -- coordinates divided by 100, powers by
 their per-slot budget -- so the Newton systems stay well scaled.
@@ -103,29 +106,15 @@ def _exact_rate_arrays(sc, cs, modes, powers):
     )
 
 
-def _dc_objective(sc, cs, modes, powers) -> float:
-    """Exact DC-form sum rate (anchor value of the power-side bound)."""
-    gr, g1, g2 = _normalized_gains(sc, cs, modes)
-    total = 0.0
-    for m in (1, 2, 3):
-        sel = modes == m
-        if not np.any(sel):
-            continue
-        for k in (1, 2):
-            total += float(
-                np.sum(
-                    sca.dc_rate_vehicle(
-                        m, k, gr[sel], g1[sel], g2[sel],
-                        powers.p1[sel], powers.p2[sel], powers.pr[sel],
-                    )
-                )
-            )
-    return total
+def _objective_value(objective, r1, r2) -> float:
+    """Exact sum rate ("sum") or worst per-slot vehicle rate ("min")."""
+    if objective == "min":
+        return float(min(r1.min(), r2.min()))
+    return float(r1.sum() + r2.sum())
 
 
-def _target_violations(sc, cs, modes, powers, tol=FEAS_TOL):
+def _target_violations(sc, r1, r2, tol=FEAS_TOL):
     """Slots whose exact rates miss the per-vehicle targets."""
-    r1, r2 = _exact_rate_arrays(sc, cs, modes, powers)
     t1, t2 = float(sc.rate_targets[0]), float(sc.rate_targets[1])
     bad = (r1 < t1 - tol) | (r2 < t2 - tol)
     return [int(i) for i in np.nonzero(bad)[0]]
@@ -142,7 +131,7 @@ def _rebalance_for_targets(sc, cs, modes, powers: PowerAllocation,
     this slot's budget satisfies both targets and is reported as infeasible.
     """
     t1, t2 = float(sc.rate_targets[0]), float(sc.rate_targets[1])
-    bad = _target_violations(sc, cs, modes, powers, tol=tol)
+    bad = _target_violations(sc, *_exact_rate_arrays(sc, cs, modes, powers), tol=tol)
     if not bad:
         return powers
     p1 = powers.p1.copy()
@@ -199,11 +188,6 @@ def _rebalance_for_targets(sc, cs, modes, powers: PowerAllocation,
             slots=stuck,
         )
     return PowerAllocation(p1, p2, powers.pr)
-
-
-def _oma_schedule(cs, sc) -> ModeSchedule:
-    """Policy states with the NOMA gain threshold pushed to infinity."""
-    return mode_schedule(cs, dataclasses.replace(sc, mode_threshold=np.inf))
 
 
 # ---- bound-term assembly ----
@@ -341,31 +325,15 @@ class PairDiffBlock:
 # ---- start-point preparation ----
 
 
-def _prepare_power_start(sc, modes, powers, check=False):
+def _prepare_power_start(sc, modes, powers):
     """Shift a feasible start strictly inside the power constraint set.
 
     Boundary-tight budgets are scaled back, decoding-order ties are tilted
-    (sum preserved), and exact zeros are floored.  With ``check`` a start
-    violating a constraint family raises instead of being repaired.
+    (sum preserved), and exact zeros are floored.
     """
     ps, prs = sc.avg_bs_power, sc.avg_relay_power
     p1, p2, pr = powers.p1.copy(), powers.p2.copy(), powers.pr.copy()
     n = len(p1)
-    if check:
-        families = []
-        if min(p1.min(), p2.min(), pr.min()) < -1e-12:
-            families.append("nonnegativity")
-        if np.sum(p1 + p2) > n * ps * (1 + 1e-9) or np.sum(pr) > n * prs * (1 + 1e-9):
-            families.append("energy budget")
-        m1, m2 = modes == 1, modes == 2
-        if np.any(p1[m1] > p2[m1] * (1 + 1e-9) + 1e-15) or np.any(
-            p2[m2] > p1[m2] * (1 + 1e-9) + 1e-15
-        ):
-            families.append("decoding order")
-        if families:
-            raise InfeasibleProblemError(
-                "infeasible start: " + ", ".join(families) + " violated"
-            )
     floor = 1e-9
     p1 = np.maximum(p1, floor * ps)
     p2 = np.maximum(p2, floor * ps)
@@ -512,10 +480,9 @@ def _damped_traj_accept(sc, powers, modes, anchor, cand, objective, diag):
     """
 
     def value(tr):
-        r1, r2 = _exact_rate_arrays(sc, channel_state(tr, sc), modes, powers)
-        if objective == "min":
-            return float(min(r1.min(), r2.min()))
-        return float(r1.sum() + r2.sum())
+        return _objective_value(
+            objective, *_exact_rate_arrays(sc, channel_state(tr, sc), modes, powers)
+        )
 
     base = value(anchor)
     theta = 1.0
@@ -537,172 +504,54 @@ def _relative_gain(new, old):
     return (new - old) / max(1.0, abs(old))
 
 
-def algorithm1_trajectory(sc: Scenario, powers: PowerAllocation, traj0: np.ndarray):
-    """Trajectory and mode optimization under fixed powers.
+def _alternate(sc: Scenario, objective: str, traj, powers: PowerAllocation,
+               started: float) -> SolverResult:
+    """The alternating-optimisation loop both problems share.
 
-    Returns (trajectory, ModeSchedule, history); each history entry holds the
-    bound optimum and the exact sum rate of one iteration.
+    Each outer iteration takes one damped trajectory step (none when the
+    relay cannot move), re-derives the mode schedule, backs the powers off
+    into the interior and takes one power step.  The loop stops once the
+    exact objective's relative gain falls below ``REL_TOL``.  "min"
+    schedules every slot orthogonally.  "sum" re-balances the powers for
+    the rate targets before each power step, can freeze the schedule, and
+    checks the targets on the exact rates of the returned plan.
     """
-    traj = np.asarray(traj0, dtype=float)
+    policy = sc if objective == "sum" else dataclasses.replace(sc, mode_threshold=np.inf)
+    rebalance = objective == "sum" and np.any(sc.rate_targets > 0)
     diag: Dict = {}
-    history: List[Dict] = []
-    cs = channel_state(traj, sc)
-    sched = mode_schedule(cs, sc)
-    if sc.step_radius <= 0.0:
-        r1, r2 = _exact_rate_arrays(sc, cs, sched.modes, powers)
-        history.append({"bound": None, "exact": float(r1.sum() + r2.sum()), "newton": 0})
-        return traj, sched, history
-    prev = None
-    for _ in range(MAX_OUTER):
-        cs = channel_state(traj, sc)
-        last_modes = sched.modes
-        sched = mode_schedule(cs, sc)
-        flips = int(np.sum(sched.modes != last_modes))
-        cand, bound, info = _traj_step(sc, powers, sched.modes, traj, "sum", diag)
-        traj = _damped_traj_accept(sc, powers, sched.modes, traj, cand, "sum", diag)
-        cs = channel_state(traj, sc)
-        r1, r2 = _exact_rate_arrays(sc, cs, sched.modes, powers)
-        exact = float(r1.sum() + r2.sum())
-        history.append({
-            "bound": bound, "exact": exact,
-            "mode_changes": flips, "newton": info.newton_steps,
-        })
-        if prev is not None and abs(_relative_gain(exact, prev)) < REL_TOL:
-            break
-        prev = exact
-    bad = _target_violations(sc, channel_state(traj, sc), sched.modes, powers)
-    if bad and np.any(np.asarray(sc.rate_targets) > 0):
-        raise InfeasibleProblemError(
-            f"rate targets unreachable at slots {bad}", slots=bad
-        )
-    return traj, sched, history
-
-
-def algorithm2_power(sc: Scenario, traj: np.ndarray, powers0: PowerAllocation):
-    """Power optimization under a fixed trajectory and its mode schedule.
-
-    Returns (PowerAllocation, history); history entries record the bound
-    optimum, the DC objective, and the exact sum rate per iteration.
-    """
-    cs = channel_state(traj, sc)
-    sched = mode_schedule(cs, sc)
-    diag: Dict = {}
-    powers = _prepare_power_start(sc, sched.modes, powers0, check=True)
-    bad = _target_violations(sc, cs, sched.modes, powers)
-    if bad and np.any(np.asarray(sc.rate_targets) > 0):
-        raise InfeasibleProblemError(
-            f"infeasible start: rate targets violated at slots {bad}", slots=bad
-        )
-    history: List[Dict] = []
-    prev = None
-    for _ in range(MAX_OUTER):
-        powers, bound, info = _power_step(sc, cs, sched.modes, powers, "sum", diag)
-        r1, r2 = _exact_rate_arrays(sc, cs, sched.modes, powers)
-        exact = float(r1.sum() + r2.sum())
-        history.append({
-            "bound": bound,
-            "dc": _dc_objective(sc, cs, sched.modes, powers),
-            "exact": exact,
-            "newton": info.newton_steps,
-        })
-        if prev is not None and abs(_relative_gain(exact, prev)) < REL_TOL:
-            break
-        prev = exact
-    return powers, history
-
-
-def solve_minrate(sc: Scenario) -> SolverResult:
-    """Fairness problem: maximize the worst per-slot vehicle rate, OMA only."""
-    started = time.perf_counter()
-    diag: Dict = {}
-    traj, powers = feasible_init(sc, "P2")
-    powers = _prepare_power_start(sc, np.full(sc.slot_count, 3), powers)
     history: List[Dict] = []
     objective_history: List[float] = []
     newton_steps: List[int] = []
-    converged = False
-    prev = None
+    converged = frozen = False
     cs = channel_state(traj, sc)
-    sched = _oma_schedule(cs, sc)
-    for _ in range(MAX_OUTER):
-        steps = 0
-        if sc.step_radius > 0.0:
-            cand, bound_t, info_t = _traj_step(sc, powers, sched.modes, traj, "min", diag)
-            traj = _damped_traj_accept(sc, powers, sched.modes, traj, cand, "min", diag)
-            cs = channel_state(traj, sc)
-            sched = _oma_schedule(cs, sc)
-            steps += info_t.newton_steps
-        else:
-            bound_t = None
-        # the previous optimum sits on its energy budgets to within the
-        # barrier's final gap; back it off to a strictly interior start
-        powers = _prepare_power_start(sc, sched.modes, powers)
-        powers, bound_p, info_p = _power_step(sc, cs, sched.modes, powers, "min", diag)
-        steps += info_p.newton_steps
-        r1, r2 = _exact_rate_arrays(sc, cs, sched.modes, powers)
-        exact = float(min(r1.min(), r2.min()))
-        history.append({"bound_traj": bound_t, "bound_power": bound_p, "exact": exact})
-        objective_history.append(exact)
-        newton_steps.append(steps)
-        if prev is not None and abs(_relative_gain(exact, prev)) < REL_TOL:
-            converged = diag["failed_solves"] == 0
-            break
-        prev = exact
-    r1, r2 = _exact_rate_arrays(sc, cs, sched.modes, powers)
-    diag["rate_spread"] = float(np.max(np.abs(r1 - r2)) / max(r1.min(), r2.min(), 1e-12))
-    return SolverResult(
-        trajectory=traj,
-        powers=powers,
-        schedule=sched,
-        slots=np.rec.fromarrays([r1, r2], names="r1,r2"),
-        objective=float(min(r1.min(), r2.min())),
-        objective_history=objective_history,
-        history=history,
-        newton_steps=newton_steps,
-        converged=converged,
-        wall_time=time.perf_counter() - started,
-        diagnostics=diag,
-    )
-
-
-def algorithm3_joint(sc: Scenario) -> SolverResult:
-    """Joint sum-rate optimization: trajectory, modes, and powers."""
-    started = time.perf_counter()
-    diag: Dict = {}
-    traj, powers = feasible_init(sc, "P1")
-    history: List[Dict] = []
-    objective_history: List[float] = []
-    newton_steps: List[int] = []
-    converged = False
-    frozen = False
-    cs = channel_state(traj, sc)
-    sched = mode_schedule(cs, sc)
+    sched = mode_schedule(cs, policy)
     prev = None
     for _ in range(MAX_OUTER):
         steps = 0
+        bound_t = None
         if sc.step_radius > 0.0:
-            cand, bound_t, info_t = _traj_step(sc, powers, sched.modes, traj, "sum", diag)
-            traj = _damped_traj_accept(sc, powers, sched.modes, traj, cand, "sum", diag)
+            cand, bound_t, info_t = _traj_step(sc, powers, sched.modes, traj, objective, diag)
+            traj = _damped_traj_accept(sc, powers, sched.modes, traj, cand, objective, diag)
             cs = channel_state(traj, sc)
             steps += info_t.newton_steps
-        else:
-            bound_t = None
         mode_changes = 0
         if not frozen:
-            new_sched = mode_schedule(cs, sc)
+            new_sched = mode_schedule(cs, policy)
             mode_changes = int(np.sum(new_sched.modes != sched.modes))
             sched = new_sched
-        if np.any(sc.rate_targets > 0):
+        if rebalance:
             # A trajectory move or mode flip can leave a split that misses a
             # target; re-balance so the target rows survive into the barrier.
             # Satisfied slots are left alone: the row slack keeps an exactly
             # on-target start strictly interior.
             powers = _rebalance_for_targets(sc, cs, sched.modes, powers, tol=0.0)
+        # the previous optimum sits on its energy budgets to within the
+        # barrier's final gap; back it off to a strictly interior start
         powers = _prepare_power_start(sc, sched.modes, powers)
-        powers, bound_p, info_p = _power_step(sc, cs, sched.modes, powers, "sum", diag)
+        powers, bound_p, info_p = _power_step(sc, cs, sched.modes, powers, objective, diag)
         steps += info_p.newton_steps
         r1, r2 = _exact_rate_arrays(sc, cs, sched.modes, powers)
-        exact = float(r1.sum() + r2.sum())
+        exact = _objective_value(objective, r1, r2)
         history.append({
             "bound_traj": bound_t,
             "bound_power": bound_p,
@@ -713,35 +562,38 @@ def algorithm3_joint(sc: Scenario) -> SolverResult:
         newton_steps.append(steps)
         if prev is not None:
             gain = _relative_gain(exact, prev)
-            if gain < -1e-9:
-                # With damped trajectory steps the exact objective only falls
-                # when the mode update (or a target re-balance it forces)
-                # changes the slot schedule; freezing the schedule at the
-                # first dip stops flip/re-flip limit cycles while the dip
-                # itself stays on record.
-                diag.setdefault("objective_dips", []).append(
-                    {"iteration": len(history) - 1, "drop": prev - exact,
-                     "mode_changes": mode_changes}
-                )
-                frozen = True
+            if objective == "sum":
+                # With damped trajectory steps the exact objective falls when
+                # the mode update (or a target re-balance it forces) changes
+                # the slot schedule, or when the power bound overstates a
+                # superposed rate; freezing the schedule at the first dip
+                # stops flip/re-flip limit cycles while the dip itself stays
+                # on record.
+                if gain < -1e-9:
+                    diag.setdefault("objective_dips", []).append(
+                        {"iteration": len(history) - 1, "drop": prev - exact,
+                         "mode_changes": mode_changes}
+                    )
+                frozen = frozen or gain < -1e-9 or abs(gain) < MODE_FREEZE_TOL
             if abs(gain) < REL_TOL:
                 converged = diag["failed_solves"] == 0
                 break
-            if abs(gain) < MODE_FREEZE_TOL:
-                frozen = True
         prev = exact
-    bad = _target_violations(sc, cs, sched.modes, powers)
-    if bad and np.any(np.asarray(sc.rate_targets) > 0):
-        raise InfeasibleProblemError(
-            f"rate targets unreachable at slots {bad}", slots=bad
-        )
-    r1, r2 = _exact_rate_arrays(sc, cs, sched.modes, powers)
+    if objective == "sum":
+        bad = _target_violations(sc, r1, r2)
+        if bad:
+            raise InfeasibleProblemError(
+                f"rate targets unreachable at slots {bad}", slots=bad
+            )
+        exact = float(np.sum(np.concatenate((r1, r2))))  # one sum over both vehicles
+    else:
+        diag["rate_spread"] = float(np.max(np.abs(r1 - r2)) / max(r1.min(), r2.min(), 1e-12))
     return SolverResult(
         trajectory=traj,
         powers=powers,
         schedule=sched,
         slots=np.rec.fromarrays([r1, r2], names="r1,r2"),
-        objective=float(np.sum(np.concatenate((r1, r2)))),
+        objective=exact,
         objective_history=objective_history,
         history=history,
         newton_steps=newton_steps,
@@ -749,6 +601,21 @@ def algorithm3_joint(sc: Scenario) -> SolverResult:
         wall_time=time.perf_counter() - started,
         diagnostics=diag,
     )
+
+
+def solve_minrate(sc: Scenario) -> SolverResult:
+    """Fairness problem: maximize the worst per-slot vehicle rate, OMA only."""
+    started = time.perf_counter()
+    traj, powers = feasible_init(sc, "P2")
+    powers = _prepare_power_start(sc, np.full(sc.slot_count, 3), powers)
+    return _alternate(sc, "min", traj, powers, started)
+
+
+def algorithm3_joint(sc: Scenario) -> SolverResult:
+    """Joint sum-rate optimization: trajectory, modes, and powers."""
+    started = time.perf_counter()
+    traj, powers = feasible_init(sc, "P1")
+    return _alternate(sc, "sum", traj, powers, started)
 
 
 def feasible_init(sc: Scenario, problem: str = "P1"):

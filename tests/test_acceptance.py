@@ -27,6 +27,7 @@ from relayplan.solver import algorithm3_joint, solve_minrate
 
 DEFAULT_JSON = str(Path(relayplan.__file__).parent / "data" / "default_paper.json")
 GOLDEN_CSV = Path(__file__).parent / "data" / "sumrate_n50_golden.csv"
+MINRATE_GOLDEN_CSV = Path(__file__).parent / "data" / "minrate_n50_golden.csv"
 NOISE_PER_HZ = 10.0 ** (-174.0 / 10.0) / 1000.0
 MODE_K = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]
 # trajectory-bound geometry for checks made directly in psi, where it is unused
@@ -349,6 +350,8 @@ def test_results_feasible_and_reproducible(n50, joint50, minrate50, tmp_path):
         out = tmp_path / sub
         assert cli_main(["solve-sumrate", DEFAULT_JSON, "--slots", "50",
                          "--out-dir", str(out)]) == 0
+    assert cli_main(["solve-minrate", DEFAULT_JSON, "--slots", "50",
+                     "--out-dir", str(tmp_path / "m")]) == 0
     first = (tmp_path / "a" / "sumrate_slots.csv").read_bytes()
     stable = first == (tmp_path / "b" / "sumrate_slots.csv").read_bytes()
 
@@ -356,9 +359,12 @@ def test_results_feasible_and_reproducible(n50, joint50, minrate50, tmp_path):
         rows = [r.split(",") for r in text.strip().splitlines()[1:]]
         return np.array([[float(c) for c in row] for row in rows])
 
-    fresh = parse(first.decode())
-    golden = parse(GOLDEN_CSV.read_text())
-    drift = bool(np.allclose(fresh, golden, rtol=1e-9, atol=1e-9))
+    drift = True
+    for fresh, golden in ((first.decode(), GOLDEN_CSV),
+                          ((tmp_path / "m" / "minrate_slots.csv").read_text(), MINRATE_GOLDEN_CSV)):
+        fresh, golden = parse(fresh), parse(golden.read_text())
+        drift = drift and fresh.shape == golden.shape and bool(
+            np.allclose(fresh, golden, rtol=1e-9, atol=1e-9))
     ok = ok and stable and drift
     assert report(
         f"results feasible; repeated runs byte-stable ({stable}) and on the "

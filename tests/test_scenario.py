@@ -79,10 +79,17 @@ def test_loader_shape_and_sign_checks():
     raw["vehicle_initial_m"] = [[700.0, 100.0]]  # one vehicle only
     with pytest.raises(ScenarioError):
         scenario_from_dict(raw)
-    raw = default_dict()
-    raw["uav_max_speed_mps"] = -1.0
-    with pytest.raises(ScenarioError):
-        scenario_from_dict(raw)
+    for field, value, match in [
+        ("uav_max_speed_mps", -1.0, "V >= 0"),
+        ("slot_duration_s", float("inf"), "finite tau"),
+        ("mode_threshold_bpshz", float("nan"), "mode_threshold"),
+        ("rate_targets_bpshz", [float("nan"), 0.5], "rate targets"),
+    ]:
+        raw = dict(default_dict(), **{field: value})
+        with pytest.raises(ScenarioError, match=match):
+            scenario_from_dict(raw)
+    raw = dict(default_dict(), mode_threshold_bpshz=float("inf"))
+    assert scenario_from_dict(raw).mode_threshold == np.inf
 
 
 @pytest.mark.parametrize("value", [0.0, -0.5, float("inf")])
