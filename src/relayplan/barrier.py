@@ -15,11 +15,13 @@ domain (an objective row that is not finite rejects a trial point, which
 the search treats as -inf).
 
 Row protocol.  The objective is a list of row blocks whose rows sum to f,
-and every constraint block holds rows g_i.  A barrier evaluation runs the
-constraint blocks in list order, stops at the first with a nonpositive row,
-and runs the objective only inside every constraint, so cheap rows listed
-first spare a rejected point the costly ones.  Each block is evaluated at
-most once per barrier evaluation:
+and every constraint block holds rows g_i.  A point evaluation runs the
+constraint blocks in list order, stops at the first with a row that is not
+positive, and runs the objective only inside every constraint, so cheap
+rows listed first spare a rejected point the costly ones.  Rows do not
+depend on mu, so each point (the start, every line-search trial) is
+evaluated once, at order 2, and an accepted trial's rows serve the next
+Newton step, a new mu stage and the final KKT check.  A block gives
 
     count               number of rows m
     cols                (m, k) positions in z that row i reads, fixed for
@@ -51,7 +53,7 @@ dense factorisation.  Without a declared band the band spans every variable.
 """
 
 import dataclasses
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -195,9 +197,9 @@ class NewtonSystem:
 
 
 def _accumulate(idx, weights, size):
-    if not idx:
+    if not weights:
         return np.zeros(size)
-    return np.bincount(np.concatenate(idx), np.concatenate(weights), minlength=size)
+    return np.bincount(idx, np.concatenate(weights), minlength=size)
 
 
 class Scatter:
@@ -238,22 +240,23 @@ class Scatter:
             corner = (r >= c) & (c >= nb)
             idx[corner] = (off_corner + (r - nb) * nk + c - nb)[corner]
             self.maps.append((cols.ravel(), idx.ravel()))
+        local = [m for m in self.maps if m is not None] or [(np.zeros(0, int),) * 2]
+        self.grad_idx, self.system_idx = (np.concatenate(idx) for idx in zip(*local))
 
     def gradient(self, evals, w1s):
         """sum_i w1_i grad g_i over every block's rows."""
-        idx, weights, dense = [], [], np.zeros(self.n)
+        weights, dense = [], np.zeros(self.n)
         for m, (_, g, _), w1 in zip(self.maps, evals, w1s):
             if m is None:
                 dense += g.T @ w1
             else:
-                idx.append(m[0])
                 weights.append((w1[:, None] * g).ravel())
-        return _accumulate(idx, weights, self.n) + dense
+        return _accumulate(self.grad_idx, weights, self.n) + dense
 
     def system(self, evals, w1s, w2s) -> NewtonSystem:
         """-H = sum_i (w2_i grad g_i grad g_i^T - w1_i hess g_i); a block
-        whose w2 is None adds no rank-one terms."""
-        idx, weights, lowrank = [], [], []
+        whose w2 is None adds no rank-one terms, and zeros if h is None too."""
+        weights, lowrank = [], []
         for m, (_, g, h), w1, w2 in zip(self.maps, evals, w1s, w2s):
             if m is None:
                 if h is not None:
@@ -270,11 +273,9 @@ class Scatter:
                     neg = -curv
                 else:
                     neg -= curv
-            if neg is not None:
-                idx.append(m[1])
-                weights.append(neg.ravel())
+            weights.append(np.zeros(len(m[1])) if neg is None else neg.ravel())
         nb, nk, off_border, off_corner = self.nb, self.nk, self.off_border, self.off_corner
-        packed = _accumulate(idx, weights, self.trash + 1)
+        packed = _accumulate(self.system_idx, weights, self.trash + 1)
         corner = packed[off_corner : self.trash].reshape(nk, nk)
         return NewtonSystem(
             packed[:off_border].reshape(self.bw + 1, nb),
@@ -287,28 +288,48 @@ class Scatter:
 # ---- barrier method ----
 
 
-def _barrier_eval(objective, blocks, z, mu, order, scatter):
-    """phi, grad and NewtonSystem of f + mu * sum log g, up to ``order``;
-    None if z is out of domain, found at the first nonpositive constraint
-    row before the objective is evaluated."""
+class _Point(NamedTuple):
+    """Every block's order-2 rows at one z; phi = f_sum + mu * log_sum."""
+
+    obj: list
+    rows: list
+    f_sum: float
+    log_sum: float
+
+
+def _evaluate_point(objective, blocks, z) -> Optional[_Point]:
+    """The point at z; None if z is out of domain, found at the first
+    constraint row that is not positive (NaN included) before the objective
+    is evaluated."""
     rows = []
     for blk in blocks:
-        rows.append(blk.evaluate(z, order))
-        if (rows[-1][0] <= 0).any():
+        rows.append(blk.evaluate(z, 2))
+        if not (rows[-1][0] > 0).all():
             return None
-    obj = [src.evaluate(z, order) for src in objective]
+    obj = [src.evaluate(z, 2) for src in objective]
     if not all(np.isfinite(e[0]).all() for e in obj):
         return None
-    phi = float(sum(e[0].sum() for e in obj)) + mu * sum(np.log(e[0]).sum() for e in rows)
-    if order == 0:
-        return (phi,)
-    evals = obj + rows
-    w1 = [np.ones(len(e[0])) for e in obj] + [mu / e[0] for e in rows]
-    grad = scatter.gradient(evals, w1)
-    if order == 1:
-        return phi, grad
-    w2 = [None] * len(obj) + [mu / e[0] ** 2 for e in rows]
-    return phi, grad, scatter.system(evals, w1, w2)
+    return _Point(obj, rows, float(sum(e[0].sum() for e in obj)),
+                  sum(np.log(e[0]).sum() for e in rows))
+
+
+def _start_error(blocks, z) -> InfeasibleStartError:
+    """Why ``_evaluate_point`` rejected the start z."""
+    for blk in blocks:
+        vals = blk.evaluate(z, 0)[0]
+        if not (vals > 0).all():
+            bad = int(np.argmin(vals))
+            return InfeasibleStartError(
+                f"start violates {getattr(blk, 'label', 'constraint')} row {bad} "
+                f"(value {vals[bad]:.3e})"
+            )
+    return InfeasibleStartError("start lies outside the objective domain")
+
+
+def _gradient(point, mu, scatter):
+    """grad of f + mu * sum log g at ``point``, with the row weights w1."""
+    w1 = [np.ones(len(e[0])) for e in point.obj] + [mu / e[0] for e in point.rows]
+    return scatter.gradient(point.obj + point.rows, w1), w1
 
 
 def concave_max(
@@ -328,18 +349,10 @@ def concave_max(
     """
     z = np.asarray(z0, dtype=float).copy()
     objective, blocks = list(objective), list(blocks)
-    for blk in blocks:
-        vals = blk.evaluate(z, 0)[0]
-        if np.any(vals <= 0):
-            bad = int(np.argmin(vals))
-            raise InfeasibleStartError(
-                f"start violates {getattr(blk, 'label', 'constraint')} row {bad} "
-                f"(value {vals[bad]:.3e})"
-            )
-    f0 = [src.evaluate(z, 0)[0] for src in objective]
-    if not all(np.all(np.isfinite(v)) for v in f0):
-        raise InfeasibleStartError("start lies outside the objective domain")
-    scale = max(1.0, abs(float(sum(v.sum() for v in f0))))
+    point = _evaluate_point(objective, blocks, z)
+    if point is None:
+        raise _start_error(blocks, z)
+    scale = max(1.0, abs(point.f_sum))
     scatter = Scatter(len(z), band or (len(z), len(z) - 1), objective + blocks)
 
     n_c = int(sum(blk.count for blk in blocks))
@@ -357,19 +370,19 @@ def concave_max(
     flat = DECREMENT_REL * scale
     steps = 0
     capped = 0
-    kkt = np.inf
     ls_failed = False
     message = ""
     for stage, mu in enumerate(mus):
         stopped = False
         for _ in range(MAX_NEWTON_PER_STAGE):
-            phi, grad, newton = _barrier_eval(objective, blocks, z, mu, 2, scatter)
+            grad, w1 = _gradient(point, mu, scatter)
             kkt = float(np.max(np.abs(grad)))
             if kkt <= KKT_TOL:
                 stopped = True
                 break
+            w2 = [None] * len(point.obj) + [mu / e[0] ** 2 for e in point.rows]
             try:
-                d = newton.solve(grad)
+                d = scatter.system(point.obj + point.rows, w1, w2).solve(grad)
             except np.linalg.LinAlgError as exc:
                 ls_failed = True
                 message = f"stage {stage}: {exc}"
@@ -382,12 +395,15 @@ def concave_max(
                 ls_failed = True
                 message = f"stage {stage}: non-ascent Newton direction"
                 break
+            phi = point.f_sum + mu * point.log_sum
             alpha = 1.0
             accepted = False
             for _ in range(MAX_HALVINGS):
-                trial = _barrier_eval(objective, blocks, z + alpha * d, mu, 0, scatter)
-                if trial is not None and trial[0] >= phi + ARMIJO_C1 * alpha * slope:
-                    z = z + alpha * d
+                trial = _evaluate_point(objective, blocks, z + alpha * d)
+                if trial is not None and (
+                    trial.f_sum + mu * trial.log_sum >= phi + ARMIJO_C1 * alpha * slope
+                ):
+                    z, point = z + alpha * d, trial
                     accepted = True
                     break
                 alpha *= 0.5
@@ -399,9 +415,7 @@ def concave_max(
         if ls_failed:
             break
         capped += not stopped
-    final = _barrier_eval(objective, blocks, z, mus[-1], 1, scatter)
-    if final is not None:
-        kkt = float(np.max(np.abs(final[1])))
+    kkt = float(np.max(np.abs(_gradient(point, mus[-1], scatter)[0])))
     info = SolveInfo(
         converged=stopped,
         stages=len(mus),

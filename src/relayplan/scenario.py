@@ -89,6 +89,10 @@ class Scenario:
         self._check()
 
     def _check(self):
+        for name in ("bandwidth_hz", "noise_density_dbm_per_hz", "reference_snr_db", "uav_height",
+                     "uav_max_speed", "vehicle_initial", "vehicle_velocity", "bs_position", "flight_box"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ScenarioError(f"{name} must be finite")
         if not (self.uav_max_speed >= 0 and 0 < self.slot_duration < np.inf and self.slot_count >= 1):
             raise ScenarioError("need V >= 0, finite tau > 0, N >= 1")
         if not (self.uav_height > 0 and self.beta0 > 0 and self.noise_power > 0):

@@ -383,3 +383,90 @@ def test_out_of_band_entry_raises():
     # the same entries are legal border couplings or inside a wider band
     Scatter(4, (2, 1), [pair])
     Scatter(4, (3, 2), [pair])
+
+
+class EdgeRow:
+    """One constraint row 1 - z_0 that reads NaN from z_0 = 1 on, as a row
+    evaluated past its own domain may."""
+
+    label = "edge"
+    count = 1
+    cols = np.array([[0]])
+
+    def evaluate(self, z, order):
+        vals = np.array([1.0 - z[0] if z[0] < 1.0 else np.nan])
+        return vals, (np.array([[-1.0]]) if order else None), None
+
+
+def test_nan_constraint_row_is_out_of_domain():
+    """A NaN constraint row rejects the start with the row named, and
+    rejects a line-search trial before the objective is evaluated there."""
+    with pytest.raises(barrier.InfeasibleStartError, match=r"edge row 0 \(value nan\)"):
+        concave_max(linear([1.0]), [EdgeRow()], np.array([2.0]))
+    obj = linear([1.0])
+    seen, real = [], obj[0].evaluate
+
+    def evaluate(z, order):
+        seen.append(z[0])
+        return real(z, order)
+
+    obj[0].evaluate = evaluate
+    z, info = concave_max(obj, [EdgeRow()], np.array([0.5]))
+    assert info.converged and 1.0 - 1e-6 < z[0] < 1.0
+    assert max(seen) < 1.0
+
+
+class Counted:
+    """A block that records the z and order of each of its evaluations."""
+
+    def __init__(self, blk):
+        self.blk, self.calls = blk, []
+        self.count, self.cols, self.label = getattr(blk, "count", 1), blk.cols, blk.label
+
+    def evaluate(self, z, order):
+        self.calls.append((z.copy(), order))
+        return self.blk.evaluate(z, order)
+
+
+def test_each_point_is_evaluated_once(monkeypatch):
+    """Every block is evaluated at order 2, once at the start and once per
+    line-search trial.  The accepted trial is the next Newton step's point,
+    and neither a new stage nor the final KKT check evaluates z again."""
+    n = 3
+    obj = [Counted(LogSlots(n))]
+    blocks = [
+        Counted(BoxBlock(np.arange(2 * n), 0.0, 1.0)),
+        Counted(LinearBlock(-np.ones((1, 2 * n)), np.array([1.2 * n]), "budget")),
+    ]
+    directions, real_solve = [], NewtonSystem.solve
+
+    def solve(self, g):
+        d = real_solve(self, g)
+        directions.append((len(blocks[0].calls), d))
+        return d
+
+    monkeypatch.setattr(NewtonSystem, "solve", solve)
+    z0 = np.full(2 * n, 0.5)
+    z, info = concave_max(obj, blocks, z0)
+    assert info.converged
+    # the first block runs at every point; after the start, each is a trial
+    # z + 2^-j d of the latest Newton direction, the last one accepted
+    first = blocks[0].calls
+    assert np.array_equal(first[0][0], z0)
+    point, trials, steps = z0, 0, 0
+    for k, (at, d) in enumerate(directions):
+        end = directions[k + 1][0] if k + 1 < len(directions) else len(first)
+        for j, (trial, _) in enumerate(first[at:end]):
+            assert np.array_equal(trial, point + 0.5**j * d)
+        if end > at:
+            point, trials, steps = first[end - 1][0], trials + end - at, steps + 1
+    assert len(first) == 1 + trials and steps == info.newton_steps
+    for blk in obj + blocks:
+        assert {order for _, order in blk.calls} == {2}
+        assert len({z_.tobytes() for z_, _ in blk.calls}) == len(blk.calls)
+    # the result and its KKT residual are the last accepted point's
+    assert np.array_equal(z, point)
+    evals = [blk.blk.evaluate(z, 1) for blk in obj + blocks]
+    w1 = [np.ones(n)] + [info.mu_final / e[0] for e in evals[1:]]
+    grad = Scatter(2 * n, (2 * n, 2 * n - 1), obj + blocks).gradient(evals, w1)
+    assert info.kkt_residual == float(np.max(np.abs(grad)))

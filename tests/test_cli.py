@@ -121,6 +121,32 @@ def test_nonpositive_average_power_exits_3(tmp_path, capsys, command, field, val
     assert err["error"]["type"] == "parse"
 
 
+@pytest.mark.parametrize(
+    "field, entry, value",
+    [("bandwidth_hz", None, np.inf), ("noise_density_dbm_per_hz", None, np.inf),
+     ("reference_snr_db", None, np.inf), ("uav_height_m", None, np.inf),
+     ("uav_max_speed_mps", None, np.inf), ("vehicle_initial_m", (0, 0), np.nan),
+     ("vehicle_initial_m", (1, 1), np.inf), ("vehicle_velocity_mps", (0, 1), np.nan),
+     ("vehicle_velocity_mps", (1, 1), -np.inf), ("bs_position_m", (2,), np.nan),
+     ("flight_box_m", (1,), np.inf), ("flight_box_m", (2,), np.nan)],
+)
+def test_non_finite_scenario_field_exits_3(tmp_path, capsys, field, entry, value):
+    raw = json.loads(Path(DEFAULT).read_text())
+    if entry is None:
+        raw[field] = value
+    else:
+        arr = np.array(raw[field], dtype=float)
+        arr[entry] = value
+        raw[field] = arr.tolist()
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps(raw))
+    for command in ("validate", "solve-sumrate"):
+        assert main([command, str(scen), "--slots", "8", "--out-dir", str(tmp_path)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "parse"
+        assert "must be finite" in err["error"]["message"]
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 @pytest.mark.parametrize("flag", ["--grid", "--power-grid"])
 def test_oracle_rejects_non_finite_steps(tmp_path, capsys, flag, bad):

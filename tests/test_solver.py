@@ -504,7 +504,7 @@ def test_subproblems_cover_every_block_kind(subproblems):
 
 
 def test_minrate_evaluation_makes_one_local_call(monkeypatch):
-    """A min-rate barrier evaluation computes the rate rows with one ``local``
+    """A min-rate point evaluation computes the rate rows with one ``local``
     call over both vehicles, and none when a cheaper row rejects the point."""
     calls = [0]
     per_eval, per_accepted = [], []
@@ -513,7 +513,7 @@ def test_minrate_evaluation_makes_one_local_call(monkeypatch):
             calls[0] += 1
             return _real(self, v, order)
         monkeypatch.setattr(cls, "local", local)
-    real_eval = barrier._barrier_eval
+    real_eval = barrier._evaluate_point
 
     def counted(*args):
         before = calls[0]
@@ -523,7 +523,7 @@ def test_minrate_evaluation_makes_one_local_call(monkeypatch):
             per_accepted.append(per_eval[-1])
         return res
 
-    monkeypatch.setattr(barrier, "_barrier_eval", counted)
+    monkeypatch.setattr(barrier, "_evaluate_point", counted)
     solver.solve_minrate(SC8)
     assert set(per_accepted) == {1}
     assert set(per_eval) == {0, 1}
