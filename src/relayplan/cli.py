@@ -226,7 +226,7 @@ def _cmd_highsnr(args) -> int:
         for rec in report["records"]
         for key in ("noma_sum", "noma_min", "oma_sum", "oma_min")
     )
-    traj, powers = feasible_init(sc, "P2")
+    traj, powers = feasible_init(sc)
     sched, slot_rates = _exact_plan(sc, traj, powers)
     _write_plan(args, "highsnr", sc, traj, powers, sched, slot_rates, {
         "objective": worst,
@@ -240,7 +240,7 @@ def _cmd_highsnr(args) -> int:
 
 def _cmd_validate(args) -> int:
     sc = load_scenario(args.scenario, slots=args.slots)
-    traj, powers = feasible_init(sc, "P2")
+    traj, powers = feasible_init(sc)
     report = validate_trajectory(traj, sc)
     sched, slot_rates = _exact_plan(sc, traj, powers)
     feasible = not report

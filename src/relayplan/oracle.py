@@ -195,6 +195,9 @@ def finite_diff_hessian(fn: Callable, x, step: float = 1e-4) -> np.ndarray:
 
 # ---- exact vs asymptotic rate tabulation ----
 
+SUM_SLACK = 0.05  # bps/Hz the superposed sum rate may trail the orthogonal one
+FLAG_ABOVE_DBM = 22.0  # ordering failures above this transmit power are violations
+
 
 def dbm_to_watt(p_dbm: float) -> float:
     return 10.0 ** (p_dbm / 10.0) / 1000.0
@@ -213,8 +216,6 @@ def highsnr_proposition_suite(
     powers_dbm: Sequence[float],
     noise_power: float,
     noma_split: Tuple[float, float] = (0.1, 0.9),
-    sum_slack: float = 0.05,
-    flag_above_dbm: float = 22.0,
 ) -> Dict:
     """Tabulate exact and asymptotic rates over geometries and transmit powers.
 
@@ -223,9 +224,9 @@ def highsnr_proposition_suite(
     vehicles (equal halves under the orthogonal scheme) and the relay spends
     pr = P.  Records carry exact rates, their closed-form high-SNR
     counterparts, absolute gaps, and the link-ordering case; the expected
-    orderings (superposed sum-rate above orthogonal minus sum_slack,
+    orderings (superposed sum-rate above orthogonal minus ``SUM_SLACK``,
     orthogonal min-rate above superposed) are checked per record and any
-    failure above flag_above_dbm lands in the violations list.
+    failure above ``FLAG_ABOVE_DBM`` lands in the violations list.
     """
     share_near, share_far = noma_split
     if not 0 < share_near < share_far:
@@ -269,7 +270,7 @@ def highsnr_proposition_suite(
                 "oma_min": float(high_snr_rates("OMA", "min", hr_i, hn_i, hf_i, 0.5, 0.5)),
             }
             gap = {key: abs(exact[key] - approx[key]) for key in exact}
-            sum_ok = exact["noma_sum"] >= exact["oma_sum"] - sum_slack
+            sum_ok = exact["noma_sum"] >= exact["oma_sum"] - SUM_SLACK
             min_ok = exact["oma_min"] >= exact["noma_min"] - 1e-12
             record = {
                 "geometry": g_idx,
@@ -284,7 +285,7 @@ def highsnr_proposition_suite(
                 "min_ordering_ok": bool(min_ok),
             }
             records.append(record)
-            if p_dbm > flag_above_dbm and not (sum_ok and min_ok):
+            if p_dbm > FLAG_ABOVE_DBM and not (sum_ok and min_ok):
                 violations.append(
                     {
                         "geometry": g_idx,

@@ -13,8 +13,8 @@ Two families of bounds, one per subproblem:
 
 Power-side gains must be pre-normalized: g = h/sigma^2 for NOMA modes and
 g = 2h/sigma^2 for OMA, which makes the "+1"/"+2" constants in the log
-arguments exact.  Every log argument here factors as a product of positive
-affine terms, which is what the certificate conditions assert.
+arguments exact.  ``_dc_split`` writes each (mode, vehicle) split once, its
+concave log argument a product of positive affine factors by construction.
 
 Each side has one bound type, ``TrajectoryBound`` and ``PowerBound``, built
 with both vehicles' rows stacked, vehicle 1's first: of 2N rows, row i lies
@@ -49,6 +49,14 @@ def convexity_certificate(a, b, c, d, probe) -> bool:
     prod_gap = abs(a * b - c * d)
     scale = max(abs(a * b), abs(c * d), 1e-300)
     return bool(prod_gap <= 1e-12 * scale) and bool(u > 0)
+
+
+def _expansion_powers(p1, p2, pr):
+    """The expansion powers as float arrays, checked to be nonnegative."""
+    p1, p2, pr = (np.asarray(v, dtype=float) for v in (p1, p2, pr))
+    if np.any(p1 < 0) or np.any(p2 < 0) or np.any(pr < 0):
+        raise ValueError("expansion powers must be nonnegative")
+    return p1, p2, pr
 
 
 def _check_modes(modes) -> np.ndarray:
@@ -131,13 +139,13 @@ def trajectory_lb_build(modes, p1, p2, pr, psi_r_l, psi_1_l, psi_2_l,
     A row of vehicle k linearizes the relaxed SINR pr * p_k * d_m around the
     expansion values (psi_r_l, psi_k_l), d_m being the reciprocal of the
     convexified denominator.  The convexifying constant is (p1+p2)*pr for
-    the NOMA modes and pr*p_k for OMA, and is checked against the convexity
-    certificate.  ``paths`` holds each vehicle's (x, y) per slot and ``bs``
+    the NOMA modes and pr*p_k for OMA, which meets the convexity certificate
+    by construction.  ``paths`` holds each vehicle's (x, y) per slot and ``bs``
     the base station's; psi is s times a squared distance with hh added.
     """
     modes = _check_modes(modes)
     n = len(modes)
-    p1, p2, pr = (np.asarray(v, dtype=float) for v in (p1, p2, pr))
+    p1, p2, pr = _expansion_powers(p1, p2, pr)
     psi_l = [np.asarray(v, dtype=float) for v in (psi_r_l, psi_1_l, psi_2_l)]
     if any(np.any(v <= 0) for v in psi_l):
         raise ValueError("psi expansion values must be positive")
@@ -151,15 +159,7 @@ def trajectory_lb_build(modes, p1, p2, pr, psi_r_l, psi_1_l, psi_2_l,
         rows = sel + (k - 1) * n
         p_k = q1 if k == 1 else q2
         b_coef = q1 + q2 if m in (1, 2) else p_k
-        a, b, c, d = qr, b_coef, 1.0, qr * b_coef
-        lhs, rhs = a * b, c * d
-        mag = np.maximum(np.abs(lhs), np.maximum(np.abs(rhs), 1e-300))
-        if np.any(np.abs(lhs - rhs) > 1e-12 * mag):
-            raise ValueError("convexifying constant failed the certificate")
-        den = a * u + b * w + u * w + d
-        if np.any(den <= 0):
-            raise ZeroDivisionError("bound denominator must be positive")
-        d_m = 1.0 / den
+        d_m = 1.0 / (qr * u + b_coef * w + u * w + qr * b_coef)
         gamma_lb = d_m * qr * p_k
         common = d_m * d_m * qr * p_k
         d_r = -common * (qr + w)  # d(gamma)/d(psi_r) at the expansion point
@@ -182,49 +182,43 @@ def convexified_rate(mode, k, p1, p2, pr, psi_r, psi_k):
 # ---- power-side DC machinery (normalized gains) ----
 
 
-# Concave/subtracted log-argument descriptors per (mode, k).  The concave
-# argument always factors as (cu0 + g_k*pr) * (cv0 + cv1*p1 + cv2*p2); the
-# subtracted argument is affine for the SIC vehicle and OMA, and factors the
-# same way for the interfered vehicle.
-def _concave_factors(mode, k, g_r, g_1, g_2):
+def _dc_split(mode, k, g_r, g_1, g_2):
+    """Vehicle k's DC split in ``mode``: the rate is
+    cm * (log2[(cu0 + cur*pr)(cv0 + cv1*p1 + cv2*p2)] - log2 C).
+
+    Returns ((cu0, cur, (cv0, cv1, cv2)), (c0, c1, c2, cr, c1r, c2r)), the
+    concave argument's two positive affine factors and the subtracted
+    argument C = c0 + c1*p1 + c2*p2 + cr*pr + c1r*p1*pr + c2r*p2*pr.  C is
+    affine for the SIC vehicle and OMA; the interfered vehicle's C is
+    (1 + g_k*pr)(1 + g_r*p_j), p_j the SIC vehicle's power: its exact
+    denominator without the g_r*p_k term.
+    """
     g_k = g_1 if k == 1 else g_2
-    if mode in (1, 2):
-        cu0 = 1.0
-        if (mode, k) in ((1, 1), (2, 2)):
-            cv = (1.0, g_r if k == 1 else 0.0, g_r if k == 2 else 0.0)
-        else:  # interfered vehicle: argument carries p1 + p2
-            cv = (1.0, g_r, g_r)
-    elif mode == 3:
-        cu0 = 2.0
-        cv = (1.0, g_r if k == 1 else 0.0, g_r if k == 2 else 0.0)
-    else:
-        raise ValueError(f"invalid mode {mode}")
-    return cu0, g_k, cv
-
-
-def _subtracted_value(mode, k, g_r, g_1, g_2, p1, p2, pr):
-    """Value of the subtracted (linearized) log term at given powers."""
-    s = p1 + p2
-    if (mode, k) in ((1, 1), (2, 2)):
-        g_k = g_1 if k == 1 else g_2
-        return _log2(pr * g_k + s * g_r + 1)
-    if (mode, k) == (1, 2):
-        return _log2(pr * g_2 * g_r * p1 + pr * g_2 + p1 * g_r + 1)
-    if (mode, k) == (2, 1):
-        return _log2(pr * g_1 * g_r * p2 + pr * g_1 + p2 * g_r + 1)
+    own = (g_r, 0.0) if k == 1 else (0.0, g_r)  # g_r on vehicle k's power
     if mode == 3:
-        g_k = g_1 if k == 1 else g_2
-        p_k = p1 if k == 1 else p2
-        return _log2(pr * g_k + 2 * p_k * g_r + 2)
-    raise ValueError(f"invalid (mode, k) ({mode}, {k})")
+        return (2.0, g_k, (1.0, *own)), (2.0, 2.0 * own[0], 2.0 * own[1], g_k, 0.0, 0.0)
+    if mode not in (1, 2):
+        raise ValueError(f"invalid mode {mode}")
+    if mode == k:  # the SIC vehicle
+        return (1.0, g_k, (1.0, *own)), (1.0, g_r, g_r, g_k, 0.0, 0.0)
+    sic = own[::-1]  # g_r on the SIC vehicle's power
+    return (1.0, g_k, (1.0, g_r, g_r)), (1.0, *sic, g_k, g_k * sic[0], g_k * sic[1])
+
+
+def _log2_and_slopes(coef, p1, p2, pr):
+    """log2 C at the powers, and its partials in (p1, p2, pr): dC/dp / (C ln2)."""
+    c0, c1, c2, cr, c1r, c2r = coef
+    c = c0 + c1 * p1 + c2 * p2 + pr * (cr + c1r * p1 + c2r * p2)
+    slopes = (c1 + c1r * pr, c2 + c2r * pr, cr + c1r * p1 + c2r * p2)
+    return _log2(c), tuple(d / (LN2 * c) for d in slopes)
 
 
 def dc_rate_vehicle(mode, k, g_r, g_1, g_2, p1, p2, pr):
     """Per-vehicle DC rate (the function the power bound minorizes)."""
-    cu0, cu_r, cv = _concave_factors(mode, k, g_r, g_1, g_2)
-    concave = _log2(cu0 + cu_r * pr) + _log2(cv[0] + cv[1] * p1 + cv[2] * p2)
+    (cu0, cur, cv), coef = _dc_split(mode, k, g_r, g_1, g_2)
+    concave = _log2(cu0 + cur * pr) + _log2(cv[0] + cv[1] * p1 + cv[2] * p2)
     c_m = 0.5 if mode == 3 else 1.0
-    return c_m * (concave - _subtracted_value(mode, k, g_r, g_1, g_2, p1, p2, pr))
+    return c_m * (concave - _log2_and_slopes(coef, p1, p2, pr)[0])
 
 
 class PowerBound:
@@ -285,37 +279,6 @@ class PowerBound:
         return vals, grad, hess * np.outer(self.scale, self.scale)
 
 
-def _subtracted_slopes(mode, k, g_r, g_1, g_2, p1_l, p2_l, pr_l):
-    """The subtracted log term's exact partial derivatives in (p1, p2, pr)
-    at the expansion powers."""
-    s_l = p1_l + p2_l
-    g_k = g_1 if k == 1 else g_2
-    if (mode, k) in ((1, 1), (2, 2)):
-        norm = LN2 * (pr_l * g_k + s_l * g_r + 1)
-        d = LN2 * g_r / norm
-        t = LN2 * g_r / norm
-        c = LN2 * g_k / norm
-    elif (mode, k) == (1, 2):
-        norm = LN2 * (pr_l * g_2 * g_r * p1_l + pr_l * g_2 + p1_l * g_r + 1)
-        d = LN2 * (pr_l * g_2 * g_r + g_r) / norm
-        t = np.zeros_like(norm)
-        c = LN2 * (p1_l * g_2 * g_r + g_2) / norm
-    elif (mode, k) == (2, 1):
-        norm = LN2 * (pr_l * g_1 * g_r * p2_l + pr_l * g_1 + p2_l * g_r + 1)
-        d = np.zeros_like(norm)
-        t = LN2 * (pr_l * g_1 * g_r + g_r) / norm
-        c = LN2 * (p2_l * g_1 * g_r + g_1) / norm
-    else:  # mode 3
-        p_k = p1_l if k == 1 else p2_l
-        norm = LN2 * (pr_l * g_k + 2 * p_k * g_r + 2)
-        two_gr = 2 * g_r / norm * LN2
-        d = two_gr if k == 1 else np.zeros_like(norm)
-        t = two_gr if k == 2 else np.zeros_like(norm)
-        c = LN2 * g_k / norm
-    # the ln2 factors cancel: coefficients are d(log2 C)/dp = dC/dp / (C ln2)
-    return d / LN2, t / LN2, c / LN2
-
-
 def power_lb_build(modes, g_r, g_1, g_2, p1_l, p2_l, pr_l, scale) -> PowerBound:
     """Both vehicles' bound rows around the expansion powers (p1_l, p2_l,
     pr_l), vehicle 1's first; row i in slot i mod N, in mode
@@ -324,40 +287,19 @@ def power_lb_build(modes, g_r, g_1, g_2, p1_l, p2_l, pr_l, scale) -> PowerBound:
     modes = _check_modes(modes)
     n = len(modes)
     g_r, g_1, g_2 = (np.asarray(v, dtype=float) for v in (g_r, g_1, g_2))
-    p1_l, p2_l, pr_l = (np.asarray(v, dtype=float) for v in (p1_l, p2_l, pr_l))
-    if np.any(p1_l < 0) or np.any(p2_l < 0) or np.any(pr_l < 0):
-        raise ValueError("expansion powers must be nonnegative")
+    p1_l, p2_l, pr_l = _expansion_powers(p1_l, p2_l, pr_l)
     out = PowerBound(2 * n, scale)
     for k, m in itertools.product((1, 2), (1, 2, 3)):
         sel = np.nonzero(modes == m)[0]
         if not len(sel):
             continue
-        gr, g1, g2, q1, q2, qr = (v[sel] for v in (g_r, g_1, g_2, p1_l, p2_l, pr_l))
+        q1, q2, qr = p1_l[sel], p2_l[sel], pr_l[sel]
         rows = sel + (k - 1) * n
-        cu0, cu_r, cv = _concave_factors(m, k, gr, g1, g2)
-        _assert_ratio_condition(m, k, cu0, cu_r, cv, gr)
-        d, t, c = _subtracted_slopes(m, k, gr, g1, g2, q1, q2, qr)
+        (cu0, cu_r, cv), coef = _dc_split(m, k, g_r[sel], g_1[sel], g_2[sel])
+        value, (d, t, c) = _log2_and_slopes(coef, q1, q2, qr)
         out.cm[rows] = 0.5 if m == 3 else 1.0
         out.cu0[rows], out.cur[rows] = cu0, cu_r
         out.cv0[rows], out.cv1[rows], out.cv2[rows] = cv
         out.a1[rows], out.a2[rows], out.ar[rows] = d, t, c
-        out.t0[rows] = _subtracted_value(m, k, gr, g1, g2, q1, q2, qr) - d * q1 - t * q2 - c * qr
+        out.t0[rows] = value - d * q1 - t * q2 - c * qr
     return out
-
-
-def _assert_ratio_condition(mode, k, cu0, cu_r, cv, g_r):
-    """The concave log argument must satisfy the product-form ratio condition.
-
-    Expanding (cu0 + g_k pr)(cv0 + cv1 p1 + cv2 p2) gives coefficients whose
-    cross/linear ratios must match; this is exactly the concavity condition
-    for log2 of the argument.
-    """
-    a = cu_r * (cv[1] + cv[2])  # pr * (p1|p2|s) cross coefficient mass
-    c_lin = cu_r * cv[0]
-    d_lin = cu0 * (cv[1] + cv[2])
-    f0 = cu0 * cv[0]
-    lhs = a * f0
-    rhs = c_lin * d_lin
-    scale = np.maximum(np.abs(lhs), np.maximum(np.abs(rhs), 1e-300))
-    if np.any(np.abs(lhs - rhs) > 1e-9 * scale):
-        raise ValueError(f"ratio condition failed for mode {mode}, k {k}")

@@ -9,7 +9,7 @@ sigma^2 = B * 10^(N0_dBm/10) / 1000 and beta0 = 10^(refSNR_dB/10) * sigma^2.
 import dataclasses
 import json
 from importlib import resources
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -263,9 +263,6 @@ class ChannelState:
     psi_r: np.ndarray
     psi_1: np.ndarray
     psi_2: np.ndarray
-
-    def gains(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.h_r, self.h_1, self.h_2
 
 
 def channel_state(traj: np.ndarray, sc: Scenario) -> ChannelState:

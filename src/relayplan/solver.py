@@ -606,32 +606,15 @@ def _alternate(sc: Scenario, objective: str, traj, powers: PowerAllocation,
 def solve_minrate(sc: Scenario) -> SolverResult:
     """Fairness problem: maximize the worst per-slot vehicle rate, OMA only."""
     started = time.perf_counter()
-    traj, powers = feasible_init(sc, "P2")
+    traj, powers = feasible_init(sc)
     powers = _prepare_power_start(sc, np.full(sc.slot_count, 3), powers)
     return _alternate(sc, "min", traj, powers, started)
 
 
 def algorithm3_joint(sc: Scenario) -> SolverResult:
-    """Joint sum-rate optimization: trajectory, modes, and powers."""
+    """Joint sum-rate optimization: trajectory, modes, and powers, started
+    from the fairness solution."""
     started = time.perf_counter()
-    traj, powers = feasible_init(sc, "P1")
-    return _alternate(sc, "sum", traj, powers, started)
-
-
-def feasible_init(sc: Scenario, problem: str = "P1"):
-    """Feasible starting points: straight-line/equal-split for the fairness
-    problem, and the fairness solution itself for the sum-rate problem."""
-    if problem == "P2":
-        traj = initial_trajectory(sc)
-        n = sc.slot_count
-        powers = PowerAllocation(
-            np.full(n, 0.5 * sc.avg_bs_power),
-            np.full(n, 0.5 * sc.avg_bs_power),
-            np.full(n, sc.avg_relay_power),
-        )
-        return traj, powers
-    if problem != "P1":
-        raise ValueError(f"unknown problem {problem!r}")
     res = solve_minrate(sc)
     cs = channel_state(res.trajectory, sc)
     sched = mode_schedule(cs, sc)
@@ -639,7 +622,19 @@ def feasible_init(sc: Scenario, problem: str = "P1"):
     # policy flips to superposition need their BS split re-balanced before
     # the per-slot targets hold.
     powers = _rebalance_for_targets(sc, cs, sched.modes, res.powers, tol=0.0)
-    return res.trajectory, powers
+    return _alternate(sc, "sum", res.trajectory, powers, started)
+
+
+def feasible_init(sc: Scenario):
+    """The straight-line trajectory with the average powers, the BS power
+    split equally between the vehicles."""
+    n = sc.slot_count
+    powers = PowerAllocation(
+        np.full(n, 0.5 * sc.avg_bs_power),
+        np.full(n, 0.5 * sc.avg_bs_power),
+        np.full(n, sc.avg_relay_power),
+    )
+    return initial_trajectory(sc), powers
 
 
 def feasibility_report(sc: Scenario, traj, powers: PowerAllocation,

@@ -157,7 +157,8 @@ def test_surrogate_coefficients_match_finite_differences():
         g_r, g_1, g_2 = rng.uniform(1e2, 1e6, (3, 500))
         q1, q2, qr = rng.uniform(0.05, 1.0, (3, 500))
         pb = sca.power_lb_build(mode * ones, g_r, g_1, g_2, q1, q2, qr, np.ones(3)).sub(vehicle_k)
-        f = lambda a, b, c: sca._subtracted_value(mode, k, g_r, g_1, g_2, a, b, c)
+        sub_arg = sca._dc_split(mode, k, g_r, g_1, g_2)[1]  # the subtracted argument
+        f = lambda a, b, c: sca._log2_and_slopes(sub_arg, a, b, c)[0]
         h = 1e-6
         for coef, num in (
             (pb.a1, (f(q1 + h, q2, qr) - f(q1 - h, q2, qr)) / (2 * h)),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relayplan import sca
+from relayplan import rates, sca
 
 MODE_K = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]
 ONES = np.ones(3)  # power bounds over raw powers: unit variable scale
@@ -96,6 +96,9 @@ def test_trajectory_bound_rejects_bad_inputs():
     for mode in (0, 4):
         with pytest.raises(ValueError):
             traj_bound(mode, 1, (0.25, 0.25, 0.5), (0.02, 0.03))
+    for powers in ((-0.25, 0.25, 0.5), (0.25, -0.25, 0.5), (0.25, 0.25, -0.5)):
+        with pytest.raises(ValueError, match="expansion powers must be nonnegative"):
+            traj_bound(1, 1, powers, (0.02, 0.03))
 
 
 def test_trajectory_bound_anchor_and_sign():
@@ -171,23 +174,35 @@ def dc_sum(mode, g_r, g_1, g_2, p1, p2, pr):
     return sum(sca.dc_rate_vehicle(mode, k, g_r, g_1, g_2, p1, p2, pr) for k in (1, 2))
 
 
-def test_dc_parts_mode3_is_exact():
+@pytest.mark.parametrize("mode, k", MODE_K)
+def test_dc_rate_against_exact_rate(mode, k):
+    """Vehicle k's DC rate against ``rates.rates_for_mode`` at the normalized
+    gains, the exact rate being c_m * log2(N / D): equal in mode 3; for the
+    SIC vehicle below it by log2(N / (N - g_r*p_j)), p_j the other vehicle's
+    power, so equal when that vehicle is silent; for the interfered vehicle
+    above it by log2(D / (D - g_r*p_k)), the dropped interferer term."""
     rng = np.random.default_rng(31)
-    for _ in range(50):
-        g_r, g_1, g_2 = rng.uniform(1e2, 1e6, 3)
-        p1, p2, pr = rng.uniform(0.05, 1.0, 3)
-        exact_sum = sum(
-            0.5 * np.log2(1 + pr * g * g_r * p / (pr * g + 2 * p * g_r + 2))
-            for g, p in ((g_1, p1), (g_2, p2))
-        )
-        assert dc_sum(3, g_r, g_1, g_2, p1, p2, pr) == pytest.approx(exact_sum, rel=1e-12)
-
-
-def test_dc_parts_mode1_exact_when_interference_free():
-    g_r, g_1, g_2 = 3e5, 8e5, 2e5
-    p1, pr = 0.4, 0.6
-    exact = np.log2(1 + pr * g_1 * g_r * p1 / (pr * g_1 + p1 * g_r + 1))
-    assert dc_sum(1, g_r, g_1, g_2, p1, 0.0, pr) == pytest.approx(exact, rel=1e-12)
+    sigma2 = 4e-14  # full-band noise power
+    g = rng.uniform(1e2, 1e6, (3, 200))  # (g_r, g_1, g_2)
+    p1, p2, pr = p = rng.uniform(0.05, 1.0, (3, 200))
+    p[2 - k, :20] = 0.0  # the other vehicle silent
+    g_r, g_k, p_k, p_j = g[0], g[k], p[k - 1], p[2 - k]
+    fac = 2.0 if mode == 3 else 1.0  # OMA gains are over the half-band noise
+    exact = rates.rates_for_mode(mode, *(g * sigma2 / fac), *p, sigma2)[k - 1]
+    dc = sca.dc_rate_vehicle(mode, k, *g, *p)
+    if mode == 3:
+        den = pr * g_k + 2 * p_k * g_r + 2
+        gap = np.zeros_like(den)
+    elif mode == k:  # the SIC vehicle
+        den = pr * g_k + (p1 + p2) * g_r + 1
+        num = den + pr * g_k * g_r * p_k
+        gap = -np.log2(num / (num - g_r * p_j))
+    else:
+        den = pr * g_k * g_r * p_j + pr * g_k + (p1 + p2) * g_r + 1
+        gap = np.log2(den / (den - g_r * p_k))
+    c_m = 0.5 if mode == 3 else 1.0
+    np.testing.assert_allclose(exact, c_m * np.log2(1 + pr * g_k * g_r * p_k / den), rtol=1e-12)
+    np.testing.assert_allclose(dc, exact + gap, rtol=1e-12, atol=1e-12)
 
 
 def test_dc_gap_characterization_power_ratio_sweep():
@@ -216,7 +231,8 @@ def test_power_coefficients_match_finite_differences():
             g_r, g_1, g_2 = rng.uniform(1e2, 1e6, 3)
             p1, p2, pr = rng.uniform(0.05, 1.0, 3)
             b = power_bound(mode, k, (g_r, g_1, g_2), (p1, p2, pr))
-            f = lambda a, b, c: sca._subtracted_value(mode, k, g_r, g_1, g_2, a, b, c)
+            sub_arg = sca._dc_split(mode, k, g_r, g_1, g_2)[1]  # the subtracted argument
+            f = lambda a, b, c: sca._log2_and_slopes(sub_arg, a, b, c)[0]
             h = 1e-6
             num = [
                 (f(p1 + h, p2, pr) - f(p1 - h, p2, pr)) / (2 * h),
