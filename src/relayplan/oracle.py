@@ -2,7 +2,10 @@
 
 Exhaustive placement/power search over a discrete grid, central-difference
 derivative probes, and exact-versus-asymptotic rate tabulation.  Everything
-here trades speed for being simple enough to audit by eye.
+here favours being simple enough to audit by eye over speed.  The one
+shortcut in the search, a per-mode weakest-link screen under rate targets,
+skips only candidates that provably miss a target and leaves every result
+unchanged bit for bit (see ``static_placement_oracle``).
 """
 
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
@@ -10,7 +13,7 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from relayplan.modes import MODE_OF_STATE, policy_states
-from relayplan.rates import high_snr_rates, rate_mode1, rate_mode2, rate_mode3
+from relayplan.rates import high_snr_rates, rate_mode1, rate_mode2, rate_mode3, rates_for_mode
 from relayplan.scenario import Scenario, channel_gain, vehicle_paths
 
 
@@ -22,6 +25,33 @@ def _axis(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(max(count, 0))
 
 
+def _weakest_link_ok(modes, h_r, h_1, h_2, p1, p2, pr, s2, t1, t2):
+    """(cells, triples) mask of the candidates that may meet both rate targets.
+
+    R1 never reads h_2 and R2 never reads h_1, so the rate pair of a mode
+    at its smallest h_1 and smallest h_2 gives each vehicle its rate in a
+    real slot of that mode: a miss there is a miss in the exact per-slot
+    test, up to the rounding that the 1e-9 slack absorbs.
+    """
+    ok = np.ones((h_r.size, p1.size), dtype=bool)
+    for mode in (1, 2, 3):
+        in_mode = modes == mode
+        ci = np.nonzero(in_mode.any(axis=1))[0]
+        w1, w2 = (np.where(in_mode[ci], h_k[ci], np.inf).min(axis=1)[:, None] for h_k in (h_1, h_2))
+        r1, r2 = rates_for_mode(mode, h_r[ci, None], w1, w2, p1, p2, pr, s2)
+        ok[ci] &= (r1 >= t1 - 1e-9) & (r2 >= t2 - 1e-9)
+    return ok
+
+
+def _oma_rates(h_r, h_k, own, inv, s2):
+    """(cells, triples, slots) OMA rates of one vehicle, given each triple's
+    row ``inv`` of its distinct (p_k, pr) table ``own``; each distinct pair
+    that the triples use is evaluated once."""
+    used, back = np.unique(inv, return_inverse=True)
+    p_k, pr = own[used, 0], own[used, 1]
+    return rate_mode3(h_r[:, None, None], h_k[:, None, :], p_k[:, None], pr[:, None], 0.5 * s2)[:, back]
+
+
 def _grid_search(sc, xs, ys, p1_tri, p2_tri, pr_tri, objective, chunk_cells):
     """Scan every (cell, triple) pair; first maximum in index order wins."""
     paths = vehicle_paths(sc)
@@ -30,45 +60,65 @@ def _grid_search(sc, xs, ys, p1_tri, p2_tri, pr_tri, objective, chunk_cells):
     n_cells = xs.size * ys.size
     n_tri = p1_tri.size
     n_slots = sc.slot_count
+    t1, t2 = (float(v) for v in sc.rate_targets)
+    targets = objective == "sum" and (t1 > 0.0 or t2 > 0.0)
+    # The screen evaluates one rate pair per mode present where the scoring
+    # evaluates one per slot, so it can pay only with more slots than modes.
+    screen = targets and n_slots > 3
     # An OMA rate reads only its own vehicle's power and pr: tabulate each
     # vehicle's once per distinct (p_k, pr), evaluate only the policy's NOMA
-    # slots per triple, and score min (all OMA) from per-vehicle slot minima.
+    # slots per triple, and score min (all OMA) at each vehicle's weakest slot.
     own1, inv1 = np.unique(np.stack([p1_tri, pr_tri], axis=1), axis=0, return_inverse=True)
     own2, inv2 = np.unique(np.stack([p2_tri, pr_tri], axis=1), axis=0, return_inverse=True)
     if chunk_cells is None:
         chunk_cells = max(1, int(8e5 // max(n_tri * n_slots, 1)))
+    every = np.arange(n_tri)
     best_val, best_cell, best_tri = -np.inf, -1, -1
     for lo in range(0, n_cells, chunk_cells):
         idx = np.arange(lo, min(lo + chunk_cells, n_cells))
+        tri = every
         pos = np.stack([xs[idx // ys.size], ys[idx % ys.size]], axis=1)
         h_r = channel_gain(pos, bs, sc.uav_height, sc.beta0)
         h_1 = channel_gain(pos[:, None, :], paths[0], sc.uav_height, sc.beta0)
         h_2 = channel_gain(pos[:, None, :], paths[1], sc.uav_height, sc.beta0)
-        o1, o2 = (
-            rate_mode3(h_r[:, None, None], h_k[:, None, :], own[None, :, :1], own[None, :, 1:], 0.5 * s2)
-            for h_k, own in ((h_1, own1), (h_2, own2))
-        )
-        if objective == "sum":
-            r1, r2 = o1[:, inv1], o2[:, inv2]
+        if objective == "min":
+            # the OMA rate rises with the vehicle's own gain, so its minimum
+            # over the slots is the rate at the smallest gain (rounding could
+            # differ in the last bit only for slot gains a few ulps apart)
+            o1, o2 = (
+                rate_mode3(h_r[:, None], h_k.min(axis=1)[:, None], own[:, 0], own[:, 1], 0.5 * s2)
+                for h_k, own in ((h_1, own1), (h_2, own2))
+            )
+            score = np.minimum(o1[:, inv1], o2[:, inv2])
+        else:
             modes = MODE_OF_STATE[policy_states(h_r[:, None], h_1, h_2, sc.mode_threshold)]
+            if screen:
+                # score only the cells where some triple passes the screen,
+                # and only the triples that pass it in one of those cells
+                ok = _weakest_link_ok(modes, h_r, h_1, h_2, p1_tri, p2_tri, pr_tri, s2, t1, t2)
+                cells = ok.any(axis=1)
+                if not cells.any():
+                    continue
+                tri = np.nonzero(ok[cells].any(axis=0))[0]
+                idx, h_r, h_1, h_2, modes = idx[cells], h_r[cells], h_1[cells], h_2[cells], modes[cells]
+            r1, r2 = (
+                _oma_rates(h_r, h_k, own, inv[tri], s2) for h_k, own, inv in ((h_1, own1, inv1), (h_2, own2, inv2))
+            )
             for mode, rate_fn in ((1, rate_mode1), (2, rate_mode2)):
                 ci, si = np.nonzero(modes == mode)
                 r1[ci, :, si], r2[ci, :, si] = rate_fn(
-                    h_r[ci, None], h_1[ci, si, None], h_2[ci, si, None], p1_tri, p2_tri, pr_tri, s2
+                    h_r[ci, None], h_1[ci, si, None], h_2[ci, si, None], p1_tri[tri], p2_tri[tri], pr_tri[tri], s2
                 )
             score = (r1 + r2).sum(axis=2)
-            t1, t2 = (float(v) for v in sc.rate_targets)
-            if t1 > 0.0 or t2 > 0.0:
+            if targets:
                 ok = (r1.min(axis=2) >= t1) & (r2.min(axis=2) >= t2)
                 score = np.where(ok, score, -np.inf)
-        else:
-            score = np.minimum(o1.min(axis=2)[:, inv1], o2.min(axis=2)[:, inv2])
         flat = score.ravel()
         j = int(np.argmax(flat))
         if flat[j] > best_val:
             best_val = float(flat[j])
-            best_cell = int(idx[j // n_tri])
-            best_tri = j % n_tri
+            best_cell = int(idx[j // tri.size])
+            best_tri = int(tri[j % tri.size])
     return best_val, best_cell, best_tri
 
 
@@ -98,6 +148,19 @@ def static_placement_oracle(
     p1 > p2.  The sum optimum therefore sits on the edge of the region where
     the policy keeps a single SIC order, and that edge moves with R_th.
 
+    Under positive targets the sum search first screens each cell by its
+    weakest links.  In every mode a vehicle's rate reads only h_r and its
+    own link gain, and rises with that gain, so its worst slot of a mode is
+    the one with its smallest gain.  The screen evaluates each mode present
+    once at those smallest gains and scores only the cells where some
+    triple clears every target there (less 1e-9 for rounding), and only
+    the triples that clear them in one of those cells.  Every candidate
+    dropped misses a target in a real slot, and the kept ones are scored
+    exactly as without the screen, so the result is the same bit for bit.
+    With three slots or fewer the screen costs as much as the scoring, and
+    it is skipped.  The min objective likewise scores each vehicle's OMA
+    rate once, at its smallest gain over the horizon.
+
     Returns (position(2,), powers(3,), best objective value).
     """
     if objective not in ("sum", "min"):
@@ -125,6 +188,12 @@ def static_placement_oracle(
     val, cell, tri = _grid_search(
         sc, xs, ys, pair1, pair2, np.full(pair1.shape, pr_top), objective, chunk_cells
     )
+    if not np.isfinite(val):
+        # The policy's modes do not depend on power and every rate is
+        # non-decreasing in pr, so a triple with a lower pr misses a target
+        # wherever the same (p1, p2) at pr_top does: the rest of the relay
+        # axis holds no feasible point either.
+        raise ValueError("no grid point meets the per-slot rate targets")
     if val > 0.0:
         powers = np.array([pair1[tri], pair2[tri], pr_top])
     else:
@@ -133,8 +202,6 @@ def static_placement_oracle(
         tr = np.tile(pr_feas, pair1.size)
         val, cell, tri = _grid_search(sc, xs, ys, t1, t2, tr, objective, chunk_cells)
         powers = np.array([t1[tri], t2[tri], tr[tri]])
-    if not np.isfinite(val):
-        raise ValueError("no grid point meets the per-slot rate targets")
     position = np.array([xs[cell // ys.size], ys[cell % ys.size]])
     return position, powers, val
 

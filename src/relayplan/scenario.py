@@ -249,8 +249,9 @@ def channel_gain(uav_xy, node_xy, uav_height: float, beta0: float):
         raise ScenarioError("need uav_height > 0 and beta0 > 0")
     uav_xy = np.asarray(uav_xy, dtype=float)
     node_xy = np.asarray(node_xy, dtype=float)
-    d2 = np.sum((uav_xy - node_xy) ** 2, axis=-1) + uav_height**2
-    return beta0 / d2
+    dx = uav_xy[..., 0] - node_xy[..., 0]
+    dy = uav_xy[..., 1] - node_xy[..., 1]
+    return beta0 / (dx * dx + dy * dy + uav_height**2)
 
 
 @dataclasses.dataclass(frozen=True)

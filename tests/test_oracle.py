@@ -198,6 +198,27 @@ def test_grid_results_ignore_chunking_across_modes(objective):
     assert_chunking_ignored(moving_scenario(), objective=objective, **MOVING_GRID)
 
 
+def test_grid_results_ignore_chunking_under_targets():
+    # six slots and positive targets: the weakest-link screen runs per chunk,
+    # down to one cell at a time
+    assert_chunking_ignored(moving_scenario(rate_targets_bpshz=[1.5, 1.5]), **MOVING_GRID)
+
+
+@pytest.mark.parametrize(
+    "objective, position, powers, value",
+    [("sum", (340.0, 180.0), (0.3, 0.2, 0.5), 2192.868883861737),
+     ("min", (300.0, 400.0), (0.3, 0.2, 0.5), 1.449576151908911)],
+)
+def test_default_scenario_grid_optima(objective, position, powers, value):
+    # the 600-slot default on the 20 m, 0.2-step grid that relaybench's
+    # oracle-grid workload searches
+    pos, got_powers, best = oracle.static_placement_oracle(
+        default_scenario(), xy_step=20.0, power_step=0.2, objective=objective)
+    assert tuple(pos) == position
+    assert got_powers == pytest.approx(powers, rel=1e-12)
+    assert best == pytest.approx(value, rel=1e-12)
+
+
 @pytest.mark.parametrize("objective", ["sum", "min"])
 def test_refining_the_grid_never_loses_value(objective):
     sc = static_scenario(
@@ -224,7 +245,7 @@ def matches_plain_enumeration(sc, objective, **grid):
     """Assert the oracle agrees with plain_enumeration; return whether any candidate is feasible."""
     best = plain_enumeration(sc, objective=objective, **grid)
     if best[1] is None:
-        # the top-pr scan finds nothing, so the full fallback scan runs and raises
+        # the top-pr scan finds nothing, and no lower pr can do better
         with pytest.raises(ValueError, match="rate targets"):
             oracle.static_placement_oracle(sc, objective=objective, **grid)
         return False
@@ -252,9 +273,42 @@ def test_matches_plain_enumeration_across_modes(objective, targets, feasible):
     # each mixed-mode cell on its own, so its best triple is checked even
     # where it is not the optimum of the whole grid
     for x, y in mixed:
-        xy = np.array([x, y])
-        one = dataclasses.replace(sc, flight_box=np.array([x, x + 1.0, y, y + 1.0]), uav_start=xy, uav_end=xy)
-        matches_plain_enumeration(one, objective, **MOVING_GRID)
+        matches_plain_enumeration(one_cell(sc, x, y), objective, **MOVING_GRID)
+
+
+def one_cell(sc, x, y):
+    """The scenario with its flight box shrunk to the grid cell (x, y)."""
+    xy = np.array([x, y])
+    return dataclasses.replace(sc, flight_box=np.array([x, x + 1.0, y, y + 1.0]), uav_start=xy, uav_end=xy)
+
+
+def test_matches_plain_enumeration_when_targets_rule_out_some_cells():
+    # Asymmetric targets on a 4 x 4 grid: the weakest-link screen drops the
+    # cells where no triple meets them and scores the rest.
+    sc = moving_scenario(rate_targets_bpshz=[0.5, 2.0])
+    grid = dict(xy_step=20.0, power_step=0.2)
+    assert matches_plain_enumeration(sc, "sum", **grid)
+    x_min, x_max, y_min, y_max = sc.flight_box
+    cells = itertools.product(grid_axis(x_min, x_max, 20.0), grid_axis(y_min, y_max, 20.0))
+    feasible = [matches_plain_enumeration(one_cell(sc, x, y), "sum", **grid) for x, y in cells]
+    assert any(feasible) and not all(feasible)
+
+
+def test_screen_keeps_a_cell_that_meets_its_target_by_a_hair():
+    # A cell that schedules all three modes, with vehicle 1's target 1e-7
+    # below the best worst-slot rate any grid triple gives it: only the
+    # triples within 1e-7 of that best meet it, and the screen must keep them.
+    sc = one_cell(moving_scenario(), 160.0, 130.0)
+    h_r, h_1, h_2 = cell_gains(sc, 160.0, 130.0)
+    modes = cell_modes(sc, h_r, h_1, h_2)
+    assert set(modes) == {1, 2, 3}
+    levels = grid_axis(0.0, 2 * sc.avg_bs_power, MOVING_GRID["power_step"] * sc.avg_bs_power)
+    best = max(
+        exact_rates(modes, h_r, h_1, h_2, p1, p2, sc.avg_relay_power, sc.noise_power)[0].min()
+        for p1, p2 in itertools.product(levels, levels) if p1 + p2 <= sc.avg_bs_power * (1 + 1e-12)
+    )
+    hair = dataclasses.replace(sc, rate_targets=np.array([best - 1e-7, 0.0]))
+    assert matches_plain_enumeration(hair, "sum", **MOVING_GRID)
 
 
 def test_gradient_of_linear_function_is_exact():

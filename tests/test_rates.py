@@ -143,6 +143,32 @@ def test_rates_monotone_in_own_power(p1, p2, pr, bump):
     assert down2 <= base2 + 1e-12
 
 
+GAINS = st.floats(1e-16, 1e-8)  # around the default scenario's 1e-12 against noise 4e-14
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mode=st.sampled_from([1, 2, 3]),
+    h_r=GAINS,
+    own=st.tuples(GAINS, GAINS),
+    other=st.tuples(GAINS, GAINS),
+    powers=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+)
+def test_rate_reads_only_its_own_gain_and_rises_with_it(mode, h_r, own, other, powers):
+    """The static-placement oracle's screen rests on this: in every mode R1
+    never reads h_2 and R2 never reads h_1, and each rises with its own gain,
+    so a vehicle's worst slot of a mode is the one where its gain is least.
+    Rising holds up to rounding: a gain a few ulps larger can lose an ulp."""
+    lo, hi = sorted(own)
+    for k in (0, 1):
+        def rate(h_own, h_other):
+            gains = (h_own, h_other) if k == 0 else (h_other, h_own)
+            return rates.rates_for_mode(mode, h_r, *gains, *powers, S2)[k]
+
+        assert rate(lo, other[0]) == rate(lo, other[1])
+        assert rate(hi, other[0]) >= rate(lo, other[0]) * (1.0 - 1e-12)
+
+
 def test_high_snr_forms():
     noma_sum = rates.high_snr_rates("NOMA", "sum", 1e6, 1e5, 1e4, 0.4, 0.6)
     assert noma_sum == pytest.approx(np.log2(1 + 1e5 * 1e6 / (1e5 + 1e6)), rel=1e-12)

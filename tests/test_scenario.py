@@ -180,6 +180,20 @@ def test_channel_gain_formula():
         channel_gain([0, 0], [0, 0], 0.0, sc.beta0)
 
 
+def test_channel_gain_matches_summed_square_form_bit_for_bit():
+    """dx*dx + dy*dy gives exactly the old summed-square distance, on the
+    shapes the callers pass: oracle cells against a path, a trajectory
+    against a path, and a trajectory against one point."""
+    sc = default_scenario()
+    paths = vehicle_paths(sc)
+    rng = np.random.default_rng(5)
+    cells = np.column_stack([rng.uniform(0.0, 1000.0, 63), np.arange(63) * 20.0])
+    traj = rng.uniform(-50.0, 1050.0, (paths.shape[1], 2))
+    for uav, node in ((cells[:, None, :], paths[0]), (traj, paths[1]), (traj, sc.bs_position[:2])):
+        old = sc.beta0 / (np.sum((uav - node) ** 2, axis=-1) + sc.uav_height**2)
+        assert np.array_equal(channel_gain(uav, node, sc.uav_height, sc.beta0), old)
+
+
 def test_channel_state_psi_inverse_gains():
     sc = default_scenario()
     traj = initial_trajectory(sc)
