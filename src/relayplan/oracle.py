@@ -2,10 +2,11 @@
 
 Exhaustive placement/power search over a discrete grid, central-difference
 derivative probes, and exact-versus-asymptotic rate tabulation.  Everything
-here favours being simple enough to audit by eye over speed.  The one
-shortcut in the search, a per-mode weakest-link screen under rate targets,
-skips only candidates that provably miss a target and leaves every result
-unchanged bit for bit (see ``static_placement_oracle``).
+here favours being simple enough to audit by eye over speed.  The search's
+two shortcuts, a per-mode weakest-link screen under rate targets and a
+smallest-gain bound on the min objective, skip only candidates that provably
+cannot win and leave every result unchanged bit for bit (see
+``static_placement_oracle``).
 """
 
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
@@ -25,24 +26,6 @@ def _axis(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(max(count, 0))
 
 
-def _weakest_link_ok(modes, h_r, h_1, h_2, p1, p2, pr, s2, t1, t2):
-    """(cells, triples) mask of the candidates that may meet both rate targets.
-
-    R1 never reads h_2 and R2 never reads h_1, so the rate pair of a mode
-    at its smallest h_1 and smallest h_2 gives each vehicle its rate in a
-    real slot of that mode: a miss there is a miss in the exact per-slot
-    test, up to the rounding that the 1e-9 slack absorbs.
-    """
-    ok = np.ones((h_r.size, p1.size), dtype=bool)
-    for mode in (1, 2, 3):
-        in_mode = modes == mode
-        ci = np.nonzero(in_mode.any(axis=1))[0]
-        w1, w2 = (np.where(in_mode[ci], h_k[ci], np.inf).min(axis=1)[:, None] for h_k in (h_1, h_2))
-        r1, r2 = rates_for_mode(mode, h_r[ci, None], w1, w2, p1, p2, pr, s2)
-        ok[ci] &= (r1 >= t1 - 1e-9) & (r2 >= t2 - 1e-9)
-    return ok
-
-
 def _oma_rates(h_r, h_k, own, inv, s2):
     """(cells, triples, slots) OMA rates of one vehicle, given each triple's
     row ``inv`` of its distinct (p_k, pr) table ``own``; each distinct pair
@@ -50,6 +33,33 @@ def _oma_rates(h_r, h_k, own, inv, s2):
     used, back = np.unique(inv, return_inverse=True)
     p_k, pr = own[used, 0], own[used, 1]
     return rate_mode3(h_r[:, None, None], h_k[:, None, :], p_k[:, None], pr[:, None], 0.5 * s2)[:, back]
+
+
+def _weakest_link_ok(modes, h_r, h_1, h_2, p1, p2, pr, oma, s2, t1, t2):
+    """(cells, triples) mask of the candidates that may meet both rate targets.
+
+    R1 never reads h_2 and R2 never reads h_1, so the rate pair of a mode
+    at its smallest h_1 and smallest h_2 gives each vehicle its rate in a
+    real slot of that mode: a miss there is a miss in the exact per-slot
+    test, up to the rounding that the 1e-9 slack absorbs.  ``oma`` holds
+    each vehicle's distinct (p_k, pr) table and its row per triple.
+    """
+    ok = np.ones((h_r.size, p1.size), dtype=bool)
+    for mode in (1, 2, 3):
+        in_mode = modes == mode
+        ci = np.nonzero(in_mode.any(axis=1))[0]
+        w1, w2 = (np.where(in_mode[ci], h_k[ci], np.inf).min(axis=1)[:, None] for h_k in (h_1, h_2))
+        if mode == 3:
+            # test each distinct (p_k, pr) once, then gather per triple
+            (own1, inv1), (own2, inv2) = oma
+            r1, r2 = (
+                rate_mode3(h_r[ci, None], w, own[:, 0], own[:, 1], 0.5 * s2) for w, own in ((w1, own1), (w2, own2))
+            )
+            ok[ci] &= (r1 >= t1 - 1e-9)[:, inv1] & (r2 >= t2 - 1e-9)[:, inv2]
+        else:
+            r1, r2 = rates_for_mode(mode, h_r[ci, None], w1, w2, p1, p2, pr, s2)
+            ok[ci] &= (r1 >= t1 - 1e-9) & (r2 >= t2 - 1e-9)
+    return ok
 
 
 def _grid_search(sc, xs, ys, p1_tri, p2_tri, pr_tri, objective, chunk_cells):
@@ -62,14 +72,12 @@ def _grid_search(sc, xs, ys, p1_tri, p2_tri, pr_tri, objective, chunk_cells):
     n_slots = sc.slot_count
     t1, t2 = (float(v) for v in sc.rate_targets)
     targets = objective == "sum" and (t1 > 0.0 or t2 > 0.0)
-    # The screen evaluates one rate pair per mode present where the scoring
-    # evaluates one per slot, so it can pay only with more slots than modes.
-    screen = targets and n_slots > 3
     # An OMA rate reads only its own vehicle's power and pr: tabulate each
-    # vehicle's once per distinct (p_k, pr), evaluate only the policy's NOMA
-    # slots per triple, and score min (all OMA) at each vehicle's weakest slot.
+    # vehicle's once per distinct (p_k, pr), and evaluate only the policy's
+    # NOMA slots per triple.
     own1, inv1 = np.unique(np.stack([p1_tri, pr_tri], axis=1), axis=0, return_inverse=True)
     own2, inv2 = np.unique(np.stack([p2_tri, pr_tri], axis=1), axis=0, return_inverse=True)
+    oma = ((own1, inv1), (own2, inv2))
     if chunk_cells is None:
         chunk_cells = max(1, int(8e5 // max(n_tri * n_slots, 1)))
     every = np.arange(n_tri)
@@ -82,20 +90,28 @@ def _grid_search(sc, xs, ys, p1_tri, p2_tri, pr_tri, objective, chunk_cells):
         h_1 = channel_gain(pos[:, None, :], paths[0], sc.uav_height, sc.beta0)
         h_2 = channel_gain(pos[:, None, :], paths[1], sc.uav_height, sc.beta0)
         if objective == "min":
-            # the OMA rate rises with the vehicle's own gain, so its minimum
-            # over the slots is the rate at the smallest gain (rounding could
-            # differ in the last bit only for slot gains a few ulps apart)
+            # The OMA rate rises with the vehicle's own gain, so each score is
+            # its value at the vehicles' smallest gains up to rounding (a gain
+            # a few ulps larger can give a rate an ulp lower).  Only the cells
+            # within a relative 1e-12 of the chunk's best such value can hold
+            # its maximum; they alone are scored exactly, per slot.
+            near = np.minimum(*(
+                rate_mode3(h_r[:, None], h_k.min(axis=1)[:, None], own[:, 0], own[:, 1], 0.5 * s2)[:, inv]
+                for h_k, own, inv in ((h_1, own1, inv1), (h_2, own2, inv2))
+            ))
+            cells = (near >= (1.0 - 1e-12) * near.max()).any(axis=1)
+            idx, h_r, h_1, h_2 = idx[cells], h_r[cells], h_1[cells], h_2[cells]
             o1, o2 = (
-                rate_mode3(h_r[:, None], h_k.min(axis=1)[:, None], own[:, 0], own[:, 1], 0.5 * s2)
+                rate_mode3(h_r[:, None, None], h_k[:, None, :], own[None, :, :1], own[None, :, 1:], 0.5 * s2)
                 for h_k, own in ((h_1, own1), (h_2, own2))
             )
-            score = np.minimum(o1[:, inv1], o2[:, inv2])
+            score = np.minimum(o1.min(axis=2)[:, inv1], o2.min(axis=2)[:, inv2])
         else:
             modes = MODE_OF_STATE[policy_states(h_r[:, None], h_1, h_2, sc.mode_threshold)]
-            if screen:
+            if targets:
                 # score only the cells where some triple passes the screen,
                 # and only the triples that pass it in one of those cells
-                ok = _weakest_link_ok(modes, h_r, h_1, h_2, p1_tri, p2_tri, pr_tri, s2, t1, t2)
+                ok = _weakest_link_ok(modes, h_r, h_1, h_2, p1_tri, p2_tri, pr_tri, oma, s2, t1, t2)
                 cells = ok.any(axis=1)
                 if not cells.any():
                     continue
@@ -157,9 +173,9 @@ def static_placement_oracle(
     the triples that clear them in one of those cells.  Every candidate
     dropped misses a target in a real slot, and the kept ones are scored
     exactly as without the screen, so the result is the same bit for bit.
-    With three slots or fewer the screen costs as much as the scoring, and
-    it is skipped.  The min objective likewise scores each vehicle's OMA
-    rate once, at its smallest gain over the horizon.
+    The min objective likewise rates each vehicle once, at its smallest gain
+    over the horizon, and scores per slot only the cells whose rate there
+    comes within a relative 1e-12 of the best, so it too keeps every result.
 
     Returns (position(2,), powers(3,), best objective value).
     """

@@ -193,15 +193,15 @@ def test_grid_results_ignore_chunking():
     assert_chunking_ignored(sc, xy_step=25.0, power_step=0.2)
 
 
-@pytest.mark.parametrize("objective", ["sum", "min"])
-def test_grid_results_ignore_chunking_across_modes(objective):
-    assert_chunking_ignored(moving_scenario(), objective=objective, **MOVING_GRID)
-
-
-def test_grid_results_ignore_chunking_under_targets():
-    # six slots and positive targets: the weakest-link screen runs per chunk,
-    # down to one cell at a time
-    assert_chunking_ignored(moving_scenario(rate_targets_bpshz=[1.5, 1.5]), **MOVING_GRID)
+@pytest.mark.parametrize(
+    "objective, overrides",
+    [("sum", {}), ("min", {}), ("sum", {"rate_targets_bpshz": [1.5, 1.5]})],
+    ids=["sum", "min", "sum-targets"],
+)
+def test_grid_results_ignore_chunking_across_modes(objective, overrides):
+    # under positive targets the weakest-link screen runs per chunk, down to
+    # one cell at a time
+    assert_chunking_ignored(moving_scenario(**overrides), objective=objective, **MOVING_GRID)
 
 
 @pytest.mark.parametrize(

@@ -158,7 +158,8 @@ def test_rate_reads_only_its_own_gain_and_rises_with_it(mode, h_r, own, other, p
     """The static-placement oracle's screen rests on this: in every mode R1
     never reads h_2 and R2 never reads h_1, and each rises with its own gain,
     so a vehicle's worst slot of a mode is the one where its gain is least.
-    Rising holds up to rounding: a gain a few ulps larger can lose an ulp."""
+    Rising holds up to rounding: a gain a few ulps larger can lose an ulp.
+    The relative 1e-12 here is the margin the min objective's bound uses."""
     lo, hi = sorted(own)
     for k in (0, 1):
         def rate(h_own, h_other):
