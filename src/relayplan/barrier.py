@@ -6,7 +6,8 @@ with f concave and every g_i concave, both smooth on the interior.  The
 barrier stages maximize f(z) + mu * sum_i log g_i(z) by damped Newton steps.
 A stage's optimum lies within the duality gap n_c * mu of the optimum of f,
 so with scale = max(1, |f(z0)|) mu starts at scale / n_c and shrinks by
-factors of 10 down to a gap of GAP_REL * scale.  A stage ends when
+MU_FACTOR per stage down to a gap of GAP_REL * scale, the last mu clamped
+up to that floor (five stages).  A stage ends when
 max |grad phi| <= KKT_TOL or when the Newton decrement grad . d is at
 rounding level, |grad . d| <= DECREMENT_REL * scale; only a slope below that
 band is a non-ascent failure.  The start must be strictly interior; the
@@ -21,7 +22,8 @@ positive, and runs the objective only inside every constraint, so cheap
 rows listed first spare a rejected point the costly ones.  Rows do not
 depend on mu, so each point (the start, every line-search trial) is
 evaluated once, at order 2, and an accepted trial's rows serve the next
-Newton step, a new mu stage and the final KKT check.  A block gives
+Newton step, a new mu stage and the final KKT check.  Every block sees a
+point as one z array, which is never changed in place.  A block gives
 
     count               number of rows m
     cols                (m, k) positions in z that row i reads, fixed for
@@ -62,6 +64,7 @@ ARMIJO_C1 = 1e-4
 MAX_HALVINGS = 60
 KKT_TOL = 1e-6
 GAP_REL = 1e-8  # final duality gap n_c * mu, relative to the objective scale
+MU_FACTOR = 100.0  # mu shrinks by this factor per stage
 DECREMENT_REL = 2e-13  # Newton decrement at rounding level, same scale
 MAX_NEWTON_PER_STAGE = 120
 RIDGE_TRIES = 12
@@ -104,11 +107,15 @@ class BoxBlock:
         self.hi_idx, self.hi = idx[keep_hi], hi[keep_hi]
         self.count = len(self.lo_idx) + len(self.hi_idx)
         self.label = label
-        self.cols = np.concatenate([self.lo_idx, self.hi_idx])[:, None]
-        self._grad = np.repeat([1.0, -1.0], [len(self.lo_idx), len(self.hi_idx)])[:, None]
+        self._idx = np.concatenate([self.lo_idx, self.hi_idx])
+        self.cols = self._idx[:, None]
+        # row i is sign_i * z + off_i: z - lo, then -z + hi (exactly hi - z)
+        self._sign = np.repeat([1.0, -1.0], [len(self.lo_idx), len(self.hi_idx)])
+        self._off = np.concatenate([-self.lo, self.hi])
+        self._grad = self._sign[:, None]
 
     def evaluate(self, z, order):
-        vals = np.concatenate([z[self.lo_idx] - self.lo, self.hi - z[self.hi_idx]])
+        vals = self._sign * z[self._idx] + self._off
         return vals, (self._grad if order else None), None
 
 
@@ -180,14 +187,17 @@ class NewtonSystem:
             band = band.copy()
             band[0] += ridge
         fac = _lapack(_PBTRF, band)  # band is kept intact for a ridge retry
-        rhs = np.column_stack([g, v])
-        sol = _lapack(_PBTRS, fac, np.hstack([rhs[:nb], self.border]))
+        rhs = np.empty((len(g), 1 + r + nk), order="F")  # [g, V, B], B on the band rows
+        rhs[:, 0] = g
+        rhs[:, 1 : 1 + r] = v
+        rhs[:nb, 1 + r :] = self.border
+        sol = _lapack(_PBTRS, fac, rhs[:nb])
         k_inv = sol[:, : 1 + r]  # K^-1 [g, V], K the band with its border
         if nk:
             x = sol[:, 1 + r :]  # A^-1 B
             schur = self.corner - self.border.T @ x
             schur[np.diag_indices(nk)] += ridge
-            tail = _small_solve(schur, rhs[nb:] - self.border.T @ k_inv)
+            tail = _small_solve(schur, rhs[nb:, : 1 + r] - self.border.T @ k_inv)
             k_inv = np.vstack([k_inv - x @ tail, tail])
         d = k_inv[:, 0]
         if r:
@@ -244,18 +254,22 @@ class Scatter:
         self.grad_idx, self.system_idx = (np.concatenate(idx) for idx in zip(*local))
 
     def gradient(self, evals, w1s):
-        """sum_i w1_i grad g_i over every block's rows."""
+        """sum_i w1_i grad g_i over every block's rows; a block whose w1 is
+        None has weight 1 on every row."""
         weights, dense = [], np.zeros(self.n)
         for m, (_, g, _), w1 in zip(self.maps, evals, w1s):
             if m is None:
-                dense += g.T @ w1
+                dense += g.T @ (np.ones(len(g)) if w1 is None else w1)
+            elif w1 is None:
+                weights.append(g.ravel())
             else:
                 weights.append((w1[:, None] * g).ravel())
         return _accumulate(self.grad_idx, weights, self.n) + dense
 
     def system(self, evals, w1s, w2s) -> NewtonSystem:
         """-H = sum_i (w2_i grad g_i grad g_i^T - w1_i hess g_i); a block
-        whose w2 is None adds no rank-one terms, and zeros if h is None too."""
+        whose w2 is None adds no rank-one terms, and zeros if h is None too.
+        A w1 of None weighs every row 1, as in ``gradient``."""
         weights, lowrank = [], []
         for m, (_, g, h), w1, w2 in zip(self.maps, evals, w1s, w2s):
             if m is None:
@@ -268,7 +282,7 @@ class Scatter:
             if w2 is not None:
                 neg = (w2[:, None] * g)[:, :, None] * g[:, None, :]
             if h is not None:
-                curv = w1[:, None, None] * h
+                curv = h if w1 is None else w1[:, None, None] * h
                 if neg is None:
                     neg = -curv
                 else:
@@ -300,17 +314,24 @@ class _Point(NamedTuple):
 def _evaluate_point(objective, blocks, z) -> Optional[_Point]:
     """The point at z; None if z is out of domain, found at the first
     constraint row that is not positive (NaN included) before the objective
-    is evaluated."""
-    rows = []
+    is evaluated, or at an objective row that is not finite (its block's
+    sum is then not finite either)."""
+    rows, log_sum = [], 0.0
     for blk in blocks:
-        rows.append(blk.evaluate(z, 2))
-        if not (rows[-1][0] > 0).all():
+        e = blk.evaluate(z, 2)
+        if not (e[0] > 0).all():
             return None
-    obj = [src.evaluate(z, 2) for src in objective]
-    if not all(np.isfinite(e[0]).all() for e in obj):
-        return None
-    return _Point(obj, rows, float(sum(e[0].sum() for e in obj)),
-                  sum(np.log(e[0]).sum() for e in rows))
+        rows.append(e)
+        log_sum += np.log(e[0]).sum()
+    obj, f_sum = [], 0.0
+    for src in objective:
+        e = src.evaluate(z, 2)
+        total = e[0].sum()
+        if not np.isfinite(total):
+            return None
+        obj.append(e)
+        f_sum += total
+    return _Point(obj, rows, float(f_sum), log_sum)
 
 
 def _start_error(blocks, z) -> InfeasibleStartError:
@@ -327,8 +348,9 @@ def _start_error(blocks, z) -> InfeasibleStartError:
 
 
 def _gradient(point, mu, scatter):
-    """grad of f + mu * sum log g at ``point``, with the row weights w1."""
-    w1 = [np.ones(len(e[0])) for e in point.obj] + [mu / e[0] for e in point.rows]
+    """grad of f + mu * sum log g at ``point``, with the row weights w1
+    (None, weight 1, on the objective rows)."""
+    w1 = [None] * len(point.obj) + [mu / e[0] for e in point.rows]
     return scatter.gradient(point.obj + point.rows, w1), w1
 
 
@@ -366,7 +388,7 @@ def concave_max(
             mus.append(mu)
             if mu <= floor * (1 + 1e-12):
                 break
-            mu /= 10.0
+            mu = max(mu / MU_FACTOR, floor)
     flat = DECREMENT_REL * scale
     steps = 0
     capped = 0

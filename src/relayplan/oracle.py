@@ -9,6 +9,7 @@ cannot win and leave every result unchanged bit for bit (see
 ``static_placement_oracle``).
 """
 
+import numbers
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -183,6 +184,10 @@ def static_placement_oracle(
         raise ValueError(f"objective must be 'sum' or 'min', got {objective!r}")
     if not (0 < xy_step < np.inf and 0 < power_step < np.inf):
         raise ValueError("grid steps must be finite and positive")
+    if chunk_cells is not None and not (
+        isinstance(chunk_cells, numbers.Integral) and chunk_cells > 0
+    ):
+        raise ValueError(f"chunk_cells must be None or a positive integer, got {chunk_cells!r}")
     x_min, x_max, y_min, y_max = sc.flight_box
     xs = _axis(x_min, x_max, xy_step)
     ys = _axis(y_min, y_max, xy_step)

@@ -107,28 +107,36 @@ class TrajectoryBound:
         (m, 2, 2) Hessians over the scaled slot coordinates ``v``; None
         beyond ``order``."""
         x, y = (self.scale * v).T
+        xb, yb, xv, yv = x - self.bx, y - self.by, x - self.vx, y - self.vy
         a = self.argument(
-            self.s * ((x - self.bx) ** 2 + (y - self.by) ** 2 + self.hh),
-            self.s * ((x - self.vx) ** 2 + (y - self.vy) ** 2 + self.hh),
+            self.s * (xb * xb + yb * yb + self.hh),
+            self.s * (xv * xv + yv * yv + self.hh),
         )
         bad = a <= 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(bad, -np.inf, self.cm * np.log2(a))
+        if bad.any():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                vals = np.where(bad, -np.inf, self.cm * np.log2(a))
+        else:
+            vals = self.cm * np.log2(a)
         if order == 0:
             return vals, None, None
-        da = 2.0 * self.s * np.column_stack((
-            self.dr * (x - self.bx) + self.dk * (x - self.vx),
-            self.dr * (y - self.by) + self.dk * (y - self.vy),
-        ))
+        da = np.empty((len(a), 2))  # A's gradient over (x, y)
+        da[:, 0] = self.dr * xb + self.dk * xv
+        da[:, 1] = self.dr * yb + self.dk * yv
+        da *= 2.0 * self.s
         slope = self.cm / (LN2 * a)
         grad = self.scale * slope[:, None] * da
         if order == 1:
             return vals, grad, None
-        # A's Hessian is 2 s (dr + dk) I
+        # A's Hessian is 2 s (dr + dk) I, so the row's is curv I - q da da^T;
+        # -q da da^T + curv on the diagonal gives the same bits
         curv = slope * (2.0 * self.s * (self.dr + self.dk))
         q = self.cm / (LN2 * a * a)
-        hess = curv[:, None, None] * np.eye(2) - q[:, None, None] * da[:, :, None] * da[:, None, :]
-        return vals, grad, self.scale**2 * hess
+        hess = -q[:, None, None] * da[:, :, None] * da[:, None, :]
+        hess[:, 0, 0] += curv
+        hess[:, 1, 1] += curv
+        hess *= self.scale**2
+        return vals, grad, hess
 
 
 def trajectory_lb_build(modes, p1, p2, pr, psi_r_l, psi_1_l, psi_2_l,
@@ -263,11 +271,11 @@ class PowerBound:
         if order == 0:
             return vals, None, None
         gw = self.cm / (LN2 * w)
-        grad = np.column_stack((
-            self.cv1 * gw - self.cm * self.a1,
-            self.cv2 * gw - self.cm * self.a2,
-            self.cur * self.cm / (LN2 * u) - self.cm * self.ar,
-        )) * self.scale
+        grad = np.empty((len(u), 3))
+        grad[:, 0] = self.cv1 * gw - self.cm * self.a1
+        grad[:, 1] = self.cv2 * gw - self.cm * self.a2
+        grad[:, 2] = self.cur * self.cm / (LN2 * u) - self.cm * self.ar
+        grad *= self.scale
         if order == 1:
             return vals, grad, None
         cw = -self.cm / (LN2 * w * w)

@@ -222,7 +222,9 @@ class SlotRowBlock:
     ``terms.local`` gives each row's value, gradient and Hessian over its
     slot's d variables, whose positions in z are the row of ``slots``; rows
     may share a slot.  An epigraph scalar's position is appended to every
-    row's ``cols``.
+    row's ``cols``.  The last evaluation is kept, so a ``RowSubset`` of
+    these rows and the block itself, evaluated at the same z array, share
+    one ``local`` call.
     """
 
     def __init__(self, terms, slots, rhs, epi_idx=None, label="rate target"):
@@ -235,19 +237,46 @@ class SlotRowBlock:
         self.cols = self.slots
         if epi_idx is not None:
             self.cols = np.column_stack([self.slots, np.full(self.count, epi_idx)])
+        self._last = (None, None, None)  # (z, order, result)
 
     def evaluate(self, z, order):
+        if self._last[0] is z and self._last[1] == order:
+            return self._last[2]
+        out = self._evaluate(z, order)
+        self._last = (z, order, out)
+        return out
+
+    def _evaluate(self, z, order):
         vals, grad, hess = self.terms.local(z[self.slots], order)
         vals = vals - self.rhs
         if self.epi is None:
             return vals, grad, hess
         if order >= 1:
-            grad = np.column_stack([grad, np.full(self.count, -1.0)])
+            grad, local = np.empty((self.count, grad.shape[1] + 1)), grad
+            grad[:, :-1] = local
+            grad[:, -1] = -1.0
         if order == 2:
             d = hess.shape[1]
             hess, local = np.zeros((self.count, d + 1, d + 1)), hess
             hess[:, :d, :d] = local
         return vals - z[self.epi], grad, hess
+
+
+class RowSubset:
+    """Rows ``idx`` of a ``SlotRowBlock`` less ``rhs``, >= 0, read from
+    that block's own evaluation at z."""
+
+    def __init__(self, rows: SlotRowBlock, idx, rhs, label="rate target"):
+        self.rows, self.idx, self.rhs = rows, idx, rhs
+        self.count = len(idx)
+        self.cols = rows.cols[idx]
+        self.label = label
+
+    def evaluate(self, z, order):
+        vals, grad, hess = self.rows.evaluate(z, order)
+        return (vals[self.idx] - self.rhs,
+                None if grad is None else grad[self.idx],
+                None if hess is None else hess[self.idx])
 
 
 class _EpigraphObjective:
@@ -297,13 +326,18 @@ class VelocityChainBlock:
 
     def evaluate(self, z, order):
         q = LENGTH_SCALE * z[self.slots]
-        gap = np.diff(np.vstack([self.start, q, self.end]), axis=0)
+        gap = np.empty((self.count, 2))
+        gap[0] = q[0] - self.start
+        np.subtract(q[1:], q[:-1], out=gap[1:-1])
+        gap[-1] = self.end - q[-1]
         dx, dy = gap.T
         vals = self.r2 - dx * dx - dy * dy
         if order == 0:
             return vals, None, None
         g = 2.0 * LENGTH_SCALE * gap
-        grad = np.hstack([self.left * g, -self.right * g])
+        grad = np.empty((self.count, 4))
+        grad[:, :2] = self.left * g
+        grad[:, 2:] = -self.right * g
         return vals, grad, (self.hess if order == 2 else None)
 
 
@@ -413,7 +447,7 @@ def _subproblem(sc, terms, slots, width, z0, blocks, objective: str, step: str, 
                 )
         idx = np.nonzero((targets > 0.0) & keep)[0]
         if len(idx):
-            blocks.append(SlotRowBlock(terms.sub(idx), row_slots[idx], rhs[idx]))
+            blocks.append(RowSubset(rows, idx, rhs[idx]))
         obj = [rows]
     z, info = concave_max(obj, blocks, z0, band=(slots.size, width))
     diag["capped_stages"] = diag.get("capped_stages", 0) + info.capped_stages

@@ -143,12 +143,49 @@ def test_barrier_stage_schedule_counts():
     for z0 in (np.zeros(n), np.full(n, 0.5)):
         scale = max(1.0, abs(obj[0].evaluate(z0, 0)[0][0]))  # 1, then about 15
         z, info = concave_max(obj, blocks, z0)
-        # mu runs from scale / n_c down by factors of 10 to a gap n_c * mu
-        # of GAP_REL * scale
-        assert info.stages == 1 + round(-np.log10(barrier.GAP_REL))
+        # mu runs from scale / n_c down by factors of MU_FACTOR to a gap
+        # n_c * mu of GAP_REL * scale
+        assert info.stages == 1 + round(np.log(1 / barrier.GAP_REL) / np.log(barrier.MU_FACTOR))
         assert info.mu_final == pytest.approx(barrier.GAP_REL * scale / n_c)
         assert info.newton_steps > 0
         assert info.capped_stages == 0
+
+
+def test_last_stage_lands_on_the_gap_floor(monkeypatch):
+    """A GAP_REL that is not a power of MU_FACTOR still ends on a gap of
+    exactly GAP_REL * scale: the last mu is clamped up to the floor."""
+    monkeypatch.setattr(barrier, "GAP_REL", 3e-9)
+    n = 3
+    blocks = [BoxBlock(np.arange(n), -1.0, 1.0)]
+    obj = quadratic(40.0 * np.eye(n), np.array([0.3, 0.0, -0.2]))
+    for z0 in (np.zeros(n), np.full(n, 0.5)):
+        scale = max(1.0, abs(obj[0].evaluate(z0, 0)[0][0]))
+        z, info = concave_max(obj, blocks, z0)
+        assert info.mu_final == barrier.GAP_REL * scale / (2 * n)
+        assert info.stages == 1 + int(np.ceil(np.log(1 / 3e-9) / np.log(barrier.MU_FACTOR)))
+        assert info.converged and not info.line_search_failed
+
+
+def test_box_rows_match_their_formula_bit_for_bit():
+    """One sign * z + offset pass gives z - lo and hi - z exactly, with the
+    infinite bounds dropped."""
+    rng = np.random.default_rng(23)
+    for n in (1, 7, 60):
+        idx = rng.integers(0, 2 * n, n)
+        lo = rng.normal(size=n) * 10.0
+        hi = lo + rng.uniform(0.1, 5.0, n)
+        lo[rng.random(n) < 0.3] = -np.inf
+        hi[rng.random(n) < 0.3] = np.inf
+        box = BoxBlock(idx, lo, hi)
+        for _ in range(5):
+            z = rng.normal(size=2 * n) * rng.choice([1e-3, 1.0, 1e3])
+            keep_lo, keep_hi = np.isfinite(lo), np.isfinite(hi)
+            want = np.concatenate([z[idx[keep_lo]] - lo[keep_lo], hi[keep_hi] - z[idx[keep_hi]]])
+            vals, grad, hess = box.evaluate(z, 2)
+            assert np.array_equal(vals, want)
+            sign = np.repeat([1.0, -1.0], [keep_lo.sum(), keep_hi.sum()])
+            assert np.array_equal(grad[:, 0], sign)
+            assert hess is None
 
 
 def test_capped_stages_counted(monkeypatch):

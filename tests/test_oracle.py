@@ -166,6 +166,13 @@ def test_grid_steps_must_be_finite(step, bad):
         oracle.static_placement_oracle(static_scenario(), **steps)
 
 
+@pytest.mark.parametrize("chunk", [-1, 0, 2.5])
+def test_chunk_cells_must_be_a_positive_integer(chunk):
+    with pytest.raises(ValueError, match="chunk_cells"):
+        oracle.static_placement_oracle(
+            default_scenario(slots=4), xy_step=250.0, power_step=0.5, chunk_cells=chunk)
+
+
 def test_min_objective_finds_perpendicular_bisector():
     sc = static_scenario(
         flight_box_m=[0.0, 1000.0, -500.0, 500.0],

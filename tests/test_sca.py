@@ -344,3 +344,67 @@ def test_mixed_mode_builds_match_references_and_single_mode_builds():
                 assert getattr(one_p, name)[k - 1] == getattr(pb, name)[rows[i]], (m, k, name)
             for name in sca.TrajectoryBound.ROWS:
                 assert getattr(one_t, name)[k - 1] == getattr(tb, name)[rows[i]], (m, k, name)
+
+
+# ---- the local kernels against their whole-array formulas, bit for bit ----
+
+
+def reference_traj_local(b, v):
+    """``TrajectoryBound.local`` at order 2 as whole-array formulas: the
+    Hessian is curv I - q da da^T, then times scale^2."""
+    x, y = (b.scale * v).T
+    a = b.argument(b.s * ((x - b.bx) ** 2 + (y - b.by) ** 2 + b.hh),
+                   b.s * ((x - b.vx) ** 2 + (y - b.vy) ** 2 + b.hh))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.where(a <= 0.0, -np.inf, b.cm * np.log2(a))
+    da = 2.0 * b.s * np.column_stack((b.dr * (x - b.bx) + b.dk * (x - b.vx),
+                                      b.dr * (y - b.by) + b.dk * (y - b.vy)))
+    slope = b.cm / (sca.LN2 * a)
+    curv = slope * (2.0 * b.s * (b.dr + b.dk))
+    q = b.cm / (sca.LN2 * a * a)
+    hess = curv[:, None, None] * np.eye(2) - q[:, None, None] * da[:, :, None] * da[:, None, :]
+    return vals, b.scale * slope[:, None] * da, b.scale**2 * hess
+
+
+def reference_power_grad(b, v):
+    """``PowerBound.local``'s gradient as one column_stack, then scaled."""
+    p1, p2, pr = (v * b.scale).T
+    u, w = b.cu0 + b.cur * pr, b.cv0 + b.cv1 * p1 + b.cv2 * p2
+    gw = b.cm / (sca.LN2 * w)
+    return np.column_stack((
+        b.cv1 * gw - b.cm * b.a1,
+        b.cv2 * gw - b.cm * b.a2,
+        b.cur * b.cm / (sca.LN2 * u) - b.cm * b.ar,
+    )) * b.scale
+
+
+@pytest.mark.parametrize("n", [1, 7, 50, 301])
+def test_local_kernels_match_whole_array_formulas_bit_for_bit(n):
+    rng = np.random.default_rng([53, n])
+    modes = rng.integers(1, 4, n)
+    p = rng.uniform(0.05, 1.0, (3, n))
+    # trajectory rows around anchors in a 1 km square, variables in 100 m
+    # units; the last check moves one point far outside the log domain
+    geometry = dict(GEOMETRY, scale=100.0)
+    q = rng.uniform(0.0, 1000.0, (n, 2))
+    paths = rng.uniform(0.0, 1000.0, (2, n, 2))
+    tb = sca.trajectory_lb_build(modes, *p, psi_at(q, 0.0), *(psi_at(q, c) for c in paths),
+                                 paths, **geometry)
+    rows = np.arange(2 * n) % n
+    for spread, far in ((0.0, False), (50.0, False), (400.0, True)):
+        pos = q[rows] + rng.uniform(-spread, spread, (2 * n, 2))
+        if far:
+            pos[-1] = (1e5, 0.0)
+        got = tb.local(pos / 100.0, 2)
+        want = reference_traj_local(tb, pos / 100.0)
+        assert np.isneginf(got[0][-1]) if far else np.isfinite(got[0]).all()
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+    # power rows over scaled (p1, p2, pr), some trials outside the domain
+    scale = np.array([0.5, 0.5, 0.7])
+    pb = sca.power_lb_build(modes, *rng.uniform(1e2, 1e6, (3, n)), *p, scale)
+    for spread in (0.0, 0.5, 3.0):
+        v = p.T[rows] / scale + rng.uniform(-spread, spread, (2 * n, 3))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got, want = pb.local(v, 1)[1], reference_power_grad(pb, v)
+        assert np.array_equal(got, want, equal_nan=True)

@@ -510,10 +510,11 @@ def test_subproblems_cover_every_block_kind(subproblems):
     assert len(kept) == 1 and 0 < kept[0] < 2 * n
 
 
-def test_minrate_evaluation_makes_one_local_call(monkeypatch):
-    """A min-rate point evaluation computes the rate rows with one ``local``
-    call over both vehicles, and none when a cheaper row rejects the point."""
-    calls = [0]
+def local_calls_per_point(monkeypatch, driver):
+    """Run ``driver`` on SC8 and count the bounds' ``local`` calls of each
+    barrier point evaluation: (every point, in-domain points, whether any
+    subproblem kept target rows)."""
+    calls, kept = [0], [False]
     per_eval, per_accepted = [], []
     for cls in (sca.PowerBound, sca.TrajectoryBound):
         def local(self, v, order, _real=cls.local):
@@ -522,18 +523,71 @@ def test_minrate_evaluation_makes_one_local_call(monkeypatch):
         monkeypatch.setattr(cls, "local", local)
     real_eval = barrier._evaluate_point
 
-    def counted(*args):
+    def counted(objective, blocks, z):
         before = calls[0]
-        res = real_eval(*args)
+        kept[0] = kept[0] or any(isinstance(b, solver.RowSubset) for b in blocks)
+        res = real_eval(objective, blocks, z)
         per_eval.append(calls[0] - before)
         if res is not None:
             per_accepted.append(per_eval[-1])
         return res
 
     monkeypatch.setattr(barrier, "_evaluate_point", counted)
-    solver.solve_minrate(SC8)
-    assert set(per_accepted) == {1}
-    assert set(per_eval) == {0, 1}
+    driver(SC8)
+    return set(per_eval), set(per_accepted), kept[0]
+
+
+def test_minrate_evaluation_makes_one_local_call(monkeypatch):
+    """A min-rate point evaluation computes the rate rows with one ``local``
+    call over both vehicles, and none when a cheaper row rejects the point."""
+    per_eval, per_accepted, _ = local_calls_per_point(monkeypatch, solver.solve_minrate)
+    assert per_accepted == {1}
+    assert per_eval == {0, 1}
+
+
+def test_sumrate_evaluation_makes_one_local_call(monkeypatch):
+    """A sum-rate point evaluates the rate rows with one ``local`` call too:
+    the kept target rows are read from the objective rows' evaluation."""
+    per_eval, per_accepted, kept = local_calls_per_point(monkeypatch, solver.algorithm3_joint)
+    assert kept
+    assert per_accepted == {1}
+    assert per_eval == {0, 1}
+
+
+def test_row_blocks_match_their_formulas_bit_for_bit():
+    """A ``RowSubset`` gives the rows of ``SlotRowBlock(terms.sub(idx), ...)``
+    and the epigraph block pads ``local``'s rows with the epigraph column,
+    both bit for bit."""
+    rng = np.random.default_rng(61)
+    sc = default_scenario(slots=13)
+    n = sc.slot_count
+    modes = rng.integers(1, 4, n)
+    traj = initial_trajectory(sc) + rng.uniform(-40.0, 40.0, (n, 2))
+    powers = PowerAllocation(*rng.uniform(0.05, 0.5, (3, n)))
+    for terms, d in ((solver._power_terms(sc, channel_state(traj, sc), modes, powers), 3),
+                     (solver._traj_terms(sc, channel_state(traj, sc), modes, powers), 2)):
+        slots = np.arange(d * n).reshape(n, d)
+        row_slots = np.concatenate([slots, slots])
+        anchor = (np.column_stack([powers.p1, powers.p2, powers.pr]) / terms.scale if d == 3
+                  else traj / solver.LENGTH_SCALE).ravel()
+        idx = np.sort(rng.choice(2 * n, n, replace=False))
+        rhs = rng.uniform(0.0, 0.5, n)
+        for order in (0, 1, 2):
+            z = anchor + rng.uniform(-0.01, 0.01, anchor.shape)
+            rows = solver.SlotRowBlock(terms, row_slots, 0.0)
+            got = solver.RowSubset(rows, idx, rhs).evaluate(z, order)
+            want = solver.SlotRowBlock(terms.sub(idx), row_slots[idx], rhs).evaluate(z, order)
+            for g, w in zip(got, want):
+                assert (g is None and w is None) or np.array_equal(g, w)
+            z = np.append(z, -0.3)
+            vals, grad, hess = terms.local(z[row_slots], order)
+            epi = solver.SlotRowBlock(terms, row_slots, rhs[0], epi_idx=d * n).evaluate(z, order)
+            assert np.array_equal(epi[0], vals - rhs[0] - z[-1])
+            if order:
+                assert np.array_equal(epi[1], np.column_stack([grad, np.full(2 * n, -1.0)]))
+            if order == 2:
+                assert np.array_equal(epi[2][:, :d, :d], hess)
+                assert not epi[2][:, d].any() and not epi[2][:, :, d].any()
 
 
 def test_subproblem_derivatives_match_finite_differences(subproblems, dense_system):
