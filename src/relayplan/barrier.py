@@ -5,9 +5,19 @@ maximize f(z)  subject to  g_i(z) >= 0,  i = 1..n_c
 with f concave and every g_i concave, both smooth on the interior.  The
 barrier stages maximize f(z) + mu * sum_i log g_i(z) by damped Newton steps.
 A stage's optimum lies within the duality gap n_c * mu of the optimum of f,
-so with scale = max(1, |f(z0)|) mu starts at scale / n_c and shrinks by
-MU_FACTOR per stage down to a gap of GAP_REL * scale, the last mu clamped
-up to that floor (five stages).  A stage ends when
+so with scale = max(1, |f(z0)|) mu shrinks by MU_FACTOR per stage down to a
+gap of GAP_REL * scale, the last mu clamped up to that floor.  A cold ladder
+starts at scale / n_c (five stages).  The first mu is the one whose central
+point lies nearest z0 (Boyd & Vandenberghe, Convex Optimization, 11.3.1):
+with g_f = grad f, g_b = sum_i grad g_i / g_i and the barrier Hessian
+H_b = sum_i (grad g_i grad g_i^T / g_i^2 - hess g_i / g_i) at z0,
+
+    mu* = -(g_f . H_b^-1 g_b) / (g_b . H_b^-1 g_b),
+
+clamped to [scale / (n_c * MU_FACTOR^2), scale / n_c], so a start near
+the optimum (a warm start) skips at most two stages and one far from it
+runs the cold ladder; a failed H_b solve or a mu* that is not finite and
+positive also runs the cold ladder.  A stage ends when
 max |grad phi| <= KKT_TOL or when the Newton decrement grad . d is at
 rounding level, |grad . d| <= DECREMENT_REL * scale; only a slope below that
 band is a non-ascent failure.  The start must be strictly interior; the
@@ -122,8 +132,10 @@ class BoxBlock:
 @dataclasses.dataclass
 class SolveInfo:
     converged: bool
-    stages: int
+    stages: int  # length of the mu ladder
     newton_steps: int
+    stage_steps: list  # Newton steps per stage run, in ladder order
+    skipped_stages: int  # cold-ladder stages the centring mu skipped
     capped_stages: int  # stages that ran MAX_NEWTON_PER_STAGE steps unstopped
     kkt_residual: float
     mu_final: float
@@ -354,6 +366,35 @@ def _gradient(point, mu, scatter):
     return scatter.gradient(point.obj + point.rows, w1), w1
 
 
+def _ladder(mu, floor):
+    """mu, mu / MU_FACTOR, ... down to ``floor``, the last one clamped up
+    to it."""
+    mus = [mu]
+    while mu > floor * (1 + 1e-12):
+        mu = max(mu / MU_FACTOR, floor)
+        mus.append(mu)
+    return mus
+
+
+def _centring_mu(point, scatter):
+    """mu* = -(g_f . H_b^-1 g_b) / (g_b . H_b^-1 g_b) at ``point``, the mu
+    that minimizes the H_b^-1 norm of the barrier gradient g_f + mu * g_b
+    (module docstring); NaN when the H_b solve fails or g_b . H_b^-1 g_b is
+    not positive."""
+    evals = point.obj + point.rows
+    off = [np.zeros(len(e[0])) for e in point.obj]
+    w1 = off + [1.0 / e[0] for e in point.rows]
+    w2 = [None] * len(point.obj) + [1.0 / e[0] ** 2 for e in point.rows]
+    g_f = _gradient(point, 0.0, scatter)[0]
+    g_b = scatter.gradient(evals, w1)
+    try:
+        d = scatter.system(evals, w1, w2).solve(g_b)
+    except np.linalg.LinAlgError:
+        return float("nan")
+    den = float(g_b @ d)
+    return -float(g_f @ d) / den if den > 0 else float("nan")
+
+
 def concave_max(
     objective: Sequence,
     blocks: Sequence,
@@ -379,23 +420,22 @@ def concave_max(
 
     n_c = int(sum(blk.count for blk in blocks))
     if n_c == 0:
-        mus = [0.0]
+        mus, skipped = [0.0], 0
     else:
-        mus = []
-        mu = scale / n_c
-        floor = GAP_REL * scale / n_c
-        while True:
-            mus.append(mu)
-            if mu <= floor * (1 + 1e-12):
-                break
-            mu = max(mu / MU_FACTOR, floor)
+        top, floor = scale / n_c, GAP_REL * scale / n_c
+        mu0 = _centring_mu(point, scatter)
+        if not 0.0 < mu0 < np.inf:
+            mu0 = top
+        mus = _ladder(min(top, max(mu0, scale / (n_c * MU_FACTOR**2))), floor)
+        skipped = len(_ladder(top, floor)) - len(mus)
     flat = DECREMENT_REL * scale
-    steps = 0
+    stage_steps = []
     capped = 0
     ls_failed = False
     message = ""
     for stage, mu in enumerate(mus):
         stopped = False
+        stage_steps.append(0)
         for _ in range(MAX_NEWTON_PER_STAGE):
             grad, w1 = _gradient(point, mu, scatter)
             kkt = float(np.max(np.abs(grad)))
@@ -429,7 +469,7 @@ def concave_max(
                     accepted = True
                     break
                 alpha *= 0.5
-            steps += 1
+            stage_steps[-1] += 1
             if not accepted:
                 ls_failed = True
                 message = f"stage {stage}: line search exhausted {MAX_HALVINGS} halvings"
@@ -441,7 +481,9 @@ def concave_max(
     info = SolveInfo(
         converged=stopped,
         stages=len(mus),
-        newton_steps=steps,
+        newton_steps=sum(stage_steps),
+        stage_steps=stage_steps,
+        skipped_stages=skipped,
         capped_stages=capped,
         kkt_residual=kkt,
         mu_final=mus[-1],

@@ -92,7 +92,7 @@ class SolverResult:
     objective_history: List[float]
     history: List[Dict]
     newton_steps: List[int]
-    converged: bool  # the outer gain test passed and no subproblem solve failed
+    converged: bool  # the outer gain test passed; no subproblem solve failed or capped a stage
     wall_time: float
     diagnostics: Dict
 
@@ -423,9 +423,9 @@ def _subproblem(sc, terms, slots, width, z0, blocks, objective: str, step: str, 
     vehicle's target rows are kept at the slots whose bound clears the
     target at the start; the others are dropped and recorded under
     ``step``.  For "min" an epigraph scalar is appended to z and every row
-    must stay above it.  Capped barrier stages and failed solves are
-    counted in ``diag``.  Returns (z, bound, info), bound being the
-    subproblem's optimum.
+    must stay above it.  Capped barrier stages, failed solves and the mu
+    stages that a warm start skipped are counted in ``diag``.  Returns
+    (z, bound, info), bound being the subproblem's optimum.
     """
     row_slots = np.concatenate([slots, slots])
     rows = SlotRowBlock(terms, row_slots, 0.0)
@@ -452,6 +452,7 @@ def _subproblem(sc, terms, slots, width, z0, blocks, objective: str, step: str, 
     z, info = concave_max(obj, blocks, z0, band=(slots.size, width))
     diag["capped_stages"] = diag.get("capped_stages", 0) + info.capped_stages
     diag["failed_solves"] = diag.get("failed_solves", 0) + int(info.line_search_failed)
+    diag["skipped_stages"] = diag.get("skipped_stages", 0) + info.skipped_stages
     bound = float(z[-1]) if objective == "min" else float(rows.evaluate(z, 0)[0].sum())
     return z, bound, info
 
@@ -610,7 +611,7 @@ def _alternate(sc: Scenario, objective: str, traj, powers: PowerAllocation,
                     )
                 frozen = frozen or gain < -1e-9 or abs(gain) < MODE_FREEZE_TOL
             if abs(gain) < REL_TOL:
-                converged = diag["failed_solves"] == 0
+                converged = diag["failed_solves"] == diag["capped_stages"] == 0
                 break
         prev = exact
     if objective == "sum":

@@ -198,6 +198,87 @@ def test_capped_stages_counted(monkeypatch):
     assert not info.converged
 
 
+def test_cold_start_runs_the_whole_ladder():
+    """From the box's centre the barrier gradient is zero, so the centring
+    mu is undefined and the ladder starts at scale / n_c."""
+    n = 3
+    z, info = concave_max(quadratic(0.1 * np.eye(n), [0.2, 0.03, -0.05]),
+                          [BoxBlock(np.arange(n), -1.0, 1.0)], np.zeros(n))
+    assert info.skipped_stages == 0 and info.stages == 5
+    assert len(info.stage_steps) == info.stages
+    assert sum(info.stage_steps) == info.newton_steps
+
+
+def test_start_on_the_central_path_begins_at_its_mu():
+    """max z s.t. z <= 1 has the central point z = 1 - mu; started at
+    mu = 1e-3 the first stage is already centred and needs no step."""
+    z, info = concave_max(linear([1.0]), [BoxBlock([0], -np.inf, 1.0)], np.array([1.0 - 1e-3]))
+    assert info.stage_steps[0] == 0
+    assert info.stages == 4 and info.skipped_stages == 1  # 1e-3, 1e-5, 1e-7, 1e-8
+    assert info.mu_final == barrier.GAP_REL
+    assert info.converged and info.capped_stages == 0
+
+
+def _warm_problem():
+    """A quadratic over a box whose upper bound moves from 1 to 1.01, the
+    start being the optimum under the old bound (a warm start)."""
+    n = 3
+    obj = quadratic(0.1 * np.eye(n), [0.2, 0.03, -0.05])
+    anchor, _ = concave_max(obj, [BoxBlock(np.arange(n), -1.0, 1.0)], np.zeros(n))
+    return obj, [BoxBlock(np.arange(n), -1.0, 1.01)], anchor
+
+
+def test_warm_start_skips_stages_and_lands_on_the_same_gap():
+    obj, blocks, anchor = _warm_problem()
+    z_cold, cold = concave_max(obj, blocks, np.zeros(3))
+    z_warm, warm = concave_max(obj, blocks, anchor)
+    assert cold.skipped_stages == 0
+    assert 1 <= warm.skipped_stages <= 2
+    assert warm.stages == cold.stages - warm.skipped_stages
+    assert warm.newton_steps < cold.newton_steps
+    assert warm.mu_final == cold.mu_final  # scale is 1 at both starts
+    f_cold, f_warm = (obj[0].evaluate(z, 0)[0][0] for z in (z_cold, z_warm))
+    assert abs(f_warm - f_cold) <= barrier.GAP_REL
+    assert warm.converged and warm.capped_stages == 0
+
+
+def test_stationary_start_skips_at_most_two_stages():
+    """At a solve's own optimum the centring mu lies below the gap floor.
+    The first mu is clamped up to scale / (n_c * MU_FACTOR^2), so the solve
+    still walks down the last stages instead of starting at the floor."""
+    obj, blocks, _ = _warm_problem()
+    z_opt, cold = concave_max(obj, blocks, np.zeros(3))
+    point = barrier._evaluate_point(obj, blocks, z_opt)
+    scatter = Scatter(3, (3, 2), obj + blocks)
+    assert 0.0 < barrier._centring_mu(point, scatter) < cold.mu_final
+    z, info = concave_max(obj, blocks, z_opt)
+    assert info.stages == cold.stages - 2 and info.skipped_stages == 2
+    assert info.capped_stages == 0 and info.converged
+
+
+def test_failed_centring_solve_falls_back_to_the_cold_ladder(monkeypatch):
+    obj, blocks, anchor = _warm_problem()
+    real_solve, calls = NewtonSystem.solve, []
+
+    def fail_first(self, g):
+        calls.append(1)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("forced")
+        return real_solve(self, g)
+
+    monkeypatch.setattr(NewtonSystem, "solve", fail_first)
+    z, info = concave_max(obj, blocks, anchor)
+    assert info.skipped_stages == 0 and info.stages == 5
+    assert info.converged and info.capped_stages == 0
+
+
+def test_unconstrained_solve_has_one_stage():
+    z, info = concave_max(quadratic(np.diag([1.0, 4.0]), [1.0, 2.0]), [], np.full(2, 3.0))
+    assert info.stages == 1 and info.skipped_stages == 0 and info.mu_final == 0.0
+    assert info.stage_steps == [info.newton_steps]
+    assert np.allclose(z, [1.0, 0.5], atol=1e-8)
+
+
 class LogSlots:
     """Rows log(1 + 3 x_i) + y_i - y_i^2 over slot-major (x_i, y_i)."""
 

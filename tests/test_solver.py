@@ -389,6 +389,45 @@ def test_failed_subproblem_solve_is_not_converged(monkeypatch, tmp_path, command
     assert summary["converged"] is False
 
 
+@pytest.mark.parametrize(
+    "command, stem, driver",
+    [("solve-minrate", "minrate", solver.solve_minrate),
+     ("solve-sumrate", "sumrate", solver.algorithm3_joint)],
+    ids=["minrate", "sumrate"],
+)
+def test_capped_barrier_stage_is_not_converged(monkeypatch, tmp_path, command, stem, driver):
+    """A barrier stage that runs into the Newton-step cap leaves a plan that
+    reads unconverged in the result and in the CLI summary, though no solve
+    failed and the outer gain test passed."""
+    monkeypatch.setattr(barrier, "MAX_NEWTON_PER_STAGE", 3)
+    res = driver(default_scenario(slots=6))
+    assert res.diagnostics["capped_stages"] > 0
+    assert res.diagnostics["failed_solves"] == 0
+    assert len(res.objective_history) < solver.MAX_OUTER
+    assert res.converged is False
+    scenario = str(Path(relayplan.__file__).parent / "data" / "default_paper.json")
+    assert main([command, scenario, "--slots", "6", "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / f"{stem}_summary.json").read_text())
+    assert summary["diagnostics"]["capped_stages"] > 0
+    assert summary["converged"] is False
+
+
+def test_warm_started_subproblems_skip_barrier_stages(minrate50, joint50):
+    """Each subproblem starts at the previous optimum, so the barrier's
+    centring mu skips early stages: the 50-slot min-rate plan takes fewer
+    than the 795 Newton steps of the cold ladder in the same 8 outer
+    iterations, and the sum-rate plan keeps the golden objective."""
+    assert sum(minrate50.newton_steps) < 795
+    assert minrate50.diagnostics["skipped_stages"] > 0
+    assert minrate50.diagnostics["capped_stages"] == 0
+    assert len(minrate50.objective_history) == 8
+    golden = np.genfromtxt(Path(__file__).parent / "data" / "sumrate_n50_golden.csv",
+                           delimiter=",", names=True)
+    want = float(np.sum(np.concatenate((golden["R1"], golden["R2"]))))
+    assert joint50.objective == pytest.approx(want, rel=1e-9, abs=0.0)
+    assert joint50.diagnostics["capped_stages"] == 0
+
+
 # ---- structure of the Newton steps ----
 
 
