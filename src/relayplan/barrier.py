@@ -17,13 +17,30 @@ H_b = sum_i (grad g_i grad g_i^T / g_i^2 - hess g_i / g_i) at z0,
 clamped to [scale / (n_c * MU_FACTOR^2), scale / n_c], so a start near
 the optimum (a warm start) skips at most two stages and one far from it
 runs the cold ladder; a failed H_b solve or a mu* that is not finite and
-positive also runs the cold ladder.  A stage ends when
-max |grad phi| <= KKT_TOL or when the Newton decrement grad . d is at
-rounding level, |grad . d| <= DECREMENT_REL * scale; only a slope below that
-band is a non-ascent failure.  The start must be strictly interior; the
-line search keeps every iterate interior and inside the objective's own
-domain (an objective row that is not finite rejects a trial point, which
-the search treats as -inf).
+positive also runs the cold ladder.
+
+Stage stop rules.  Any stage ends when max |grad phi| <= KKT_TOL or when the
+squared Newton decrement grad . d is at rounding level,
+|grad . d| <= DECREMENT_REL * scale.  Only the last stage sets the final
+gap, so a stage before it also ends once it is centred well enough for the
+next one to start from, 0 <= grad . d <= CENTRING_THETA * mu (grad . d / mu
+is the squared decrement of phi / mu, which is dimensionless; Boyd &
+Vandenberghe 11.3-11.5).  A stage that runs MAX_NEWTON_PER_STAGE steps
+unstopped is capped.  A slope grad . d below -DECREMENT_REL * scale is a
+direction that rounding turned (a near-singular Woodbury column, say), so
+one step of iterative refinement, d += solve(grad - (-H) d), is taken
+before it is reported as a non-ascent failure.  ``SolveInfo.stage_exits``
+names each stage's exit: kkt, decrement, centred, capped or failed.
+
+Line search.  The start must be strictly interior; the backtracking
+search halves alpha from 1 and keeps every iterate interior and inside the
+objective's own domain (an objective row that is not finite rejects a
+trial point, which the search treats as -inf).  A block may give the
+largest step that keeps its rows positive in closed form (``max_step``);
+a trial beyond the smallest such cap by more than a relative 1e-6 is
+certain to be rejected, so it is skipped without an evaluation and counts
+as a halving.  The iterates are the same with or without the caps
+(Nocedal & Wright, ch. 19, on the largest step to the boundary).
 
 Row protocol.  The objective is a list of row blocks whose rows sum to f,
 and every constraint block holds rows g_i.  A point evaluation runs the
@@ -42,6 +59,9 @@ point as one z array, which is never changed in place.  A block gives
                         grad (m, k), row i's gradient over cols[i]; with
                         order 2 hess (m, k, k) over the same positions, or
                         None for affine rows.  Dense rows give grad (m, n).
+    max_step(z, d, vals)  optional, constraint blocks only: the largest
+                        alpha with every row positive at z + alpha d, given
+                        the rows' values at z; inf when no row decreases.
 
 Newton system.  With w1 = 1, w2 = 0 for objective rows and w1 = mu/g,
 w2 = mu/g^2 for constraint rows, each step solves (-H) d = grad for
@@ -76,6 +96,7 @@ KKT_TOL = 1e-6
 GAP_REL = 1e-8  # final duality gap n_c * mu, relative to the objective scale
 MU_FACTOR = 100.0  # mu shrinks by this factor per stage
 DECREMENT_REL = 2e-13  # Newton decrement at rounding level, same scale
+CENTRING_THETA = 0.1  # a stage before the last ends once grad . d <= theta * mu
 MAX_NEWTON_PER_STAGE = 120
 RIDGE_TRIES = 12
 
@@ -103,6 +124,12 @@ class LinearBlock:
 
     def evaluate(self, z, order):
         return self.a @ z + self.b, (self.a if order else None), None
+
+    def max_step(self, z, d, vals):
+        """min -g_i / (a_i . d) over the rows that d decreases."""
+        ad = self.a @ d
+        down = ad < 0.0
+        return float(np.min(-vals[down] / ad[down])) if down.any() else np.inf
 
 
 class BoxBlock:
@@ -135,12 +162,18 @@ class SolveInfo:
     stages: int  # length of the mu ladder
     newton_steps: int
     stage_steps: list  # Newton steps per stage run, in ladder order
+    stage_exits: list  # why each stage run ended: kkt, decrement, centred, capped, failed
     skipped_stages: int  # cold-ladder stages the centring mu skipped
-    capped_stages: int  # stages that ran MAX_NEWTON_PER_STAGE steps unstopped
+    refined_directions: int  # Newton directions that took a refinement step
     kkt_residual: float
     mu_final: float
     line_search_failed: bool
     message: str = ""
+
+    @property
+    def capped_stages(self) -> int:
+        """Stages that ran MAX_NEWTON_PER_STAGE steps unstopped."""
+        return self.stage_exits.count("capped")
 
 
 # ---- structured Newton system ----
@@ -174,6 +207,17 @@ class NewtonSystem:
         self.border = border
         self.corner = corner
         self.lowrank = lowrank
+
+    def matvec(self, x):
+        """(-H) x."""
+        band, nb = self.band, self.band.shape[1]
+        xb, xk = x[:nb], x[nb:]
+        yb = band[0] * xb + self.border @ xk
+        for i in range(1, min(len(band), nb)):  # band[i, j] = A[j + i, j], mirrored above
+            yb[i:] += band[i, : nb - i] * xb[: nb - i]
+            yb[: nb - i] += band[i, : nb - i] * xb[i:]
+        y = np.concatenate([yb, self.border.T @ xb + self.corner @ xk])
+        return y + self.lowrank @ (self.lowrank.T @ x)
 
     def solve(self, g):
         """d with (-H) d = g.  When a factor is not positive definite, a
@@ -366,6 +410,14 @@ def _gradient(point, mu, scatter):
     return scatter.gradient(point.obj + point.rows, w1), w1
 
 
+def _max_step(blocks, point, z, d):
+    """The smallest closed-form step cap along d of the blocks that give
+    ``max_step``; inf when none does."""
+    caps = [blk.max_step(z, d, e[0]) for blk, e in zip(blocks, point.rows)
+            if hasattr(blk, "max_step")]
+    return min(caps, default=np.inf)
+
+
 def _ladder(mu, floor):
     """mu, mu / MU_FACTOR, ... down to ``floor``, the last one clamped up
     to it."""
@@ -429,65 +481,72 @@ def concave_max(
         mus = _ladder(min(top, max(mu0, scale / (n_c * MU_FACTOR**2))), floor)
         skipped = len(_ladder(top, floor)) - len(mus)
     flat = DECREMENT_REL * scale
-    stage_steps = []
-    capped = 0
-    ls_failed = False
+    stage_steps, exits, refined = [], [], 0
     message = ""
     for stage, mu in enumerate(mus):
-        stopped = False
+        last = stage == len(mus) - 1
+        exit_ = "capped"
         stage_steps.append(0)
         for _ in range(MAX_NEWTON_PER_STAGE):
             grad, w1 = _gradient(point, mu, scatter)
-            kkt = float(np.max(np.abs(grad)))
-            if kkt <= KKT_TOL:
-                stopped = True
+            if float(np.max(np.abs(grad))) <= KKT_TOL:
+                exit_ = "kkt"
                 break
             w2 = [None] * len(point.obj) + [mu / e[0] ** 2 for e in point.rows]
             try:
-                d = scatter.system(point.obj + point.rows, w1, w2).solve(grad)
+                system = scatter.system(point.obj + point.rows, w1, w2)
+                d = system.solve(grad)
+                slope = float(grad @ d)  # the squared Newton decrement
+                if slope < -flat:  # rounding turned the direction: refine it once
+                    refined += 1
+                    d = d + system.solve(grad - system.matvec(d))
+                    slope = float(grad @ d)
             except np.linalg.LinAlgError as exc:
-                ls_failed = True
-                message = f"stage {stage}: {exc}"
+                exit_, message = "failed", f"stage {stage}: {exc}"
                 break
-            slope = float(grad @ d)  # the squared Newton decrement
             if abs(slope) <= flat:
-                stopped = True
+                exit_ = "decrement"
                 break
-            if slope < 0:  # numerical loss of ascent direction
-                ls_failed = True
-                message = f"stage {stage}: non-ascent Newton direction"
+            if slope < 0:
+                exit_, message = "failed", f"stage {stage}: non-ascent Newton direction"
+                break
+            if not last and slope <= CENTRING_THETA * mu:
+                exit_ = "centred"
                 break
             phi = point.f_sum + mu * point.log_sum
+            limit = _max_step(blocks, point, z, d) * (1 + 1e-6)
             alpha = 1.0
             accepted = False
             for _ in range(MAX_HALVINGS):
-                trial = _evaluate_point(objective, blocks, z + alpha * d)
-                if trial is not None and (
-                    trial.f_sum + mu * trial.log_sum >= phi + ARMIJO_C1 * alpha * slope
-                ):
-                    z, point = z + alpha * d, trial
-                    accepted = True
-                    break
+                if alpha <= limit:  # a longer trial leaves a capped block's rows
+                    trial = _evaluate_point(objective, blocks, z + alpha * d)
+                    if trial is not None and (
+                        trial.f_sum + mu * trial.log_sum >= phi + ARMIJO_C1 * alpha * slope
+                    ):
+                        z, point = z + alpha * d, trial
+                        accepted = True
+                        break
                 alpha *= 0.5
             stage_steps[-1] += 1
             if not accepted:
-                ls_failed = True
+                exit_ = "failed"
                 message = f"stage {stage}: line search exhausted {MAX_HALVINGS} halvings"
                 break
-        if ls_failed:
+        exits.append(exit_)
+        if exit_ == "failed":
             break
-        capped += not stopped
     kkt = float(np.max(np.abs(_gradient(point, mus[-1], scatter)[0])))
     info = SolveInfo(
-        converged=stopped,
+        converged=exits[-1] in ("kkt", "decrement"),
         stages=len(mus),
         newton_steps=sum(stage_steps),
         stage_steps=stage_steps,
+        stage_exits=exits,
         skipped_stages=skipped,
-        capped_stages=capped,
+        refined_directions=refined,
         kkt_residual=kkt,
         mu_final=mus[-1],
-        line_search_failed=ls_failed,
+        line_search_failed=exits[-1] == "failed",
         message=message,
     )
     return z, info

@@ -324,12 +324,16 @@ class VelocityChainBlock:
         side = np.hstack([self.left, self.left, self.right, self.right])
         self.hess = LENGTH_SCALE**2 * self._PAIR * side[:, :, None] * side[:, None, :]
 
-    def evaluate(self, z, order):
+    def _gaps(self, z, start, end):
         q = LENGTH_SCALE * z[self.slots]
         gap = np.empty((self.count, 2))
-        gap[0] = q[0] - self.start
+        gap[0] = q[0] - start
         np.subtract(q[1:], q[:-1], out=gap[1:-1])
-        gap[-1] = self.end - q[-1]
+        gap[-1] = end - q[-1]
+        return gap
+
+    def evaluate(self, z, order):
+        gap = self._gaps(z, self.start, self.end)
         dx, dy = gap.T
         vals = self.r2 - dx * dx - dy * dy
         if order == 0:
@@ -339,6 +343,19 @@ class VelocityChainBlock:
         grad[:, :2] = self.left * g
         grad[:, 2:] = -self.right * g
         return vals, grad, (self.hess if order == 2 else None)
+
+    def max_step(self, z, d, vals):
+        """The smallest positive root of c - b alpha - a alpha^2 over the
+        rows, with a = |dgap|^2, b = 2 gap . dgap and c the row's value;
+        2c / (b + sqrt(b^2 + 4ac)) when b >= 0, and the cancellation-free
+        (sqrt(b^2 + 4ac) - b) / 2a otherwise."""
+        gap, dgap = self._gaps(z, self.start, self.end), self._gaps(d, 0.0, 0.0)
+        a = np.einsum("ij,ij->i", dgap, dgap)
+        b = 2.0 * np.einsum("ij,ij->i", gap, dgap)
+        root = np.sqrt(b * b + 4.0 * a * vals)
+        with np.errstate(divide="ignore"):  # a row that d leaves alone has no root
+            steps = np.where(b >= 0.0, 2.0 * vals / (b + root), (root - b) / (2.0 * a))
+        return float(steps.min())
 
 
 class PairDiffBlock:
@@ -423,8 +440,9 @@ def _subproblem(sc, terms, slots, width, z0, blocks, objective: str, step: str, 
     vehicle's target rows are kept at the slots whose bound clears the
     target at the start; the others are dropped and recorded under
     ``step``.  For "min" an epigraph scalar is appended to z and every row
-    must stay above it.  Capped barrier stages, failed solves and the mu
-    stages that a warm start skipped are counted in ``diag``.  Returns
+    must stay above it.  Capped barrier stages, failed solves, the mu
+    stages that a warm start skipped, each stage's exit reason and the
+    refined Newton directions are counted in ``diag``.  Returns
     (z, bound, info), bound being the subproblem's optimum.
     """
     row_slots = np.concatenate([slots, slots])
@@ -453,6 +471,10 @@ def _subproblem(sc, terms, slots, width, z0, blocks, objective: str, step: str, 
     diag["capped_stages"] = diag.get("capped_stages", 0) + info.capped_stages
     diag["failed_solves"] = diag.get("failed_solves", 0) + int(info.line_search_failed)
     diag["skipped_stages"] = diag.get("skipped_stages", 0) + info.skipped_stages
+    exits = diag.setdefault("stage_exits", {})
+    for reason in info.stage_exits:
+        exits[reason] = exits.get(reason, 0) + 1
+    diag["refined_directions"] = diag.get("refined_directions", 0) + info.refined_directions
     bound = float(z[-1]) if objective == "min" else float(rows.evaluate(z, 0)[0].sum())
     return z, bound, info
 
@@ -495,8 +517,10 @@ def _traj_step(sc, powers, modes, start_traj, objective: str, diag: Dict):
         VelocityChainBlock(slots, sc.uav_start, sc.uav_end, sc.step_radius),
     ]
 
+    # the previous optimum sits on its reach circles; blend it towards the
+    # straight line (the set is convex) for a strictly interior start
     traj = _clamp_into_box(sc, start_traj)
-    z0 = traj.ravel() / LENGTH_SCALE
+    z0 = (traj + BACKOFF * (initial_trajectory(sc) - traj)).ravel() / LENGTH_SCALE
     terms = _traj_terms(sc, channel_state(start_traj, sc), modes, powers)
     z, bound, info = _subproblem(
         sc, terms, slots, 3, z0, blocks, objective, "trajectory", diag

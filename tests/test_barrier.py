@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relayplan import barrier
 from relayplan.barrier import BoxBlock, LinearBlock, NewtonSystem, Scatter, concave_max
@@ -365,6 +367,98 @@ def test_box_rejection_skips_the_objective():
     assert seen and all(np.all(np.abs(p) < 1.0) for p in seen)
 
 
+# ---- stage exits, step caps and refinement ----
+
+
+def test_intermediate_stages_end_centred(monkeypatch):
+    """Every stage before the last ends once grad . d <= CENTRING_THETA * mu;
+    the last one still runs to a rounding-level decrement, so the solve
+    lands on the same gap as one that centres every stage fully."""
+    n = 30
+    obj = [LogSlots(n)]
+    blocks = [BoxBlock(np.arange(2 * n), 0.0, 1.0),
+              LinearBlock(-np.ones((1, 2 * n)), np.array([1.2 * n]), "budget")]
+    z0 = np.full(2 * n, 0.5)
+    z, info = concave_max(obj, blocks, z0)
+    monkeypatch.setattr(barrier, "CENTRING_THETA", 0.0)
+    z_full, full = concave_max(obj, blocks, z0)
+    assert info.stage_exits == ["centred"] * (info.stages - 1) + ["decrement"]
+    assert "centred" not in full.stage_exits and len(full.stage_exits) == full.stages
+    assert info.mu_final == full.mu_final
+    assert info.converged and full.converged
+    assert info.newton_steps < full.newton_steps
+    scale = max(1.0, abs(obj[0].evaluate(z0, 0)[0].sum()))
+    f, f_full = (obj[0].evaluate(x, 0)[0].sum() for x in (z, z_full))
+    assert abs(f - f_full) <= barrier.GAP_REL * scale
+
+
+def test_turned_direction_is_refined_not_failed(monkeypatch):
+    """A Newton direction whose slope lies below the rounding band takes one
+    refinement step, d += solve(grad - (-H) d), before it counts as a
+    non-ascent failure.  The first direction is negated here: its residual is
+    2 grad, so the refinement restores it and the solve ends as it would
+    have.  Negating every solve leaves the refined direction turned too."""
+    obj, blocks, _ = _warm_problem()
+    z_ref, ref = concave_max(obj, blocks, np.zeros(3))
+    real_solve, calls = NewtonSystem.solve, []
+
+    def turn(self, g, every=False):
+        calls.append(1)  # call 1 is the centring mu's solve
+        d = real_solve(self, g)
+        return -d if every or len(calls) == 2 else d
+
+    monkeypatch.setattr(NewtonSystem, "solve", turn)
+    z, info = concave_max(obj, blocks, np.zeros(3))
+    assert info.refined_directions == 1 and ref.refined_directions == 0
+    assert info.converged and info.stage_exits == ref.stage_exits
+    assert np.allclose(z, z_ref, rtol=0.0, atol=1e-9)
+    monkeypatch.setattr(NewtonSystem, "solve", lambda self, g: turn(self, g, every=True))
+    z, info = concave_max(obj, blocks, np.zeros(3))
+    assert info.refined_directions == 1 and info.stage_exits == ["failed"]
+    assert info.line_search_failed and not info.converged
+    assert "non-ascent" in info.message
+
+
+def _chain_problem(seed, n, reach, d_scale):
+    """A reach-circle chain over n slots with z strictly inside every
+    circle (the radius is ``reach`` times the longest gap) and a direction."""
+    rng = np.random.default_rng(seed)
+    start, end = rng.uniform(-100.0, 100.0, (2, 2))
+    q = rng.uniform(-100.0, 100.0, (n, 2))
+    path = np.vstack([start, q, end])
+    radius = reach * np.max(np.hypot(*np.diff(path, axis=0).T))
+    chain = VelocityChainBlock(np.arange(2 * n).reshape(n, 2), start, end, radius)
+    return chain, q.ravel() / 100.0, d_scale * rng.normal(size=2 * n)
+
+
+def _linear_problem(seed, n, d_scale):
+    """Affine rows a z + b with z strictly inside each and a direction."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n + 1, n))
+    z = rng.normal(size=n)
+    blk = LinearBlock(a, -a @ z + rng.uniform(0.1, 10.0, n + 1))
+    return blk, z, d_scale * rng.normal(size=n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+       reach=st.floats(1.05, 3.0), d_scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       kind=st.sampled_from(["chain", "linear"]))
+def test_max_step_is_the_largest_step_that_keeps_every_row_positive(seed, n, reach, d_scale, kind):
+    blk, z, d = (_chain_problem(seed, n, reach, d_scale) if kind == "chain"
+                 else _linear_problem(seed, n, d_scale))
+    vals = blk.evaluate(z, 0)[0]
+    assert np.all(vals > 0.0)
+    cap = blk.max_step(z, d, vals)
+    assert cap > 0.0
+    if kind == "linear" and np.all(blk.a @ d >= 0.0):
+        assert cap == np.inf
+        return
+    assert np.isfinite(cap)  # a circle's rows all turn once the step is long enough
+    assert np.all(blk.evaluate(z + (1 - 1e-9) * cap * d, 0)[0] > 0.0)
+    assert np.min(blk.evaluate(z + (1 + 1e-6) * cap * d, 0)[0]) <= 0.0
+
+
 # ---- the structured Newton solve ----
 
 
@@ -407,6 +501,16 @@ def test_structured_solve_matches_dense(bw, nk, r, dense_system):
         want = np.linalg.solve(dense_system(system), g)
         got = system.solve(g)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("bw, nk, r", [(2, 0, 0), (3, 1, 2), (2, 2, 1)])
+def test_matvec_matches_dense(bw, nk, r, dense_system):
+    rng = np.random.default_rng([bw, nk, r, 5])
+    for nb in (bw, bw + 1, 30):
+        system = random_system(rng, nb, bw, nk, r)
+        x = rng.normal(size=nb + nk)
+        want = dense_system(system) @ x
+        assert np.max(np.abs(system.matvec(x) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("nk, r", [(0, 0), (1, 2)])

@@ -57,8 +57,13 @@ def test_solve_summaries_carry_solver_health(tmp_path):
     for command, stem in (("solve-sumrate", "sumrate"), ("solve-minrate", "minrate")):
         assert main([command, DEFAULT, "--slots", "6", "--out-dir", str(tmp_path)]) == 0
         diagnostics = json.loads((tmp_path / f"{stem}_summary.json").read_text())["diagnostics"]
-        for key in ("capped_stages", "failed_solves"):
+        for key in ("capped_stages", "failed_solves", "refined_directions"):
             assert type(diagnostics[key]) is int, (stem, key)
+        # one exit reason per barrier stage run, summed over the plan's solves
+        exits = diagnostics["stage_exits"]
+        assert set(exits) <= {"kkt", "decrement", "centred", "capped", "failed"}, stem
+        assert exits.get("capped", 0) == diagnostics["capped_stages"], stem
+        assert exits.get("decrement", 0) + exits.get("kkt", 0) > 0, stem
 
 
 @pytest.mark.parametrize(

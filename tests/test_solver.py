@@ -414,10 +414,13 @@ def test_capped_barrier_stage_is_not_converged(monkeypatch, tmp_path, command, s
 
 def test_warm_started_subproblems_skip_barrier_stages(minrate50, joint50):
     """Each subproblem starts at the previous optimum, so the barrier's
-    centring mu skips early stages: the 50-slot min-rate plan takes fewer
-    than the 795 Newton steps of the cold ladder in the same 8 outer
-    iterations, and the sum-rate plan keeps the golden objective."""
-    assert sum(minrate50.newton_steps) < 795
+    centring mu skips early stages, and the stages before the last centre
+    only approximately: the 50-slot min-rate plan takes fewer than 400
+    Newton steps (795 on the cold ladder with every stage fully centred) in
+    the same 8 outer iterations, and the sum-rate plan keeps the golden
+    objective."""
+    assert sum(minrate50.newton_steps) < 400
+    assert minrate50.diagnostics["stage_exits"]["centred"] > 0
     assert minrate50.diagnostics["skipped_stages"] > 0
     assert minrate50.diagnostics["capped_stages"] == 0
     assert len(minrate50.objective_history) == 8
@@ -426,6 +429,101 @@ def test_warm_started_subproblems_skip_barrier_stages(minrate50, joint50):
     want = float(np.sum(np.concatenate((golden["R1"], golden["R2"]))))
     assert joint50.objective == pytest.approx(want, rel=1e-9, abs=0.0)
     assert joint50.diagnostics["capped_stages"] == 0
+
+
+@pytest.mark.parametrize("driver", [solver.solve_minrate, solver.algorithm3_joint],
+                         ids=["minrate", "sumrate"])
+def test_step_caps_skip_only_trials_that_fail(monkeypatch, driver):
+    """The closed-form step caps of the energy budgets and reach circles skip
+    only line-search trials that those rows would reject: without them every
+    subproblem solve gives the same iterate and SolveInfo bit for bit, after
+    more point evaluations."""
+
+    def run():
+        solves, evals = [], [0]
+        real_solve, real_eval = solver.concave_max, barrier._evaluate_point
+
+        def spy(*args, **kwargs):
+            solves.append(real_solve(*args, **kwargs))
+            return solves[-1]
+
+        def counted(*args):
+            evals[0] += 1
+            return real_eval(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "concave_max", spy)
+            mp.setattr(barrier, "_evaluate_point", counted)
+            driver(SC8)
+        return solves, evals[0]
+
+    capped, capped_evals = run()
+    for cls in (barrier.LinearBlock, solver.VelocityChainBlock):
+        monkeypatch.setattr(cls, "max_step", lambda self, z, d, vals: np.inf)
+    free, free_evals = run()
+    assert len(capped) == len(free) > 0
+    for (z, info), (z_free, info_free) in zip(capped, free):
+        assert np.array_equal(z, z_free)
+        assert info == info_free
+    assert capped_evals < free_evals
+
+
+def test_warm_trajectory_solves_start_off_their_reach_circles(monkeypatch):
+    """A trajectory solve starts at the previous optimum blended BACKOFF of
+    the way towards the straight line, off the reach circles that optimum
+    is tight on, so on the 150-slot mission each warm-started solve's first
+    mu stage takes a few Newton steps (23-25 when it started on them)."""
+    first_stage = []
+    real = solver.concave_max
+
+    def spy(objective, blocks, z0, **kwargs):
+        z, info = real(objective, blocks, z0, **kwargs)
+        if any(blk.label == "velocity" for blk in blocks):
+            first_stage.append(info.stage_steps[0])
+        return z, info
+
+    monkeypatch.setattr(solver, "concave_max", spy)
+    res = solver.solve_minrate(default_scenario(slots=150))
+    assert res.converged
+    assert len(first_stage) == len(res.objective_history) > 1
+    assert max(first_stage[1:]) <= 12
+
+
+# Two hover geometries (29 and 38 slots) whose min-rate power solves reach
+# their last mu stage with an energy-budget row of slack about mu: its
+# Woodbury column is huge, and rounding can turn the Newton direction (a
+# slope of -9.5e-12 against a rounding band of 3.1e-13 was seen on the
+# first).  The second takes a refinement step in today's solves.
+ROUNDING_GEOMETRIES = {
+    "hover29": {
+        "slot_count": 29, "mode_threshold_bpshz": 0.3,
+        "uav_start_m": [195.99892363333078, 392.2701689472914],
+        "uav_end_m": [195.99892363333078, 392.2701689472914],
+        "vehicle_initial_m": [[768.0337634316779, 61.240574149257895],
+                              [767.6176933294704, -49.137328382428635]],
+        "vehicle_velocity_mps": [[0.0, 15.946848704882786], [0.0, 16.59275006609063]],
+    },
+    "hover38": {
+        "slot_count": 38, "mode_threshold_bpshz": 0.0,
+        "uav_start_m": [274.40341887098725, 299.6112109834496],
+        "uav_end_m": [274.40341887098725, 299.6112109834496],
+        "vehicle_initial_m": [[703.3156388249994, 109.34435177559061],
+                              [702.0793621481819, -26.867446715172207]],
+        "vehicle_velocity_mps": [[0.0, 18.92240109966643], [0.0, 16.137169384025874]],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUNDING_GEOMETRIES))
+def test_rounding_level_negative_decrement_is_refined_not_failed(name):
+    path = Path(relayplan.__file__).parent / "data" / "default_paper.json"
+    raw = dict(json.loads(path.read_text()), **ROUNDING_GEOMETRIES[name])
+    res = solver.solve_minrate(scenario_from_dict(raw))
+    assert res.converged
+    assert res.diagnostics["failed_solves"] == 0
+    assert res.diagnostics["capped_stages"] == 0
+    if name == "hover38":
+        assert res.diagnostics["refined_directions"] >= 1
 
 
 # ---- structure of the Newton steps ----
@@ -578,10 +676,11 @@ def local_calls_per_point(monkeypatch, driver):
 
 def test_minrate_evaluation_makes_one_local_call(monkeypatch):
     """A min-rate point evaluation computes the rate rows with one ``local``
-    call over both vehicles, and none when a cheaper row rejects the point."""
+    call over both vehicles.  (The step caps keep SC8's line searches off
+    trials that a cheap row would reject, so every evaluation may make one.)"""
     per_eval, per_accepted, _ = local_calls_per_point(monkeypatch, solver.solve_minrate)
     assert per_accepted == {1}
-    assert per_eval == {0, 1}
+    assert per_eval <= {0, 1}
 
 
 def test_sumrate_evaluation_makes_one_local_call(monkeypatch):
@@ -590,7 +689,31 @@ def test_sumrate_evaluation_makes_one_local_call(monkeypatch):
     per_eval, per_accepted, kept = local_calls_per_point(monkeypatch, solver.algorithm3_joint)
     assert kept
     assert per_accepted == {1}
-    assert per_eval == {0, 1}
+    assert per_eval <= {0, 1}
+
+
+def test_cheap_row_rejection_makes_no_local_call(monkeypatch):
+    """A point outside a reach circle is rejected by the velocity rows, listed
+    before the rate rows, without a ``local`` call."""
+    calls, real = [], sca.TrajectoryBound.local
+
+    def local(self, v, order):
+        calls.append(1)
+        return real(self, v, order)
+
+    monkeypatch.setattr(sca.TrajectoryBound, "local", local)
+    n = SC8.slot_count
+    traj = initial_trajectory(SC8)
+    slots = np.arange(2 * n).reshape(n, 2)
+    modes = np.full(n, 3)
+    terms = solver._traj_terms(SC8, channel_state(traj, SC8), modes, equal_split(SC8))
+    chain = solver.VelocityChainBlock(slots, SC8.uav_start, SC8.uav_end, SC8.step_radius)
+    rows = solver.SlotRowBlock(terms, np.concatenate([slots, slots]), 0.0)
+    z = traj.ravel() / solver.LENGTH_SCALE
+    assert barrier._evaluate_point([rows], [chain], z) is not None and calls == [1]
+    z[2 * 3] += 2.0 * SC8.step_radius / solver.LENGTH_SCALE  # slot 3 jumps out of reach
+    assert barrier._evaluate_point([rows], [chain], z) is None
+    assert calls == [1]
 
 
 def test_row_blocks_match_their_formulas_bit_for_bit():
