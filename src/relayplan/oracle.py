@@ -15,7 +15,7 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from relayplan.modes import MODE_OF_STATE, policy_states
-from relayplan.rates import high_snr_rates, rate_mode1, rate_mode2, rate_mode3, rates_for_mode
+from relayplan.rates import high_snr_rates, oma_rate, rates_for_mode
 from relayplan.scenario import Scenario, channel_gain, vehicle_paths
 
 
@@ -33,7 +33,7 @@ def _oma_rates(h_r, h_k, own, inv, s2):
     that the triples use is evaluated once."""
     used, back = np.unique(inv, return_inverse=True)
     p_k, pr = own[used, 0], own[used, 1]
-    return rate_mode3(h_r[:, None, None], h_k[:, None, :], p_k[:, None], pr[:, None], 0.5 * s2)[:, back]
+    return oma_rate(h_r[:, None, None], h_k[:, None, :], p_k[:, None], pr[:, None], s2)[:, back]
 
 
 def _weakest_link_ok(modes, h_r, h_1, h_2, p1, p2, pr, oma, s2, t1, t2):
@@ -54,7 +54,7 @@ def _weakest_link_ok(modes, h_r, h_1, h_2, p1, p2, pr, oma, s2, t1, t2):
             # test each distinct (p_k, pr) once, then gather per triple
             (own1, inv1), (own2, inv2) = oma
             r1, r2 = (
-                rate_mode3(h_r[ci, None], w, own[:, 0], own[:, 1], 0.5 * s2) for w, own in ((w1, own1), (w2, own2))
+                oma_rate(h_r[ci, None], w, own[:, 0], own[:, 1], s2) for w, own in ((w1, own1), (w2, own2))
             )
             ok[ci] &= (r1 >= t1 - 1e-9)[:, inv1] & (r2 >= t2 - 1e-9)[:, inv2]
         else:
@@ -97,13 +97,13 @@ def _grid_search(sc, xs, ys, p1_tri, p2_tri, pr_tri, objective, chunk_cells):
             # within a relative 1e-12 of the chunk's best such value can hold
             # its maximum; they alone are scored exactly, per slot.
             near = np.minimum(*(
-                rate_mode3(h_r[:, None], h_k.min(axis=1)[:, None], own[:, 0], own[:, 1], 0.5 * s2)[:, inv]
+                oma_rate(h_r[:, None], h_k.min(axis=1)[:, None], own[:, 0], own[:, 1], s2)[:, inv]
                 for h_k, own, inv in ((h_1, own1, inv1), (h_2, own2, inv2))
             ))
             cells = (near >= (1.0 - 1e-12) * near.max()).any(axis=1)
             idx, h_r, h_1, h_2 = idx[cells], h_r[cells], h_1[cells], h_2[cells]
             o1, o2 = (
-                rate_mode3(h_r[:, None, None], h_k[:, None, :], own[None, :, :1], own[None, :, 1:], 0.5 * s2)
+                oma_rate(h_r[:, None, None], h_k[:, None, :], own[None, :, :1], own[None, :, 1:], s2)
                 for h_k, own in ((h_1, own1), (h_2, own2))
             )
             score = np.minimum(o1.min(axis=2)[:, inv1], o2.min(axis=2)[:, inv2])
@@ -121,10 +121,10 @@ def _grid_search(sc, xs, ys, p1_tri, p2_tri, pr_tri, objective, chunk_cells):
             r1, r2 = (
                 _oma_rates(h_r, h_k, own, inv[tri], s2) for h_k, own, inv in ((h_1, own1, inv1), (h_2, own2, inv2))
             )
-            for mode, rate_fn in ((1, rate_mode1), (2, rate_mode2)):
+            for mode in (1, 2):
                 ci, si = np.nonzero(modes == mode)
-                r1[ci, :, si], r2[ci, :, si] = rate_fn(
-                    h_r[ci, None], h_1[ci, si, None], h_2[ci, si, None], p1_tri[tri], p2_tri[tri], pr_tri[tri], s2
+                r1[ci, :, si], r2[ci, :, si] = rates_for_mode(
+                    mode, h_r[ci, None], h_1[ci, si, None], h_2[ci, si, None], p1_tri[tri], p2_tri[tri], pr_tri[tri], s2
                 )
             score = (r1 + r2).sum(axis=2)
             if targets:
@@ -337,12 +337,11 @@ def highsnr_proposition_suite(
             case = 3
         for p_dbm in powers_dbm:
             p_w = dbm_to_watt(float(p_dbm))
-            r_near, r_far = rate_mode1(
-                h_r, h_near, h_far, share_near * p_w, share_far * p_w, p_w, noise_power
+            r_near, r_far = rates_for_mode(
+                1, h_r, h_near, h_far, share_near * p_w, share_far * p_w, p_w, noise_power
             )
-            so2 = 0.5 * noise_power
-            o_near = rate_mode3(h_r, h_near, 0.5 * p_w, p_w, so2)
-            o_far = rate_mode3(h_r, h_far, 0.5 * p_w, p_w, so2)
+            o_near = oma_rate(h_r, h_near, 0.5 * p_w, p_w, noise_power)
+            o_far = oma_rate(h_r, h_far, 0.5 * p_w, p_w, noise_power)
             rho = p_w / noise_power
             hr_i, hn_i, hf_i = rho * h_r, rho * h_near, rho * h_far
             exact = {

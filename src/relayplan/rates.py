@@ -1,9 +1,19 @@
-"""Exact per-slot SINR and rate formulas for the three operating modes.
+"""Exact per-slot rates of the three operating modes, read from one SINR table.
 
 Modes 1 and 2 are NOMA with SIC at vehicle 1 or vehicle 2 respectively; mode 3
 is OMA (FDMA with the band split evenly, per-subband noise sigma_O^2 = sigma^2/2
-and half the relay power per vehicle).  All functions accept scalars or numpy
-arrays and broadcast.  Rates use log1p so near-zero SINRs keep precision.
+and half the relay power per vehicle).  Over normalised gains, g = h/sigma^2 in
+modes 1 and 2 and g = h/sigma_O^2 in OMA, vehicle k's rate is
+c_m log2(1 + S/D) with S = (pr g_k)(g_r p_k), j being the other vehicle:
+
+    row                    c_m   D
+    OMA                    1/2   2 + 2 g_r p_k + g_k pr
+    SIC vehicle (mode k)   1     1 + g_k pr + g_r (p_k + p_j)
+    interfered vehicle     1     1 + g_k pr + g_r (p_k + p_j) + (pr g_k)(g_r p_j)
+
+The table's products stay normal floats at tiny powers.  Callers pass raw
+gains and the full-band sigma^2; only ``normalized_gains`` divides by the
+noise.  All functions broadcast over numpy arrays.
 """
 
 from typing import Tuple
@@ -24,45 +34,48 @@ def _check_powers(*powers):
             raise ValueError("powers must be nonnegative")
 
 
-def rate_mode1(h_r, h_1, h_2, p1, p2, pr, sigma2) -> Tuple[np.ndarray, np.ndarray]:
-    """Rates (R1, R2) with SIC at vehicle 1.
+def normalized_gains(modes, sigma2, *gains):
+    """Each raw gain over its slot's noise power under the per-slot ``modes``."""
+    scale = np.where(np.asarray(modes) == 3, 2.0, 1.0) / sigma2
+    return tuple(scale * h for h in gains)
 
-    Vehicle 1 decodes free of interference; vehicle 2's SINR carries p1 as
-    interference.  Mode-1 semantics assume h_1 > h_2 but that is the mode
-    policy's concern, not enforced here.
-    """
+
+def _row(mode, k, g_r, g_k, p_k, p_j, pr):
+    """(c_m, S, D) of vehicle k in ``mode``, over normalised gains."""
+    relayed = pr * g_k
+    sent = g_r * p_k
+    if mode == 3:
+        return 0.5, relayed * sent, 2.0 + 2.0 * sent + relayed
+    floor = 1.0 + relayed + g_r * (p_k + p_j)
+    if mode != k:  # the interfered vehicle also hears the other message
+        floor = floor + relayed * (g_r * p_j)
+    return 1.0, relayed * sent, floor
+
+
+def _rate(cm, signal, floor):
+    return cm * _log2p1(signal / floor)
+
+
+def sinr_table(mode, h_r, h_1, h_2, p1, p2, pr, sigma2):
+    """The rows (c_m, S, D) of vehicles 1 and 2 in one mode."""
+    if mode not in (1, 2, 3):
+        raise ValueError(f"invalid mode {mode}")
     _check_powers(p1, p2, pr)
-    s = p1 + p2
-    noise1 = pr * h_1 * sigma2 + s * h_r * sigma2 + sigma2**2
-    sinr1 = pr * h_1 * h_r * p1 / noise1
-    noise2 = pr * h_2 * sigma2 + s * h_r * sigma2 + sigma2**2
-    sinr2 = pr * h_2 * h_r * p2 / (pr * h_2 * h_r * p1 + noise2)
-    return _log2p1(sinr1), _log2p1(sinr2)
+    g_r, g_1, g_2 = normalized_gains(mode, sigma2, h_r, h_1, h_2)
+    return _row(mode, 1, g_r, g_1, p1, p2, pr), _row(mode, 2, g_r, g_2, p2, p1, pr)
 
 
-def rate_mode2(h_r, h_1, h_2, p1, p2, pr, sigma2) -> Tuple[np.ndarray, np.ndarray]:
-    """Rates (R1, R2) with SIC at vehicle 2 (mirror image of mode 1)."""
-    r2, r1 = rate_mode1(h_r, h_2, h_1, p2, p1, pr, sigma2)
-    return r1, r2
-
-
-def rate_mode3(h_r, h_k, p_k, pr, sigma_o2):
-    """Per-vehicle OMA rate with per-subband noise power sigma_o2."""
+def oma_rate(h_r, h_k, p_k, pr, sigma2):
+    """One vehicle's OMA rate; it reads only that vehicle's gain and power."""
     _check_powers(p_k, pr)
-    den = pr * h_k * sigma_o2 + 2 * p_k * h_r * sigma_o2 + 2 * sigma_o2**2
-    return 0.5 * _log2p1(pr * h_k * h_r * p_k / den)
+    g_r, g_k = normalized_gains(3, sigma2, h_r, h_k)
+    return _rate(*_row(3, 1, g_r, g_k, p_k, 0.0, pr))
 
 
 def rates_for_mode(mode, h_r, h_1, h_2, p1, p2, pr, sigma2) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized (R1, R2) for a single mode; sigma2 is the full noise power."""
-    if mode == 1:
-        return rate_mode1(h_r, h_1, h_2, p1, p2, pr, sigma2)
-    if mode == 2:
-        return rate_mode2(h_r, h_1, h_2, p1, p2, pr, sigma2)
-    if mode == 3:
-        so2 = 0.5 * sigma2
-        return rate_mode3(h_r, h_1, p1, pr, so2), rate_mode3(h_r, h_2, p2, pr, so2)
-    raise ValueError(f"invalid mode {mode}")
+    row1, row2 = sinr_table(mode, h_r, h_1, h_2, p1, p2, pr, sigma2)
+    return _rate(*row1), _rate(*row2)
 
 
 def exact_rates(modes: np.ndarray, h_r, h_1, h_2, p1, p2, pr, sigma2) -> Tuple[np.ndarray, np.ndarray]:
@@ -74,8 +87,7 @@ def exact_rates(modes: np.ndarray, h_r, h_1, h_2, p1, p2, pr, sigma2) -> Tuple[n
     for m in (1, 2, 3):
         sel = modes == m
         if np.any(sel):
-            a, b = rates_for_mode(m, h_r[sel], h_1[sel], h_2[sel], p1[sel], p2[sel], pr[sel], sigma2)
-            r1[sel], r2[sel] = a, b
+            r1[sel], r2[sel] = rates_for_mode(m, h_r[sel], h_1[sel], h_2[sel], p1[sel], p2[sel], pr[sel], sigma2)
     return r1, r2
 
 

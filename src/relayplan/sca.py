@@ -11,8 +11,8 @@ Two families of bounds, one per subproblem:
   (the DC split); linearizing the subtracted term at the previous power
   allocation leaves a concave global lower bound of the DC rate.
 
-Power-side gains must be pre-normalized: g = h/sigma^2 for NOMA modes and
-g = 2h/sigma^2 for OMA, which makes the "+1"/"+2" constants in the log
+Power-side gains are the SINR table's, ``rates.normalized_gains`` (g = h/sigma^2,
+or 2h/sigma^2 in OMA), which makes the "+1"/"+2" constants in the log
 arguments exact.  ``_dc_split`` writes each (mode, vehicle) split once, its
 concave log argument a product of positive affine factors by construction.
 

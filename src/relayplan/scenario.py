@@ -114,11 +114,6 @@ class Scenario:
     # ---- derived quantities ----
 
     @property
-    def oma_noise_power(self) -> float:
-        """Per-subband noise power sigma_O^2 = sigma^2 / 2."""
-        return 0.5 * self.noise_power
-
-    @property
     def bs_energy(self) -> float:
         """Total BS power budget over the horizon, E_s = N * Pbar_s."""
         return self.slot_count * self.avg_bs_power

@@ -124,65 +124,39 @@ def _rebalance_for_targets(sc, cs, modes, powers: PowerAllocation,
                            tol=FEAS_TOL) -> PowerAllocation:
     """Per-slot BS split repair so exact rates meet the targets under `modes`.
 
-    At fixed s = p1 + p2 and pr, R1 is increasing and R2 decreasing in p1 in
-    every mode, so each target pins one end of a p1 interval; we bisect to the
-    ends and sit at the midpoint.  Decoding order caps the interval at s/2
-    from the matching side.  An empty interval at any slot means no split of
-    this slot's budget satisfies both targets and is reported as infeasible.
+    At fixed s = p1 + p2 and pr, vehicle k meets its target t_k exactly where
+    f_k = S_k - (2^(t_k/c_m) - 1) D_k >= 0 (``rates.sinr_table``), and f_k is
+    affine in p1, so its values at the ends of the decoding-order interval
+    ([0, s/2] in mode 1, [s/2, s] in mode 2, [0, s] in OMA) give the part
+    where the target holds.  The split sits at the midpoint of the two parts'
+    intersection; an empty one means no split of the slot's budget meets both
+    targets, and is reported as infeasible.
     """
-    t1, t2 = float(sc.rate_targets[0]), float(sc.rate_targets[1])
-    bad = _target_violations(sc, *_exact_rate_arrays(sc, cs, modes, powers), tol=tol)
-    if not bad:
+    bad = np.array(_target_violations(sc, *_exact_rate_arrays(sc, cs, modes, powers), tol=tol), dtype=int)
+    if not bad.size:
         return powers
-    p1 = powers.p1.copy()
-    p2 = powers.p2.copy()
+    p1, p2 = powers.p1.copy(), powers.p2.copy()
     stuck = []
-    for n in bad:
-        h = (cs.h_r[n], cs.h_1[n], cs.h_2[n])
+    for mode in np.unique(modes[bad]):
+        n = bad[modes[bad] == mode]
         s = p1[n] + p2[n]
-        pr = powers.pr[n]
-        mode = int(modes[n])
-        lo, hi = 0.0, s
-        if mode == 1:
-            hi = 0.5 * s
-        elif mode == 2:
-            lo = 0.5 * s
-
-        def rate_pair(share):
-            return rates.rates_for_mode(mode, *h, share, s - share, pr, sc.noise_power)
-
-        def cut(target, idx, want_low):
-            # smallest (want_low) or largest p1 with rate idx above target
-            a, b = lo, hi
-            ra = rate_pair(a)[idx] - target
-            rb = rate_pair(b)[idx] - target
-            good_a, good_b = ra >= 0, rb >= 0
-            if want_low and good_a:
-                return lo
-            if not want_low and good_b:
-                return hi
-            if want_low and not good_b:
-                return None
-            if not want_low and not good_a:
-                return None
-            for _ in range(80):
-                m = 0.5 * (a + b)
-                if m == a or m == b:  # a fixed point: later halvings change nothing
-                    break
-                if (rate_pair(m)[idx] >= target) == want_low:
-                    b = m
-                else:
-                    a = m
-            return b if want_low else a
-
-        need_lo = cut(t1, 0, want_low=True)
-        need_hi = cut(t2, 1, want_low=False)
-        if need_lo is None or need_hi is None or need_lo > need_hi:
-            stuck.append(n)
-            continue
-        p1[n] = 0.5 * (need_lo + need_hi)
-        p2[n] = s - p1[n]
+        lo = 0.5 * s if mode == 2 else np.zeros_like(s)
+        hi = 0.5 * s if mode == 1 else s
+        ends = np.stack([lo, hi])
+        rows = rates.sinr_table(mode, cs.h_r[n], cs.h_1[n], cs.h_2[n], ends, s - ends, powers.pr[n], sc.noise_power)
+        need_lo, need_hi = lo, hi
+        for (cm, signal, floor), t in zip(rows, sc.rate_targets):
+            f_lo, f_hi = signal - np.expm1(rates.LN2 * t / cm) * floor
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cross = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+            need_lo = np.maximum(need_lo, np.where(f_lo >= 0, lo, np.where(f_hi >= 0, cross, np.inf)))
+            need_hi = np.minimum(need_hi, np.where(f_hi >= 0, hi, np.where(f_lo >= 0, cross, -np.inf)))
+        ok = need_lo <= need_hi
+        stuck.extend(n[~ok].tolist())
+        p1[n[ok]] = 0.5 * (need_lo[ok] + need_hi[ok])
+        p2[n[ok]] = s[ok] - p1[n[ok]]
     if stuck:
+        stuck.sort()
         raise InfeasibleProblemError(
             f"no split of the slot budget meets both rate targets at slots {stuck}",
             slots=stuck,
@@ -193,14 +167,8 @@ def _rebalance_for_targets(sc, cs, modes, powers: PowerAllocation,
 # ---- bound-term assembly ----
 
 
-def _normalized_gains(sc, cs, modes):
-    """Per-slot gains over the mode-appropriate noise power."""
-    fac = np.where(np.asarray(modes) == 3, 2.0, 1.0) / sc.noise_power
-    return fac * cs.h_r, fac * cs.h_1, fac * cs.h_2
-
-
 def _power_terms(sc, cs, modes, anchor: PowerAllocation) -> sca.PowerBound:
-    gr, g1, g2 = _normalized_gains(sc, cs, modes)
+    gr, g1, g2 = rates.normalized_gains(modes, sc.noise_power, cs.h_r, cs.h_1, cs.h_2)
     scale = np.array([sc.avg_bs_power, sc.avg_bs_power, sc.avg_relay_power])
     return sca.power_lb_build(modes, gr, g1, g2, anchor.p1, anchor.p2, anchor.pr, scale)
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relayplan import rates
@@ -13,50 +13,51 @@ HR, H1, H2 = CS.h_r[0], CS.h_1[0], CS.h_2[0]
 
 
 def test_mode1_slot1_regression():
-    r1, r2 = rates.rate_mode1(HR, H1, H2, 0.25, 0.25, 0.5, S2)
+    r1, r2 = rates.rates_for_mode(1, HR, H1, H2, 0.25, 0.25, 0.5, S2)
     assert r1 == pytest.approx(2.7187517955574476, rel=1e-12)
     assert r2 == pytest.approx(0.8742642991997939, rel=1e-12)
 
 
 def test_mode3_slot1_regression():
-    so2 = SC.oma_noise_power
-    r1 = rates.rate_mode3(HR, H1, 0.25, 0.5, so2)
-    r2 = rates.rate_mode3(HR, H2, 0.25, 0.5, so2)
+    r1 = rates.oma_rate(HR, H1, 0.25, 0.5, S2)
+    r2 = rates.oma_rate(HR, H2, 0.25, 0.5, S2)
     assert r1 == pytest.approx(1.802395072162178, rel=1e-12)
     assert r2 == pytest.approx(1.7284878555518703, rel=1e-12)
 
 
 def test_mode1_edge_cases():
-    r1, r2 = rates.rate_mode1(HR, H1, H2, 0.5, 0.0, 0.5, S2)
+    r1, r2 = rates.rates_for_mode(1, HR, H1, H2, 0.5, 0.0, 0.5, S2)
     assert r2 == 0.0
     # interference-free single-user AF rate
     expect = np.log2(1 + 0.5 * H1 * HR * 0.5 / (0.5 * H1 * S2 + 0.5 * HR * S2 + S2**2))
     assert r1 == pytest.approx(expect, rel=1e-12)
-    assert rates.rate_mode1(HR, H1, H2, 0.25, 0.25, 0.0, S2) == (0.0, 0.0)
+    assert rates.rates_for_mode(1, HR, H1, H2, 0.25, 0.25, 0.0, S2) == (0.0, 0.0)
     with pytest.raises(ValueError):
-        rates.rate_mode1(HR, H1, H2, -0.1, 0.25, 0.5, S2)
+        rates.rates_for_mode(1, HR, H1, H2, -0.1, 0.25, 0.5, S2)
+    with pytest.raises(ValueError):
+        rates.oma_rate(HR, H1, -0.1, 0.5, S2)
 
 
 def test_mode2_is_mirror_of_mode1():
-    a = rates.rate_mode2(HR, H1, H2, 0.2, 0.3, 0.5, S2)
-    b = rates.rate_mode1(HR, H2, H1, 0.3, 0.2, 0.5, S2)
+    a = rates.rates_for_mode(2, HR, H1, H2, 0.2, 0.3, 0.5, S2)
+    b = rates.rates_for_mode(1, HR, H2, H1, 0.3, 0.2, 0.5, S2)
     assert a[0] == pytest.approx(b[1], rel=1e-14)
     assert a[1] == pytest.approx(b[0], rel=1e-14)
-    assert rates.rate_mode2(HR, H1, H2, 0.0, 0.3, 0.5, S2)[0] == 0.0
+    assert rates.rates_for_mode(2, HR, H1, H2, 0.0, 0.3, 0.5, S2)[0] == 0.0
 
 
 def test_interference_free_limit_matches_across_sic_orders():
     # with p1 = 0 the SIC distinction for vehicle 2 vanishes
-    a = rates.rate_mode1(HR, H1, H2, 0.0, 0.3, 0.5, S2)[1]
-    b = rates.rate_mode2(HR, H1, H2, 0.0, 0.3, 0.5, S2)[1]
+    a = rates.rates_for_mode(1, HR, H1, H2, 0.0, 0.3, 0.5, S2)[1]
+    b = rates.rates_for_mode(2, HR, H1, H2, 0.0, 0.3, 0.5, S2)[1]
     assert a == pytest.approx(b, rel=1e-14)
 
 
 def test_mode3_limits():
-    so2 = SC.oma_noise_power
-    assert rates.rate_mode3(HR, H1, 0.0, 0.5, so2) == 0.0
+    so2 = 0.5 * S2  # the OMA subband's noise power
+    assert rates.oma_rate(HR, H1, 0.0, 0.5, S2) == 0.0
     # h_k -> inf: relay-link-limited asymptote (divide through by h_k)
-    big = rates.rate_mode3(HR, 1e6, 0.25, 0.5, so2)
+    big = rates.oma_rate(HR, 1e6, 0.25, 0.5, S2)
     assert big == pytest.approx(0.5 * np.log2(1 + HR * 0.25 / so2), rel=1e-6)
 
 
@@ -75,22 +76,27 @@ def test_decode_at_near_vehicle_beats_far_vehicle():
 
 
 def test_rates_for_mode_dispatch():
-    r1, r2 = rates.rates_for_mode(1, HR, H1, H2, 0.25, 0.25, 0.5, S2)
-    assert (r1, r2) == rates.rate_mode1(HR, H1, H2, 0.25, 0.25, 0.5, S2)
+    # every mode reads its own two rows (c_m, S, D) of the table
+    for mode in (1, 2, 3):
+        rows = rates.sinr_table(mode, HR, H1, H2, 0.25, 0.25, 0.5, S2)
+        want = tuple(cm * (np.log1p(s / d) / np.log(2.0)) for cm, s, d in rows)
+        assert rates.rates_for_mode(mode, HR, H1, H2, 0.25, 0.25, 0.5, S2) == want
 
     o1, o2 = rates.rates_for_mode(3, HR, H1, H2, 0.25, 0.25, 0.5, S2)
-    assert o1 == rates.rate_mode3(HR, H1, 0.25, 0.5, SC.oma_noise_power)
+    assert o1 == rates.oma_rate(HR, H1, 0.25, 0.5, S2)
     # equal powers: rate ordering follows the gain ordering
     assert (o1 > o2) == (H1 > H2)
 
     assert rates.rates_for_mode(2, HR, H1, H2, 0.0, 0.0, 0.0, S2) == (0.0, 0.0)
     with pytest.raises(ValueError):
         rates.rates_for_mode(4, HR, H1, H2, 0.25, 0.25, 0.5, S2)
+    with pytest.raises(ValueError):
+        rates.sinr_table(0, HR, H1, H2, 0.25, 0.25, 0.5, S2)
 
 
 def test_symmetric_gains_make_sic_order_irrelevant():
-    r1 = rates.rate_mode1(HR, H1, H1, 0.2, 0.3, 0.5, S2)
-    r2 = rates.rate_mode2(HR, H1, H1, 0.2, 0.3, 0.5, S2)
+    r1 = rates.rates_for_mode(1, HR, H1, H1, 0.2, 0.3, 0.5, S2)
+    r2 = rates.rates_for_mode(2, HR, H1, H1, 0.2, 0.3, 0.5, S2)
     assert sum(r1) == pytest.approx(sum(r2), rel=1e-12)
 
 
@@ -131,15 +137,15 @@ def test_exact_rates_matches_per_slot_dispatch():
 )
 def test_rates_monotone_in_own_power(p1, p2, pr, bump):
     """Each vehicle's rate never drops when its own power or pr grows."""
-    base1, base2 = rates.rate_mode1(HR, H1, H2, p1, p2, pr, S2)
-    up1, _ = rates.rate_mode1(HR, H1, H2, p1 + bump, p2, pr, S2)
-    _, up2 = rates.rate_mode1(HR, H1, H2, p1, p2 + bump, pr, S2)
+    base1, base2 = rates.rates_for_mode(1, HR, H1, H2, p1, p2, pr, S2)
+    up1, _ = rates.rates_for_mode(1, HR, H1, H2, p1 + bump, p2, pr, S2)
+    _, up2 = rates.rates_for_mode(1, HR, H1, H2, p1, p2 + bump, pr, S2)
     assert up1 >= base1 - 1e-12
     assert up2 >= base2 - 1e-12
-    upr = rates.rate_mode1(HR, H1, H2, p1, p2, pr + bump, S2)
+    upr = rates.rates_for_mode(1, HR, H1, H2, p1, p2, pr + bump, S2)
     assert upr[0] >= base1 - 1e-12 and upr[1] >= base2 - 1e-12
     # more interference from vehicle 1 can only hurt vehicle 2
-    _, down2 = rates.rate_mode1(HR, H1, H2, p1 + bump, p2, pr, S2)
+    _, down2 = rates.rates_for_mode(1, HR, H1, H2, p1 + bump, p2, pr, S2)
     assert down2 <= base2 + 1e-12
 
 
@@ -154,6 +160,9 @@ GAINS = st.floats(1e-16, 1e-8)  # around the default scenario's 1e-12 against no
     other=st.tuples(GAINS, GAINS),
     powers=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
 )
+# a raw-gain product pr*h_k*h_r*p_k here is subnormal (about 5e-324); over
+# normalised gains the table keeps it normal and the rate rises as it should
+@example(mode=1, h_r=9.04e-09, own=(4.53e-09, 5.35e-09), other=(7.47e-09, 9.30e-09), powers=(0.0, 1e-300, 1.19e-07))
 def test_rate_reads_only_its_own_gain_and_rises_with_it(mode, h_r, own, other, powers):
     """The static-placement oracle's screen rests on this: in every mode R1
     never reads h_2 and R2 never reads h_1, and each rises with its own gain,

@@ -44,7 +44,6 @@ def test_derived_noise_and_reference_gain():
     assert sc.noise_power == pytest.approx(3.981071705534985e-14, rel=1e-12)
     assert sc.beta0 == pytest.approx(3.981071705534985e-07, rel=1e-12)
     assert sc.beta0 / sc.noise_power == pytest.approx(1e7, rel=1e-12)
-    assert sc.oma_noise_power == pytest.approx(0.5 * sc.noise_power)
     assert sc.bs_energy == pytest.approx(600 * 0.5)
     assert sc.relay_energy == pytest.approx(600 * 0.5)
     assert sc.step_radius == pytest.approx(3.0)

@@ -1,9 +1,12 @@
 import dataclasses
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relayplan
 from relayplan import barrier, oracle, rates, sca, solver
@@ -163,6 +166,83 @@ def test_unreachable_targets_reported_with_slots():
         solver.algorithm3_joint(sc)
     assert err.value.slots == list(range(SC8.slot_count))
 
+
+
+def bisection_rebalance(sc, cs, modes, powers):
+    """Scalar reference for ``_rebalance_for_targets``: bisect each target's
+    end of the decoding-order interval, slot by slot, to rounding level.
+    Returns (p1, p2, stuck slots)."""
+    t1, t2 = sc.rate_targets
+    r1, r2 = rates.exact_rates(modes, cs.h_r, cs.h_1, cs.h_2, powers.p1, powers.p2, powers.pr, sc.noise_power)
+    p1, p2 = powers.p1.copy(), powers.p2.copy()
+    stuck = []
+    for n in np.nonzero((r1 < t1) | (r2 < t2))[0]:
+        s, pr, mode = p1[n] + p2[n], powers.pr[n], int(modes[n])
+        lo = 0.5 * s if mode == 2 else 0.0
+        hi = 0.5 * s if mode == 1 else s
+
+        def meets(share, k, target):
+            pair = rates.rates_for_mode(mode, cs.h_r[n], cs.h_1[n], cs.h_2[n], share, s - share, pr,
+                                        sc.noise_power)
+            return pair[k] >= target
+
+        def cut(k, target, want_low):
+            # smallest (want_low) or largest p1 whose rate k meets the target
+            if meets(lo if want_low else hi, k, target):
+                return lo if want_low else hi
+            if not meets(hi if want_low else lo, k, target):
+                return None
+            a, b = lo, hi
+            for _ in range(80):
+                m = 0.5 * (a + b)
+                if m == a or m == b:
+                    break
+                if meets(m, k, target) == want_low:
+                    b = m
+                else:
+                    a = m
+            return b if want_low else a
+
+        need_lo, need_hi = cut(0, t1, want_low=True), cut(1, t2, want_low=False)
+        if need_lo is None or need_hi is None or need_lo > need_hi:
+            stuck.append(int(n))
+            continue
+        p1[n] = 0.5 * (need_lo + need_hi)
+        p2[n] = s - p1[n]
+    return p1, p2, stuck
+
+
+GAIN = st.floats(1e-13, 1e-10)
+SLOT = st.tuples(st.sampled_from([1, 2, 3]), GAIN, GAIN, GAIN,
+                 st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(slots=st.lists(SLOT, min_size=1, max_size=6), targets=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)))
+def test_rebalance_matches_bisection(slots, targets):
+    """The closed-form re-balance against a per-slot bisection: the same
+    stuck slots, or midpoints within 1e-12 s that meet both targets on the
+    exact rates, with the other slots and every s and pr kept."""
+    modes, h_r, h_1, h_2, p1, p2, pr = (np.array(col) for col in zip(*slots))
+    sc = dataclasses.replace(SC8, rate_targets=np.array(targets))
+    cs = SimpleNamespace(h_r=h_r, h_1=h_1, h_2=h_2)
+    powers = PowerAllocation(p1, p2, pr)
+    want_p1, want_p2, want_stuck = bisection_rebalance(sc, cs, modes, powers)
+    if want_stuck:
+        with pytest.raises(InfeasibleProblemError) as err:
+            solver._rebalance_for_targets(sc, cs, modes, powers, tol=0.0)
+        assert err.value.slots == want_stuck
+        return
+    got = solver._rebalance_for_targets(sc, cs, modes, powers, tol=0.0)
+    s = p1 + p2
+    r1, r2 = rates.exact_rates(modes, h_r, h_1, h_2, p1, p2, pr, sc.noise_power)
+    kept = (r1 >= targets[0]) & (r2 >= targets[1])
+    assert np.all(np.abs(got.p1 - want_p1) <= 1e-12 * s)
+    assert np.array_equal(got.p1[kept], p1[kept]) and np.array_equal(got.p2[kept], p2[kept])
+    assert np.allclose(got.p1 + got.p2, s, rtol=1e-15, atol=0.0)
+    assert np.array_equal(got.pr, pr)
+    r1, r2 = rates.exact_rates(modes, h_r, h_1, h_2, got.p1, got.p2, got.pr, sc.noise_power)
+    assert np.all(r1 >= targets[0] - 1e-12) and np.all(r2 >= targets[1] - 1e-12)
 
 def test_power_driver_monotone_with_huge_budgets_oma():
     raw = dict(SYMMETRIC_RAW, slot_count=6, mode_threshold_bpshz=1e9,
