@@ -82,6 +82,11 @@ Schur complement and V through the r x r capacitance matrix I + V^T K^-1 V
 (Woodbury).  Assembly and solve cost O(nb * (bw + 1) * (bw + 1 + nk + r))
 per step, linear in the slot count, against O(n^2) assembly and an O(n^3)
 dense factorisation.  Without a declared band the band spans every variable.
+
+Generic blocks.  ``LinearBlock`` holds dense affine rows a . z + b, which
+enter V; ``AffineRows`` holds sparse affine rows over a few positions each
+(a box, decoding-order differences, the epigraph objective), which enter
+the band and border like any other local rows.
 """
 
 import dataclasses
@@ -132,27 +137,37 @@ class LinearBlock:
         return float(np.min(-vals[down] / ad[down])) if down.any() else np.inf
 
 
-class BoxBlock:
-    """lo_j <= z_j <= hi_j over an index subset; infinities drop the side."""
+class AffineRows:
+    """Rows sum_j coef[i, j] * z[cols[i, j]] + off[i] >= 0 over a few columns.
 
-    def __init__(self, idx, lo, hi, label="box"):
+    ``coef`` broadcasts to the (m, k) shape of ``cols`` and ``off`` to (m,).
+    Column 0's product plus ``off`` comes first, then each further column's
+    product in turn, so 1 * z - lo, (1 * z_a + 0) - z_b and 1 * z + 0 are
+    z - lo, z_a - z_b and z exactly.
+    """
+
+    def __init__(self, cols, coef, off, label):
+        self.cols = np.asarray(cols, dtype=int)
+        self.count, self.label = len(self.cols), label
+        self._grad = np.array(np.broadcast_to(coef, self.cols.shape), dtype=float)
+        self._off = np.broadcast_to(np.asarray(off, dtype=float), self.count)
+        (self._col0, self._coef0), *self._rest = zip(self.cols.T.copy(), self._grad.T.copy())
+
+    @classmethod
+    def box(cls, idx, lo, hi, label="box"):
+        """lo_j <= z_j <= hi_j over an index subset: the z - lo rows, then
+        the hi - z rows; an infinite bound drops its row."""
         idx = np.asarray(idx, dtype=int)
-        lo = np.broadcast_to(np.asarray(lo, dtype=float), idx.shape)
-        hi = np.broadcast_to(np.asarray(hi, dtype=float), idx.shape)
+        lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), idx.shape) for v in (lo, hi))
         keep_lo, keep_hi = np.isfinite(lo), np.isfinite(hi)
-        self.lo_idx, self.lo = idx[keep_lo], lo[keep_lo]
-        self.hi_idx, self.hi = idx[keep_hi], hi[keep_hi]
-        self.count = len(self.lo_idx) + len(self.hi_idx)
-        self.label = label
-        self._idx = np.concatenate([self.lo_idx, self.hi_idx])
-        self.cols = self._idx[:, None]
-        # row i is sign_i * z + off_i: z - lo, then -z + hi (exactly hi - z)
-        self._sign = np.repeat([1.0, -1.0], [len(self.lo_idx), len(self.hi_idx)])
-        self._off = np.concatenate([-self.lo, self.hi])
-        self._grad = self._sign[:, None]
+        sign = np.repeat([1.0, -1.0], [keep_lo.sum(), keep_hi.sum()])[:, None]
+        cols = np.r_[idx[keep_lo], idx[keep_hi]][:, None]
+        return cls(cols, sign, np.r_[-lo[keep_lo], hi[keep_hi]], label)
 
     def evaluate(self, z, order):
-        vals = self._sign * z[self._idx] + self._off
+        vals = self._coef0 * z[self._col0] + self._off
+        for col, coef in self._rest:
+            vals += coef * z[col]
         return vals, (self._grad if order else None), None
 
 

@@ -9,7 +9,6 @@ cannot win and leave every result unchanged bit for bit (see
 ``static_placement_oracle``).
 """
 
-import numbers
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -17,6 +16,8 @@ import numpy as np
 from relayplan.modes import MODE_OF_STATE, policy_states
 from relayplan.rates import high_snr_rates, oma_rate, rates_for_mode
 from relayplan.scenario import Scenario, channel_gain, vehicle_paths
+
+CHUNK_EVALS = 8e5  # rate evaluations (cells x triples x slots) per chunk of the grid search
 
 
 # ---- exhaustive placement / power search ----
@@ -63,7 +64,7 @@ def _weakest_link_ok(modes, h_r, h_1, h_2, p1, p2, pr, oma, s2, t1, t2):
     return ok
 
 
-def _grid_search(sc, xs, ys, p1_tri, p2_tri, pr_tri, objective, chunk_cells):
+def _grid_search(sc, xs, ys, p1_tri, p2_tri, pr_tri, objective):
     """Scan every (cell, triple) pair; first maximum in index order wins."""
     paths = vehicle_paths(sc)
     bs = sc.bs_position[:2]
@@ -79,12 +80,11 @@ def _grid_search(sc, xs, ys, p1_tri, p2_tri, pr_tri, objective, chunk_cells):
     own1, inv1 = np.unique(np.stack([p1_tri, pr_tri], axis=1), axis=0, return_inverse=True)
     own2, inv2 = np.unique(np.stack([p2_tri, pr_tri], axis=1), axis=0, return_inverse=True)
     oma = ((own1, inv1), (own2, inv2))
-    if chunk_cells is None:
-        chunk_cells = max(1, int(8e5 // max(n_tri * n_slots, 1)))
+    chunk = max(1, int(CHUNK_EVALS // max(n_tri * n_slots, 1)))
     every = np.arange(n_tri)
     best_val, best_cell, best_tri = -np.inf, -1, -1
-    for lo in range(0, n_cells, chunk_cells):
-        idx = np.arange(lo, min(lo + chunk_cells, n_cells))
+    for lo in range(0, n_cells, chunk):
+        idx = np.arange(lo, min(lo + chunk, n_cells))
         tri = every
         pos = np.stack([xs[idx // ys.size], ys[idx % ys.size]], axis=1)
         h_r = channel_gain(pos, bs, sc.uav_height, sc.beta0)
@@ -144,7 +144,6 @@ def static_placement_oracle(
     xy_step: float = 5.0,
     power_step: float = 0.01,
     objective: str = "sum",
-    chunk_cells: int = None,
 ) -> Tuple[np.ndarray, np.ndarray, float]:
     """Best fixed relay position and constant power triple, by brute force.
 
@@ -184,10 +183,6 @@ def static_placement_oracle(
         raise ValueError(f"objective must be 'sum' or 'min', got {objective!r}")
     if not (0 < xy_step < np.inf and 0 < power_step < np.inf):
         raise ValueError("grid steps must be finite and positive")
-    if chunk_cells is not None and not (
-        isinstance(chunk_cells, numbers.Integral) and chunk_cells > 0
-    ):
-        raise ValueError(f"chunk_cells must be None or a positive integer, got {chunk_cells!r}")
     x_min, x_max, y_min, y_max = sc.flight_box
     xs = _axis(x_min, x_max, xy_step)
     ys = _axis(y_min, y_max, xy_step)
@@ -207,7 +202,7 @@ def static_placement_oracle(
     # falls back to the honest full enumeration.
     pr_top = pr_feas[-1]
     val, cell, tri = _grid_search(
-        sc, xs, ys, pair1, pair2, np.full(pair1.shape, pr_top), objective, chunk_cells
+        sc, xs, ys, pair1, pair2, np.full(pair1.shape, pr_top), objective
     )
     if not np.isfinite(val):
         # The policy's modes do not depend on power and every rate is
@@ -221,7 +216,7 @@ def static_placement_oracle(
         t1 = np.repeat(pair1, pr_feas.size)
         t2 = np.repeat(pair2, pr_feas.size)
         tr = np.tile(pr_feas, pair1.size)
-        val, cell, tri = _grid_search(sc, xs, ys, t1, t2, tr, objective, chunk_cells)
+        val, cell, tri = _grid_search(sc, xs, ys, t1, t2, tr, objective)
         powers = np.array([t1[tri], t2[tri], tr[tri]])
     position = np.array([xs[cell // ys.size], ys[cell % ys.size]])
     return position, powers, val

@@ -90,13 +90,6 @@ class TrajectoryBound:
             setattr(self, name, np.zeros(n))
         self.s, self.bx, self.by, self.hh, self.scale = s, bx, by, hh, scale
 
-    def sub(self, idx) -> "TrajectoryBound":
-        """The rows at ``idx``, which may repeat a slot."""
-        out = TrajectoryBound(0, self.s, self.bx, self.by, self.hh, self.scale)
-        for name in self.ROWS:
-            setattr(out, name, getattr(self, name)[idx])
-        return out
-
     def argument(self, psi_r, psi_k):
         """A at the rows' psi values."""
         return self.base + self.dr * psi_r + self.dk * psi_k
@@ -247,13 +240,6 @@ class PowerBound:
         for name in self.COEFFS:
             setattr(self, name, np.zeros(n))
         self.scale = scale
-
-    def sub(self, idx) -> "PowerBound":
-        """The rows at ``idx``, which may repeat a slot."""
-        out = PowerBound(0, self.scale)
-        for name in self.COEFFS:
-            setattr(out, name, getattr(self, name)[idx])
-        return out
 
     def local(self, v, order):
         """(values, grad, hess): row values (-inf where a log argument

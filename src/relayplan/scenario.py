@@ -8,6 +8,7 @@ sigma^2 = B * 10^(N0_dBm/10) / 1000 and beta0 = 10^(refSNR_dB/10) * sigma^2.
 
 import dataclasses
 import json
+import numbers
 from importlib import resources
 from typing import Dict, List, Optional
 
@@ -50,6 +51,11 @@ _ARRAY_FIELDS = {
 }
 
 
+def _is_number(value) -> bool:
+    """A real number and not a boolean."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclasses.dataclass(frozen=True)
 class Scenario:
     """All physical constants, node kinematics, budgets, and policy knobs."""
@@ -75,8 +81,17 @@ class Scenario:
     noise_power: float = 0.0  # derived unless given
 
     def __post_init__(self):
+        for name in (f.name for f in dataclasses.fields(self) if f.name not in _ARRAY_FIELDS):
+            if not _is_number(getattr(self, name)):
+                raise ScenarioError(f"{name} must be a number, got {getattr(self, name)!r}")
+        if not float(self.slot_count).is_integer():
+            raise ScenarioError(f"slot_count must be an integer, got {self.slot_count!r}")
+        object.__setattr__(self, "slot_count", int(self.slot_count))
         for name, shape in _ARRAY_FIELDS.items():
-            arr = np.asarray(getattr(self, name), dtype=float)
+            entries = np.asarray(getattr(self, name), dtype=object)
+            if not all(map(_is_number, entries.flat)):
+                raise ScenarioError(f"{name} must hold numbers, got {getattr(self, name)!r}")
+            arr = entries.astype(float)
             if arr.shape != shape:
                 raise ScenarioError(f"{name}: expected shape {shape}, got {arr.shape}")
             arr.flags.writeable = False
@@ -124,20 +139,13 @@ class Scenario:
         return self.slot_count * self.avg_relay_power
 
     @property
-    def horizon(self) -> float:
-        """Mission duration T = N * tau, seconds."""
-        return self.slot_count * self.slot_duration
-
-    @property
     def step_radius(self) -> float:
         """Maximum per-slot displacement V * tau, meters."""
         return self.uav_max_speed * self.slot_duration
 
     def with_slots(self, n: int) -> "Scenario":
         """Copy of this scenario with the slot count replaced (budgets rescale)."""
-        if n < 1:
-            raise ScenarioError("slot count must be >= 1")
-        return dataclasses.replace(self, slot_count=int(n))
+        return dataclasses.replace(self, slot_count=n)
 
 
 def load_scenario(path: str, slots: Optional[int] = None) -> Scenario:
@@ -161,9 +169,7 @@ def scenario_from_dict(raw: Dict, slots: Optional[int] = None) -> Scenario:
     missing = sorted(set(_FIELD_MAP) - set(raw))
     if missing:
         raise ScenarioError(f"missing scenario fields: {', '.join(missing)}")
-    kwargs = {attr: raw[key] for key, attr in _FIELD_MAP.items()}
-    kwargs["slot_count"] = int(kwargs["slot_count"])
-    sc = Scenario(**kwargs)
+    sc = Scenario(**{attr: raw[key] for key, attr in _FIELD_MAP.items()})
     if slots is not None:
         sc = sc.with_slots(slots)
     return sc

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import rates, sca
-from .barrier import BoxBlock, LinearBlock, concave_max
+from .barrier import AffineRows, LinearBlock, concave_max
 from .modes import ModeSchedule, mode_schedule
 from .scenario import (
     Scenario,
@@ -120,8 +120,7 @@ def _target_violations(sc, r1, r2, tol=FEAS_TOL):
     return [int(i) for i in np.nonzero(bad)[0]]
 
 
-def _rebalance_for_targets(sc, cs, modes, powers: PowerAllocation,
-                           tol=FEAS_TOL) -> PowerAllocation:
+def _rebalance_for_targets(sc, cs, modes, powers: PowerAllocation) -> PowerAllocation:
     """Per-slot BS split repair so exact rates meet the targets under `modes`.
 
     At fixed s = p1 + p2 and pr, vehicle k meets its target t_k exactly where
@@ -132,7 +131,7 @@ def _rebalance_for_targets(sc, cs, modes, powers: PowerAllocation,
     intersection; an empty one means no split of the slot's budget meets both
     targets, and is reported as infeasible.
     """
-    bad = np.array(_target_violations(sc, *_exact_rate_arrays(sc, cs, modes, powers), tol=tol), dtype=int)
+    bad = np.array(_target_violations(sc, *_exact_rate_arrays(sc, cs, modes, powers), tol=0.0), dtype=int)
     if not bad.size:
         return powers
     p1, p2 = powers.p1.copy(), powers.p2.copy()
@@ -185,7 +184,7 @@ def _traj_terms(sc, cs_l, modes, powers) -> sca.TrajectoryBound:
 
 
 class SlotRowBlock:
-    """Rows row_i(z[slots[i]]) - rhs_i (- z[epi_idx]) >= 0.
+    """Rows row_i(z[slots[i]]) >= 0, less z[epi_idx] if an epigraph scalar is given.
 
     ``terms.local`` gives each row's value, gradient and Hessian over its
     slot's d variables, whose positions in z are the row of ``slots``; rows
@@ -195,10 +194,9 @@ class SlotRowBlock:
     one ``local`` call.
     """
 
-    def __init__(self, terms, slots, rhs, epi_idx=None, label="rate target"):
+    def __init__(self, terms, slots, label, epi_idx=None):
         self.terms = terms
         self.slots = np.asarray(slots, dtype=int)
-        self.rhs = rhs
         self.epi = epi_idx
         self.count = len(self.slots)
         self.label = label
@@ -216,7 +214,6 @@ class SlotRowBlock:
 
     def _evaluate(self, z, order):
         vals, grad, hess = self.terms.local(z[self.slots], order)
-        vals = vals - self.rhs
         if self.epi is None:
             return vals, grad, hess
         if order >= 1:
@@ -245,20 +242,6 @@ class RowSubset:
         return (vals[self.idx] - self.rhs,
                 None if grad is None else grad[self.idx],
                 None if hess is None else hess[self.idx])
-
-
-class _EpigraphObjective:
-    """Maximize the appended epigraph scalar: one row, z[t_idx]."""
-
-    count = 1
-    label = "epigraph objective"
-    _grad = np.ones((1, 1))
-
-    def __init__(self, t_idx):
-        self.cols = np.array([[t_idx]])
-
-    def evaluate(self, z, order):
-        return z[self.cols[0]], (self._grad if order else None), None
 
 
 # ---- constraint blocks beyond the generic barrier ones ----
@@ -324,21 +307,6 @@ class VelocityChainBlock:
         with np.errstate(divide="ignore"):  # a row that d leaves alone has no root
             steps = np.where(b >= 0.0, 2.0 * vals / (b + root), (root - b) / (2.0 * a))
         return float(steps.min())
-
-
-class PairDiffBlock:
-    """Rows z[hi] - z[lo] >= 0 (slot-wise decoding-order constraints)."""
-
-    def __init__(self, hi_idx, lo_idx, label="decoding order"):
-        self.hi = np.asarray(hi_idx, dtype=int)
-        self.lo = np.asarray(lo_idx, dtype=int)
-        self.count = len(self.hi)
-        self.label = label
-        self.cols = np.column_stack([self.hi, self.lo])
-        self._grad = np.tile([1.0, -1.0], (self.count, 1))
-
-    def evaluate(self, z, order):
-        return z[self.hi] - z[self.lo], (self._grad if order else None), None
 
 
 # ---- start-point preparation ----
@@ -414,14 +382,14 @@ def _subproblem(sc, terms, slots, width, z0, blocks, objective: str, step: str, 
     (z, bound, info), bound being the subproblem's optimum.
     """
     row_slots = np.concatenate([slots, slots])
-    rows = SlotRowBlock(terms, row_slots, 0.0)
+    rows = SlotRowBlock(terms, row_slots, "sum-rate objective")
     start = rows.evaluate(z0, 0)[0]
     blocks = list(blocks)
     if objective == "min":
         t_idx = len(z0)
         z0 = np.append(z0, _epigraph_start(float(start.min())))
-        blocks.append(SlotRowBlock(terms, row_slots, 0.0, epi_idx=t_idx, label="epigraph rate"))
-        obj = [_EpigraphObjective(t_idx)]
+        blocks.append(SlotRowBlock(terms, row_slots, "epigraph rate", epi_idx=t_idx))
+        obj = [AffineRows([[t_idx]], 1.0, 0.0, "epigraph objective")]
     else:
         targets = np.repeat(sc.rate_targets, len(slots))
         rhs = targets - TARGET_SLACK
@@ -453,7 +421,7 @@ def _power_step(sc, cs, modes, start: PowerAllocation, objective: str, diag: Dic
     ps, prs = sc.avg_bs_power, sc.avg_relay_power
     slots = np.arange(3 * n).reshape(n, 3)  # (p1, p2, pr) per slot
     nvar = 3 * n + (1 if objective == "min" else 0)
-    blocks = [BoxBlock(slots.T.ravel(), 0.0, np.inf, "power nonnegativity")]
+    blocks = [AffineRows.box(slots.T.ravel(), 0.0, np.inf, "power nonnegativity")]
     a = np.zeros((2, nvar))
     a[0, slots[:, :2]] = -1.0
     a[1, slots[:, 2]] = -1.0
@@ -462,7 +430,7 @@ def _power_step(sc, cs, modes, start: PowerAllocation, objective: str, diag: Dic
     hi = np.concatenate([slots[m1, 1], slots[m2, 0]])  # stronger message per slot
     lo = np.concatenate([slots[m1, 0], slots[m2, 1]])
     if len(hi):
-        blocks.append(PairDiffBlock(hi, lo, "decoding order"))
+        blocks.append(AffineRows(np.column_stack([hi, lo]), [1.0, -1.0], 0.0, "decoding order"))
 
     z0 = np.column_stack([start.p1 / ps, start.p2 / ps, start.pr / prs]).ravel()
     terms = _power_terms(sc, cs, modes, start)
@@ -481,7 +449,7 @@ def _traj_step(sc, powers, modes, start_traj, objective: str, diag: Dict):
     lo = np.concatenate([np.full(n, xmin), np.full(n, ymin)]) / LENGTH_SCALE
     hi = np.concatenate([np.full(n, xmax), np.full(n, ymax)]) / LENGTH_SCALE
     blocks = [
-        BoxBlock(slots.T.ravel(), lo, hi, "flight box"),
+        AffineRows.box(slots.T.ravel(), lo, hi, "flight box"),
         VelocityChainBlock(slots, sc.uav_start, sc.uav_end, sc.step_radius),
     ]
 
@@ -571,7 +539,7 @@ def _alternate(sc: Scenario, objective: str, traj, powers: PowerAllocation,
             # target; re-balance so the target rows survive into the barrier.
             # Satisfied slots are left alone: the row slack keeps an exactly
             # on-target start strictly interior.
-            powers = _rebalance_for_targets(sc, cs, sched.modes, powers, tol=0.0)
+            powers = _rebalance_for_targets(sc, cs, sched.modes, powers)
         # the previous optimum sits on its energy budgets to within the
         # barrier's final gap; back it off to a strictly interior start
         powers = _prepare_power_start(sc, sched.modes, powers)
@@ -648,7 +616,7 @@ def algorithm3_joint(sc: Scenario) -> SolverResult:
     # The fairness powers are balanced for the orthogonal mode; slots the
     # policy flips to superposition need their BS split re-balanced before
     # the per-slot targets hold.
-    powers = _rebalance_for_targets(sc, cs, sched.modes, res.powers, tol=0.0)
+    powers = _rebalance_for_targets(sc, cs, sched.modes, res.powers)
     return _alternate(sc, "sum", res.trajectory, powers, started)
 
 

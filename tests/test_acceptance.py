@@ -145,25 +145,25 @@ def test_surrogate_coefficients_match_finite_differences():
         p1, p2, pr = rng.uniform(0.05, 1.0, (3, 500))
         u, v = rng.uniform(1e-3, 0.5, (2, 500))
         tb = sca.trajectory_lb_build(mode * ones, p1, p2, pr, u, v, v,
-                                     np.zeros((2, 500, 2)), **PSI_GEOMETRY).sub(vehicle_k)
+                                     np.zeros((2, 500, 2)), **PSI_GEOMETRY)
         f = lambda a, b: sca.convexified_rate(mode, k, p1, p2, pr, a, b)
         hu, hv = 1e-6 * u, 1e-6 * v
         num_r = (f(u + hu, v) - f(u - hu, v)) / (2 * hu)
         num_k = (f(u, v + hv) - f(u, v - hv)) / (2 * hv)
-        slope = tb.cm / (sca.LN2 * tb.argument(u, v))
-        for coef, num in ((slope * tb.dr, num_r), (slope * tb.dk, num_k)):
+        slope = tb.cm[vehicle_k] / (sca.LN2 * tb.argument(np.tile(u, 2), np.tile(v, 2))[vehicle_k])
+        for coef, num in ((slope * tb.dr[vehicle_k], num_r), (slope * tb.dk[vehicle_k], num_k)):
             worst = max(worst, float(np.max(np.abs(coef - num) / np.maximum(np.abs(num), 1e-12))))
 
         g_r, g_1, g_2 = rng.uniform(1e2, 1e6, (3, 500))
         q1, q2, qr = rng.uniform(0.05, 1.0, (3, 500))
-        pb = sca.power_lb_build(mode * ones, g_r, g_1, g_2, q1, q2, qr, np.ones(3)).sub(vehicle_k)
+        pb = sca.power_lb_build(mode * ones, g_r, g_1, g_2, q1, q2, qr, np.ones(3))
         sub_arg = sca._dc_split(mode, k, g_r, g_1, g_2)[1]  # the subtracted argument
         f = lambda a, b, c: sca._log2_and_slopes(sub_arg, a, b, c)[0]
         h = 1e-6
         for coef, num in (
-            (pb.a1, (f(q1 + h, q2, qr) - f(q1 - h, q2, qr)) / (2 * h)),
-            (pb.a2, (f(q1, q2 + h, qr) - f(q1, q2 - h, qr)) / (2 * h)),
-            (pb.ar, (f(q1, q2, qr + h) - f(q1, q2, qr - h)) / (2 * h)),
+            (pb.a1[vehicle_k], (f(q1 + h, q2, qr) - f(q1 - h, q2, qr)) / (2 * h)),
+            (pb.a2[vehicle_k], (f(q1, q2 + h, qr) - f(q1, q2 - h, qr)) / (2 * h)),
+            (pb.ar[vehicle_k], (f(q1, q2, qr + h) - f(q1, q2, qr - h)) / (2 * h)),
         ):
             denom = np.maximum(np.abs(num), 1e-4)  # guard the zero coefficients
             worst = max(worst, float(np.max(np.abs(coef - num) / denom)))
@@ -192,37 +192,38 @@ def test_surrogate_coefficients_match_finite_differences():
 
 def test_bounds_anchor_and_minorize():
     """The rows the barrier maximizes, one slot per (mode, vehicle), evaluated
-    at 10,000 trial points through ``sub``: the trajectory rows in psi
-    through ``argument``, the power rows through ``local``."""
+    at 10,000 trial points, each on its own slot of a 10,000-slot build with
+    the anchor tiled: the trajectory rows in psi through ``argument``, the
+    power rows through ``local``."""
     rng = np.random.default_rng(59)
     anchor_err = 0.0
     overshoot = -np.inf
-    trial_rows = np.zeros(10_000, int)
+    n = 10_000
     for mode, k in MODE_K:
+        vehicle_k = slice((k - 1) * n, k * n)  # vehicle k's rows of the stacked builds
         p = rng.uniform(0.05, 1.0, (3, 1))
         u0, v0 = rng.uniform(5e-3, 0.2, 2)
-        tb = sca.trajectory_lb_build([mode], *p, [u0], [v0], [v0], np.zeros((2, 1, 2)),
-                                     **PSI_GEOMETRY).sub([k - 1])
-        anchor = tb.cm[0] * np.log2(tb.argument(u0, v0)[0])
+        tb = sca.trajectory_lb_build(np.full(n, mode), *np.tile(p, n), np.full(n, u0), np.full(n, v0),
+                                     np.full(n, v0), np.zeros((2, n, 2)), **PSI_GEOMETRY)
+        anchor = tb.cm[(k - 1) * n] * np.log2(tb.argument(u0, v0)[(k - 1) * n])
         target0 = sca.convexified_rate(mode, k, *p[:, 0], u0, v0)
         anchor_err = max(anchor_err, abs(anchor - target0) / max(abs(target0), 1e-12))
-        trials = rng.uniform(0.2, 5.0, size=(10_000, 2))
+        trials = rng.uniform(0.2, 5.0, size=(n, 2))
         u, v = u0 * trials[:, 0], v0 * trials[:, 1]
-        rows = tb.sub(trial_rows)
-        arg = rows.argument(u, v)
+        arg = tb.argument(np.tile(u, 2), np.tile(v, 2))[vehicle_k]
         keep = arg > 0.0
-        bound = rows.cm[keep] * np.log2(arg[keep])
+        bound = tb.cm[vehicle_k][keep] * np.log2(arg[keep])
         target = sca.convexified_rate(mode, k, *p[:, 0], u[keep], v[keep])
         overshoot = max(overshoot, float((bound - target).max()))
 
         g = rng.uniform(1e2, 1e6, (3, 1))
         q = rng.uniform(0.05, 1.0, (3, 1))
-        pb = sca.power_lb_build([mode], *g, *q, np.ones(3)).sub([k - 1])
-        panchor = pb.local(q.T, 0)[0][0]
+        pb = sca.power_lb_build(np.full(n, mode), *np.tile(g, n), *np.tile(q, n), np.ones(3))
+        panchor = pb.local(np.tile(q.T, (2 * n, 1)), 0)[0][(k - 1) * n]
         ptarget0 = sca.dc_rate_vehicle(mode, k, *g[:, 0], *q[:, 0])
         anchor_err = max(anchor_err, abs(panchor - ptarget0) / max(abs(ptarget0), 1e-12))
-        ptrials = rng.uniform(1e-3, 2.0, size=(10_000, 3))
-        pbound = pb.sub(trial_rows).local(ptrials, 0)[0]
+        ptrials = rng.uniform(1e-3, 2.0, size=(n, 3))
+        pbound = pb.local(np.tile(ptrials, (2, 1)), 0)[0][vehicle_k]
         ptarget = sca.dc_rate_vehicle(mode, k, *g[:, 0], *ptrials.T)
         overshoot = max(overshoot, float((pbound - ptarget).max()))
     ok = anchor_err <= 1e-12 and overshoot <= 1e-9

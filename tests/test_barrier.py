@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relayplan import barrier
-from relayplan.barrier import BoxBlock, LinearBlock, NewtonSystem, Scatter, concave_max
+from relayplan.barrier import AffineRows, LinearBlock, NewtonSystem, Scatter, concave_max
 from relayplan.solver import VelocityChainBlock
 
 
@@ -54,7 +54,7 @@ def linear(lin):
 
 def test_box_quadratic_reaches_origin():
     n = 4
-    blocks = [BoxBlock(np.arange(n), -2.0, 3.0)]
+    blocks = [AffineRows.box(np.arange(n), -2.0, 3.0)]
     z, info = concave_max(quadratic(np.eye(n)), blocks, np.full(n, 1.5))
     assert info.converged
     assert np.all(np.abs(z) <= 1e-6)
@@ -75,7 +75,7 @@ def test_log_budget_equal_split():
         return val, grad, np.diag(-1.0 / (1.0 + z) ** 2)
 
     blocks = [
-        BoxBlock(np.arange(n), 0.0, np.inf, label="nonneg"),
+        AffineRows.box(np.arange(n), 0.0, np.inf, label="nonneg"),
         LinearBlock(-np.ones((1, n)), np.array([budget]), label="budget"),
     ]
     z, info = concave_max([Whole(f, n)], blocks, np.full(n, 0.1))
@@ -89,7 +89,7 @@ def test_random_qp_against_grid_on_2d_slices():
         m = rng.normal(size=(2, 2))
         q = m @ m.T + 0.5 * np.eye(2)
         lin = rng.normal(size=2)
-        blocks = [BoxBlock(np.arange(2), -1.0, 1.0)]
+        blocks = [AffineRows.box(np.arange(2), -1.0, 1.0)]
         z, info = concave_max(quadratic(q, lin), blocks, np.zeros(2))
         assert info.converged
         grid = np.linspace(-1, 1, 401)
@@ -115,7 +115,7 @@ def test_ball_constraint_projects_along_gradient():
 
 
 def test_infeasible_start_raises_with_block_label():
-    blocks = [BoxBlock(np.arange(2), 0.0, 1.0, label="powers")]
+    blocks = [AffineRows.box(np.arange(2), 0.0, 1.0, label="powers")]
     with pytest.raises(barrier.InfeasibleStartError, match="powers"):
         concave_max(quadratic(np.eye(2)), blocks, np.array([-0.5, 0.5]))
     # on-the-boundary start is not strictly interior either
@@ -128,7 +128,7 @@ def test_objective_domain_start_rejected():
         return None
 
     with pytest.raises(barrier.InfeasibleStartError, match="domain"):
-        concave_max([Whole(f, 1)], [BoxBlock(np.arange(1), -1.0, 1.0)], np.zeros(1))
+        concave_max([Whole(f, 1)], [AffineRows.box(np.arange(1), -1.0, 1.0)], np.zeros(1))
 
 
 def test_unconstrained_pure_newton():
@@ -139,7 +139,7 @@ def test_unconstrained_pure_newton():
 
 def test_barrier_stage_schedule_counts():
     n = 3
-    blocks = [BoxBlock(np.arange(n), -1.0, 1.0)]
+    blocks = [AffineRows.box(np.arange(n), -1.0, 1.0)]
     n_c = 2 * n
     obj = quadratic(40.0 * np.eye(n), np.array([0.3, 0.0, -0.2]))
     for z0 in (np.zeros(n), np.full(n, 0.5)):
@@ -158,7 +158,7 @@ def test_last_stage_lands_on_the_gap_floor(monkeypatch):
     exactly GAP_REL * scale: the last mu is clamped up to the floor."""
     monkeypatch.setattr(barrier, "GAP_REL", 3e-9)
     n = 3
-    blocks = [BoxBlock(np.arange(n), -1.0, 1.0)]
+    blocks = [AffineRows.box(np.arange(n), -1.0, 1.0)]
     obj = quadratic(40.0 * np.eye(n), np.array([0.3, 0.0, -0.2]))
     for z0 in (np.zeros(n), np.full(n, 0.5)):
         scale = max(1.0, abs(obj[0].evaluate(z0, 0)[0][0]))
@@ -169,8 +169,10 @@ def test_last_stage_lands_on_the_gap_floor(monkeypatch):
 
 
 def test_box_rows_match_their_formula_bit_for_bit():
-    """One sign * z + offset pass gives z - lo and hi - z exactly, with the
-    infinite bounds dropped."""
+    """The three forms the solver builds, each exactly: a box gives z - lo
+    and hi - z with the infinite bounds dropped, a difference row
+    z[hi] - z[lo] and a one-column row z[t]; gradients are the
+    coefficients and there is no Hessian."""
     rng = np.random.default_rng(23)
     for n in (1, 7, 60):
         idx = rng.integers(0, 2 * n, n)
@@ -178,21 +180,30 @@ def test_box_rows_match_their_formula_bit_for_bit():
         hi = lo + rng.uniform(0.1, 5.0, n)
         lo[rng.random(n) < 0.3] = -np.inf
         hi[rng.random(n) < 0.3] = np.inf
-        box = BoxBlock(idx, lo, hi)
+        keep_lo, keep_hi = np.isfinite(lo), np.isfinite(hi)
+        sign = np.repeat([1.0, -1.0], [keep_lo.sum(), keep_hi.sum()])
+        pair = rng.integers(0, 2 * n, (n, 2))
+        t = int(rng.integers(0, 2 * n))
+        blocks = [
+            (AffineRows.box(idx, lo, hi), sign[:, None],
+             lambda z: np.concatenate([z[idx[keep_lo]] - lo[keep_lo], hi[keep_hi] - z[idx[keep_hi]]])),
+            (AffineRows(pair, [1.0, -1.0], 0.0, "pair"), np.tile([1.0, -1.0], (n, 1)),
+             lambda z: z[pair[:, 0]] - z[pair[:, 1]]),
+            (AffineRows([[t]], 1.0, 0.0, "scalar"), np.ones((1, 1)), lambda z: z[[t]]),
+        ]
         for _ in range(5):
             z = rng.normal(size=2 * n) * rng.choice([1e-3, 1.0, 1e3])
-            keep_lo, keep_hi = np.isfinite(lo), np.isfinite(hi)
-            want = np.concatenate([z[idx[keep_lo]] - lo[keep_lo], hi[keep_hi] - z[idx[keep_hi]]])
-            vals, grad, hess = box.evaluate(z, 2)
-            assert np.array_equal(vals, want)
-            sign = np.repeat([1.0, -1.0], [keep_lo.sum(), keep_hi.sum()])
-            assert np.array_equal(grad[:, 0], sign)
-            assert hess is None
+            for rows, coef, formula in blocks:
+                vals, grad, hess = rows.evaluate(z, 2)
+                assert np.array_equal(vals, formula(z))
+                assert rows.count == len(vals) == len(rows.cols)
+                assert np.array_equal(grad, coef) and hess is None
+                assert rows.evaluate(z, 0)[1] is None
 
 
 def test_capped_stages_counted(monkeypatch):
     monkeypatch.setattr(barrier, "MAX_NEWTON_PER_STAGE", 1)
-    blocks = [BoxBlock(np.arange(2), -1.0, 1.0)]
+    blocks = [AffineRows.box(np.arange(2), -1.0, 1.0)]
     # the optimum (1, -1) sits on two bounds, so every smaller mu moves it
     # and each stage needs a step
     z, info = concave_max(quadratic(np.eye(2), np.array([2.0, -2.0])), blocks, np.zeros(2))
@@ -205,7 +216,7 @@ def test_cold_start_runs_the_whole_ladder():
     mu is undefined and the ladder starts at scale / n_c."""
     n = 3
     z, info = concave_max(quadratic(0.1 * np.eye(n), [0.2, 0.03, -0.05]),
-                          [BoxBlock(np.arange(n), -1.0, 1.0)], np.zeros(n))
+                          [AffineRows.box(np.arange(n), -1.0, 1.0)], np.zeros(n))
     assert info.skipped_stages == 0 and info.stages == 5
     assert len(info.stage_steps) == info.stages
     assert sum(info.stage_steps) == info.newton_steps
@@ -214,7 +225,7 @@ def test_cold_start_runs_the_whole_ladder():
 def test_start_on_the_central_path_begins_at_its_mu():
     """max z s.t. z <= 1 has the central point z = 1 - mu; started at
     mu = 1e-3 the first stage is already centred and needs no step."""
-    z, info = concave_max(linear([1.0]), [BoxBlock([0], -np.inf, 1.0)], np.array([1.0 - 1e-3]))
+    z, info = concave_max(linear([1.0]), [AffineRows.box([0], -np.inf, 1.0)], np.array([1.0 - 1e-3]))
     assert info.stage_steps[0] == 0
     assert info.stages == 4 and info.skipped_stages == 1  # 1e-3, 1e-5, 1e-7, 1e-8
     assert info.mu_final == barrier.GAP_REL
@@ -226,8 +237,8 @@ def _warm_problem():
     start being the optimum under the old bound (a warm start)."""
     n = 3
     obj = quadratic(0.1 * np.eye(n), [0.2, 0.03, -0.05])
-    anchor, _ = concave_max(obj, [BoxBlock(np.arange(n), -1.0, 1.0)], np.zeros(n))
-    return obj, [BoxBlock(np.arange(n), -1.0, 1.01)], anchor
+    anchor, _ = concave_max(obj, [AffineRows.box(np.arange(n), -1.0, 1.0)], np.zeros(n))
+    return obj, [AffineRows.box(np.arange(n), -1.0, 1.01)], anchor
 
 
 def test_warm_start_skips_stages_and_lands_on_the_same_gap():
@@ -310,7 +321,7 @@ def test_accuracy_holds_as_copies_grow(n):
     # each copy maximizes log(1 + 3x) + y - y^2 on the unit square: x = 1 on
     # its bound, y = 1/2 inside, optimum log 4 + 1/4
     obj = [LogSlots(n)]
-    blocks = [BoxBlock(np.arange(2 * n), 0.0, 1.0)]
+    blocks = [AffineRows.box(np.arange(2 * n), 0.0, 1.0)]
     z0 = np.full(2 * n, 0.5)
     z, info = concave_max(obj, blocks, z0, band=(2 * n, 1))
     best = n * (np.log(4.0) + 0.25)
@@ -334,7 +345,7 @@ def test_domain_rejection_shrinks_steps():
             return val, np.array([1.0])
         return val, np.array([1.0]), np.zeros((1, 1))
 
-    blocks = [BoxBlock(np.array([0]), -1.0, 2.0)]
+    blocks = [AffineRows.box(np.array([0]), -1.0, 2.0)]
     z, info = concave_max([Whole(f, 1)], blocks, np.array([0.0]))
     assert z[0] <= 0.6
     assert calls["rejected"] > 0
@@ -346,7 +357,7 @@ def test_box_rejection_skips_the_objective():
     the objective is evaluated there: the objective sees interior points
     only."""
     obj = quadratic(np.eye(2), np.full(2, 10.0))  # optimum far outside the box
-    box = BoxBlock(np.arange(2), -1.0, 1.0)
+    box = AffineRows.box(np.arange(2), -1.0, 1.0)
     seen, outside = [], []
     real_obj, real_box = obj[0].evaluate, box.evaluate
 
@@ -376,7 +387,7 @@ def test_intermediate_stages_end_centred(monkeypatch):
     lands on the same gap as one that centres every stage fully."""
     n = 30
     obj = [LogSlots(n)]
-    blocks = [BoxBlock(np.arange(2 * n), 0.0, 1.0),
+    blocks = [AffineRows.box(np.arange(2 * n), 0.0, 1.0),
               LinearBlock(-np.ones((1, 2 * n)), np.array([1.2 * n]), "budget")]
     z0 = np.full(2 * n, 0.5)
     z, info = concave_max(obj, blocks, z0)
@@ -598,9 +609,8 @@ def test_illegal_lapack_argument_raises():
 def test_out_of_band_entry_raises():
     with pytest.raises(ValueError, match="outside the band of width 1"):
         concave_max(quadratic(np.eye(3)), [], np.zeros(3), band=(3, 1))
-    pair = BoxBlock(np.arange(3), -1.0, 1.0)
-    pair.cols = np.array([[0, 2]] * pair.count)
-    with pytest.raises(ValueError, match="box row 0 couples positions 0 and 2"):
+    pair = AffineRows([[1, 0], [0, 2]], [1.0, -1.0], 0.0, "pair")
+    with pytest.raises(ValueError, match="pair row 1 couples positions 0 and 2"):
         Scatter(4, (3, 1), [pair])
     # the same entries are legal border couplings or inside a wider band
     Scatter(4, (2, 1), [pair])
@@ -657,7 +667,7 @@ def test_each_point_is_evaluated_once(monkeypatch):
     n = 3
     obj = [Counted(LogSlots(n))]
     blocks = [
-        Counted(BoxBlock(np.arange(2 * n), 0.0, 1.0)),
+        Counted(AffineRows.box(np.arange(2 * n), 0.0, 1.0)),
         Counted(LinearBlock(-np.ones((1, 2 * n)), np.array([1.2 * n]), "budget")),
     ]
     directions, real_solve = [], NewtonSystem.solve

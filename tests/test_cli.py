@@ -152,6 +152,29 @@ def test_non_finite_scenario_field_exits_3(tmp_path, capsys, field, entry, value
         assert "must be finite" in err["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "field, value, name",
+    [("uav_height_m", "100", "uav_height"), ("mode_threshold_bpshz", None, "mode_threshold"),
+     ("reference_snr_db", True, "reference_snr_db"), ("rate_targets_bpshz", ["a", 1], "rate_targets"),
+     ("bs_position_m", [0.0, None, 0.0], "bs_position"), ("flight_box_m", [0, 1000, False, 500], "flight_box"),
+     ("slot_count", float("nan"), "slot_count"), ("slot_count", 10.7, "slot_count"),
+     ("slot_count", "12", "slot_count"), ("slot_count", True, "slot_count")],
+)
+def test_malformed_scenario_value_exits_3(tmp_path, capsys, field, value, name):
+    """A value that is not a number, or a slot count that is not integral,
+    is one JSON parse error naming the field, not a traceback or a
+    truncated slot count."""
+    raw = json.loads(Path(DEFAULT).read_text())
+    raw[field] = value
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps(raw))
+    for command in ("validate", "solve-sumrate"):
+        assert main([command, str(scen), "--slots", "8", "--out-dir", str(tmp_path)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "parse"
+        assert err["error"]["message"].startswith(name + " must")
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 @pytest.mark.parametrize("flag", ["--grid", "--power-grid"])
 def test_oracle_rejects_non_finite_steps(tmp_path, capsys, flag, bad):

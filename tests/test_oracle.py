@@ -166,13 +166,6 @@ def test_grid_steps_must_be_finite(step, bad):
         oracle.static_placement_oracle(static_scenario(), **steps)
 
 
-@pytest.mark.parametrize("chunk", [-1, 0, 2.5])
-def test_chunk_cells_must_be_a_positive_integer(chunk):
-    with pytest.raises(ValueError, match="chunk_cells"):
-        oracle.static_placement_oracle(
-            default_scenario(slots=4), xy_step=250.0, power_step=0.5, chunk_cells=chunk)
-
-
 def test_min_objective_finds_perpendicular_bisector():
     sc = static_scenario(
         flight_box_m=[0.0, 1000.0, -500.0, 500.0],
@@ -183,21 +176,32 @@ def test_min_objective_finds_perpendicular_bisector():
     assert abs(pos[1]) <= 25.0
 
 
-def assert_chunking_ignored(sc, **grid):
-    runs = [oracle.static_placement_oracle(sc, chunk_cells=c, **grid) for c in (None, 1, 7)]
+def assert_chunking_ignored(monkeypatch, sc, **grid):
+    """The search returns the same cell, powers and value with chunks of 1
+    and of 7 cells as with its default chunks: each grid search gets
+    ``CHUNK_EVALS`` set to that many cells' rate evaluations."""
+    runs = [oracle.static_placement_oracle(sc, **grid)]
+    real = oracle._grid_search
+    for cells in (1, 7):
+        def search(sc_, xs, ys, p1_tri, *rest, cells=cells):
+            monkeypatch.setattr(oracle, "CHUNK_EVALS", cells * p1_tri.size * sc_.slot_count)
+            return real(sc_, xs, ys, p1_tri, *rest)
+
+        monkeypatch.setattr(oracle, "_grid_search", search)
+        runs.append(oracle.static_placement_oracle(sc, **grid))
     for pos, powers, best in runs[1:]:
         assert np.array_equal(pos, runs[0][0])
         assert np.array_equal(powers, runs[0][1])
         assert best == runs[0][2]
 
 
-def test_grid_results_ignore_chunking():
+def test_grid_results_ignore_chunking(monkeypatch):
     sc = static_scenario(
         flight_box_m=[300.0, 400.0, 150.0, 250.0],
         uav_start_m=[350.0, 200.0],
         uav_end_m=[350.0, 200.0],
     )
-    assert_chunking_ignored(sc, xy_step=25.0, power_step=0.2)
+    assert_chunking_ignored(monkeypatch, sc, xy_step=25.0, power_step=0.2)
 
 
 @pytest.mark.parametrize(
@@ -205,10 +209,10 @@ def test_grid_results_ignore_chunking():
     [("sum", {}), ("min", {}), ("sum", {"rate_targets_bpshz": [1.5, 1.5]})],
     ids=["sum", "min", "sum-targets"],
 )
-def test_grid_results_ignore_chunking_across_modes(objective, overrides):
+def test_grid_results_ignore_chunking_across_modes(monkeypatch, objective, overrides):
     # under positive targets the weakest-link screen runs per chunk, down to
     # one cell at a time
-    assert_chunking_ignored(moving_scenario(**overrides), objective=objective, **MOVING_GRID)
+    assert_chunking_ignored(monkeypatch, moving_scenario(**overrides), objective=objective, **MOVING_GRID)
 
 
 @pytest.mark.parametrize(

@@ -83,6 +83,17 @@ def test_loader_shape_and_sign_checks():
         ("slot_duration_s", float("inf"), "finite tau"),
         ("mode_threshold_bpshz", float("nan"), "mode_threshold"),
         ("rate_targets_bpshz", [float("nan"), 0.5], "rate targets"),
+        ("uav_height_m", "100", "uav_height must be a number"),
+        ("mode_threshold_bpshz", None, "mode_threshold must be a number"),
+        ("avg_bs_power_w", False, "avg_bs_power must be a number"),
+        ("rate_targets_bpshz", ["a", 1], "rate_targets must hold numbers"),
+        ("rate_targets_bpshz", [True, 1], "rate_targets must hold numbers"),
+        ("vehicle_initial_m", [[700.0, None], [700.0, 0.0]], "vehicle_initial must hold numbers"),
+        ("slot_count", float("nan"), "slot_count must be an integer"),
+        ("slot_count", float("inf"), "slot_count must be an integer"),
+        ("slot_count", 10.7, "slot_count must be an integer"),
+        ("slot_count", "12", "slot_count must be a number"),
+        ("slot_count", True, "slot_count must be a number"),
     ]:
         raw = dict(default_dict(), **{field: value})
         with pytest.raises(ScenarioError, match=match):
@@ -98,6 +109,12 @@ def test_loader_rejects_nonpositive_average_power(field, value):
     raw[field] = value
     with pytest.raises(ScenarioError, match="average powers"):
         scenario_from_dict(raw)
+
+
+@pytest.mark.parametrize("count", [10, 10.0, np.int64(10)])
+def test_integral_slot_count_is_kept(count):
+    sc = scenario_from_dict(dict(default_dict(), slot_count=count))
+    assert sc.slot_count == 10 and type(sc.slot_count) is int
 
 
 def test_with_slots_rescales_horizon():

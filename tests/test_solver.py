@@ -230,10 +230,10 @@ def test_rebalance_matches_bisection(slots, targets):
     want_p1, want_p2, want_stuck = bisection_rebalance(sc, cs, modes, powers)
     if want_stuck:
         with pytest.raises(InfeasibleProblemError) as err:
-            solver._rebalance_for_targets(sc, cs, modes, powers, tol=0.0)
+            solver._rebalance_for_targets(sc, cs, modes, powers)
         assert err.value.slots == want_stuck
         return
-    got = solver._rebalance_for_targets(sc, cs, modes, powers, tol=0.0)
+    got = solver._rebalance_for_targets(sc, cs, modes, powers)
     s = p1 + p2
     r1, r2 = rates.exact_rates(modes, h_r, h_1, h_2, p1, p2, pr, sc.noise_power)
     kept = (r1 >= targets[0]) & (r2 >= targets[1])
@@ -713,7 +713,8 @@ def test_subproblems_cover_every_block_kind(subproblems):
     # reads slot i mod n
     for d in (2, 3):
         slots = np.arange(d * n).reshape(n, d)[np.arange(2 * n) % n]
-        (rows,) = first[d * n][0]  # the sum-rate objective
+        (rows,) = first[d * n][0]
+        assert rows.label == "sum-rate objective"
         np.testing.assert_array_equal(rows.cols, slots)
         assert rows.count == 2 * n
         objective, blocks = first[d * n + 1][:2]
@@ -788,7 +789,7 @@ def test_cheap_row_rejection_makes_no_local_call(monkeypatch):
     modes = np.full(n, 3)
     terms = solver._traj_terms(SC8, channel_state(traj, SC8), modes, equal_split(SC8))
     chain = solver.VelocityChainBlock(slots, SC8.uav_start, SC8.uav_end, SC8.step_radius)
-    rows = solver.SlotRowBlock(terms, np.concatenate([slots, slots]), 0.0)
+    rows = solver.SlotRowBlock(terms, np.concatenate([slots, slots]), "sum-rate objective")
     z = traj.ravel() / solver.LENGTH_SCALE
     assert barrier._evaluate_point([rows], [chain], z) is not None and calls == [1]
     z[2 * 3] += 2.0 * SC8.step_radius / solver.LENGTH_SCALE  # slot 3 jumps out of reach
@@ -797,9 +798,9 @@ def test_cheap_row_rejection_makes_no_local_call(monkeypatch):
 
 
 def test_row_blocks_match_their_formulas_bit_for_bit():
-    """A ``RowSubset`` gives the rows of ``SlotRowBlock(terms.sub(idx), ...)``
-    and the epigraph block pads ``local``'s rows with the epigraph column,
-    both bit for bit."""
+    """A ``RowSubset`` gives the full block's rows and ``cols`` at ``idx``
+    less its ``rhs``, and the epigraph block pads ``local``'s rows with the
+    epigraph column, both bit for bit."""
     rng = np.random.default_rng(61)
     sc = default_scenario(slots=13)
     n = sc.slot_count
@@ -816,15 +817,20 @@ def test_row_blocks_match_their_formulas_bit_for_bit():
         rhs = rng.uniform(0.0, 0.5, n)
         for order in (0, 1, 2):
             z = anchor + rng.uniform(-0.01, 0.01, anchor.shape)
-            rows = solver.SlotRowBlock(terms, row_slots, 0.0)
-            got = solver.RowSubset(rows, idx, rhs).evaluate(z, order)
-            want = solver.SlotRowBlock(terms.sub(idx), row_slots[idx], rhs).evaluate(z, order)
-            for g, w in zip(got, want):
-                assert (g is None and w is None) or np.array_equal(g, w)
-            z = np.append(z, -0.3)
             vals, grad, hess = terms.local(z[row_slots], order)
-            epi = solver.SlotRowBlock(terms, row_slots, rhs[0], epi_idx=d * n).evaluate(z, order)
-            assert np.array_equal(epi[0], vals - rhs[0] - z[-1])
+            rows = solver.SlotRowBlock(terms, row_slots, "sum-rate objective")
+            full = rows.evaluate(z, order)
+            for f, w in zip(full, (vals, grad, hess)):
+                assert (f is None and w is None) or np.array_equal(f, w)
+            subset = solver.RowSubset(rows, idx, rhs)
+            np.testing.assert_array_equal(subset.cols, rows.cols[idx])
+            got = subset.evaluate(z, order)
+            assert np.array_equal(got[0], full[0][idx] - rhs)
+            for g, f in zip(got[1:], full[1:]):
+                assert (g is None and f is None) or np.array_equal(g, f[idx])
+            z = np.append(z, -0.3)
+            epi = solver.SlotRowBlock(terms, row_slots, "epigraph rate", epi_idx=d * n).evaluate(z, order)
+            assert np.array_equal(epi[0], vals - z[-1])
             if order:
                 assert np.array_equal(epi[1], np.column_stack([grad, np.full(2 * n, -1.0)]))
             if order == 2:
