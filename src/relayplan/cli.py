@@ -82,8 +82,17 @@ def _read_slots_csv(path: str) -> Dict[str, np.ndarray]:
                 store.append(float(text))
         except ValueError as exc:
             raise CliError(f"{path}: {exc}", EXIT_PARSE) from exc
-    names = ["n", "x", "y", "p1", "p2", "pr", "state", "mode", "R1", "R2"]
-    return {name: np.array(vals) for name, vals in zip(names, cols)}
+    data = dict(zip(CSV_HEADER.split(", "), map(np.array, cols)))
+    for name, vals in data.items():
+        ok, need = np.isfinite(vals), "finite"
+        if name in ("p1", "p2", "pr"):
+            ok, need = ok & (vals >= 0), "finite and nonnegative"
+        elif name in ("state", "mode"):
+            ok, need = ok & (np.floor(vals) == vals), "an integer"
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise CliError(f"{path}: column {name}, row {i + 1}: {float(vals[i])} must be {need}", EXIT_PARSE)
+    return data
 
 
 def _exact_plan(sc: Scenario, traj, powers: PowerAllocation, sched: Optional[ModeSchedule] = None):

@@ -13,17 +13,19 @@ Two families of bounds, one per subproblem:
 
 Power-side gains are the SINR table's, ``rates.normalized_gains`` (g = h/sigma^2,
 or 2h/sigma^2 in OMA), which makes the "+1"/"+2" constants in the log
-arguments exact.  ``_dc_split`` writes each (mode, vehicle) split once, its
-concave log argument a product of positive affine factors by construction.
+arguments exact.  Like the table, ``_dc_split`` writes the split once per
+row role (OMA, the SIC vehicle, the interfered vehicle) over the row's own,
+other and relay power (a, b, r), its concave log argument a product of
+positive affine factors by construction.
 
 Each side has one bound type, ``TrajectoryBound`` and ``PowerBound``, built
 with both vehicles' rows stacked, vehicle 1's first: of 2N rows, row i lies
-in slot i mod N and in that slot's mode.  ``local`` gives the values,
-gradients and Hessians the barrier maximizes; a row is -inf off its log
-domain.  The bounds minorize ``convexified_rate`` and ``dc_rate_vehicle``.
+in slot i mod N and in that slot's mode.  A power row reads its slot's
+powers as (own, other, relay), so vehicle 2's rows read (p2, p1, pr).
+``local`` gives the values, gradients and Hessians the barrier maximizes; a
+row is -inf off its log domain.  The bounds minorize ``convexified_rate``
+and ``dc_rate_vehicle``.
 """
-
-import itertools
 
 import numpy as np
 
@@ -54,7 +56,7 @@ def convexity_certificate(a, b, c, d, probe) -> bool:
 def _expansion_powers(p1, p2, pr):
     """The expansion powers as float arrays, checked to be nonnegative."""
     p1, p2, pr = (np.asarray(v, dtype=float) for v in (p1, p2, pr))
-    if np.any(p1 < 0) or np.any(p2 < 0) or np.any(pr < 0):
+    if (np.concatenate([p1, p2, pr], axis=None) < 0).any():
         raise ValueError("expansion powers must be nonnegative")
     return p1, p2, pr
 
@@ -85,10 +87,9 @@ class TrajectoryBound:
     ROWS = ("cm", "base", "dr", "dk", "vx", "vy")
     __slots__ = ROWS + ("s", "bx", "by", "hh", "scale")
 
-    def __init__(self, n, s, bx, by, hh, scale):
-        for name in self.ROWS:
-            setattr(self, name, np.zeros(n))
-        self.s, self.bx, self.by, self.hh, self.scale = s, bx, by, hh, scale
+    def __init__(self, **fields):
+        for name in self.__slots__:
+            setattr(self, name, fields[name])
 
     def argument(self, psi_r, psi_k):
         """A at the rows' psi values."""
@@ -148,27 +149,21 @@ def trajectory_lb_build(modes, p1, p2, pr, psi_r_l, psi_1_l, psi_2_l,
     n = len(modes)
     p1, p2, pr = _expansion_powers(p1, p2, pr)
     psi_l = [np.asarray(v, dtype=float) for v in (psi_r_l, psi_1_l, psi_2_l)]
-    if any(np.any(v <= 0) for v in psi_l):
+    if (np.concatenate(psi_l, axis=None) <= 0).any():
         raise ValueError("psi expansion values must be positive")
-    out = TrajectoryBound(2 * n, s, float(bs[0]), float(bs[1]), hh, scale)
-    out.vx, out.vy = np.asarray(paths, dtype=float).reshape(2 * n, 2).T.copy()
-    for k, m in itertools.product((1, 2), (1, 2, 3)):
-        sel = np.nonzero(modes == m)[0]
-        if not len(sel):
-            continue
-        q1, q2, qr, u, w = p1[sel], p2[sel], pr[sel], psi_l[0][sel], psi_l[k][sel]
-        rows = sel + (k - 1) * n
-        p_k = q1 if k == 1 else q2
-        b_coef = q1 + q2 if m in (1, 2) else p_k
-        d_m = 1.0 / (qr * u + b_coef * w + u * w + qr * b_coef)
-        gamma_lb = d_m * qr * p_k
-        common = d_m * d_m * qr * p_k
-        d_r = -common * (qr + w)  # d(gamma)/d(psi_r) at the expansion point
-        d_k = -common * (b_coef + u)  # d(gamma)/d(psi_k)
-        out.cm[rows] = 0.5 if m == 3 else 1.0
-        out.base[rows] = 1.0 + gamma_lb - d_r * u - d_k * w
-        out.dr[rows], out.dk[rows] = d_r, d_k
-    return out
+    oma, p_k = np.concatenate([modes, modes]) == 3, np.concatenate([p1, p2])
+    qr, u, w = np.concatenate([pr, pr]), np.concatenate(psi_l[:1] * 2), np.concatenate(psi_l[1:])
+    b_coef = np.where(oma, p_k, np.concatenate([p1 + p2] * 2))
+    d_m = 1.0 / (qr * u + b_coef * w + u * w + qr * b_coef)
+    gamma_lb = d_m * qr * p_k
+    common = d_m * d_m * qr * p_k
+    d_r = -common * (qr + w)  # d(gamma)/d(psi_r) at the expansion point
+    d_k = -common * (b_coef + u)  # d(gamma)/d(psi_k)
+    vx, vy = np.asarray(paths, dtype=float).reshape(2 * n, 2).T.copy()
+    return TrajectoryBound(
+        cm=np.where(oma, 0.5, 1.0), base=1.0 + gamma_lb - d_r * u - d_k * w, dr=d_r,
+        dk=d_k, vx=vx, vy=vy, s=s, bx=float(bs[0]), by=float(bs[1]), hh=hh, scale=scale,
+    )
 
 
 def convexified_rate(mode, k, p1, p2, pr, psi_r, psi_k):
@@ -183,117 +178,106 @@ def convexified_rate(mode, k, p1, p2, pr, psi_r, psi_k):
 # ---- power-side DC machinery (normalized gains) ----
 
 
-def _dc_split(mode, k, g_r, g_1, g_2):
-    """Vehicle k's DC split in ``mode``: the rate is
-    cm * (log2[(cu0 + cur*pr)(cv0 + cv1*p1 + cv2*p2)] - log2 C).
+def _dc_split(oma, sic, g_r, g_k):
+    """The DC split of rows by role over their own, other and relay power
+    (a, b, r): the rate is cm * (log2[(cu0 + g_k*r)(1 + g_r*a + cv_b*b)] -
+    log2 C) with C = c0 + c_a*a + c_b*b + r*(c_r + c_br*b), returned as
+    ((cu0, cv_b), (c0, c_a, c_b, c_r, c_br)).  ``oma`` and ``sic`` mark the
+    OMA and SIC vehicle's rows; the others are the interfered vehicle's:
 
-    Returns ((cu0, cur, (cv0, cv1, cv2)), (c0, c1, c2, cr, c1r, c2r)), the
-    concave argument's two positive affine factors and the subtracted
-    argument C = c0 + c1*p1 + c2*p2 + cr*pr + c1r*p1*pr + c2r*p2*pr.  C is
-    affine for the SIC vehicle and OMA; the interfered vehicle's C is
-    (1 + g_k*pr)(1 + g_r*p_j), p_j the SIC vehicle's power: its exact
-    denominator without the g_r*p_k term.
+        role                 cu0  cv_b  C
+        OMA                  2    0     2 + 2 g_r a + g_k r          (the table's D)
+        SIC vehicle          1    0     1 + g_r a + g_r b + g_k r    (D)
+        interfered vehicle   1    g_r   (1 + g_k r)(1 + g_r b)       (D - g_r a)
     """
-    g_k = g_1 if k == 1 else g_2
-    own = (g_r, 0.0) if k == 1 else (0.0, g_r)  # g_r on vehicle k's power
-    if mode == 3:
-        return (2.0, g_k, (1.0, *own)), (2.0, 2.0 * own[0], 2.0 * own[1], g_k, 0.0, 0.0)
-    if mode not in (1, 2):
-        raise ValueError(f"invalid mode {mode}")
-    if mode == k:  # the SIC vehicle
-        return (1.0, g_k, (1.0, *own)), (1.0, g_r, g_r, g_k, 0.0, 0.0)
-    sic = own[::-1]  # g_r on the SIC vehicle's power
-    return (1.0, g_k, (1.0, g_r, g_r)), (1.0, *sic, g_k, g_k * sic[0], g_k * sic[1])
+    interfered = ~np.logical_or(oma, sic)
+    cu0 = np.where(oma, 2.0, 1.0)
+    c_a = np.where(oma, 2.0 * g_r, np.where(sic, g_r, 0.0))
+    c_b = np.where(oma, 0.0, g_r)
+    c_br = np.where(interfered, g_k * g_r, 0.0)
+    return (cu0, np.where(interfered, g_r, 0.0)), (cu0, c_a, c_b, g_k, c_br)
 
 
-def _log2_and_slopes(coef, p1, p2, pr):
-    """log2 C at the powers, and its partials in (p1, p2, pr): dC/dp / (C ln2)."""
-    c0, c1, c2, cr, c1r, c2r = coef
-    c = c0 + c1 * p1 + c2 * p2 + pr * (cr + c1r * p1 + c2r * p2)
-    slopes = (c1 + c1r * pr, c2 + c2r * pr, cr + c1r * p1 + c2r * p2)
+def _log2_and_slopes(coef, a, b, r):
+    """log2 C at the powers, and its partials in (a, b, r): dC/dp / (C ln2)."""
+    c0, c_a, c_b, c_r, c_br = coef
+    c = c0 + c_a * a + c_b * b + r * (c_r + c_br * b)
+    slopes = (c_a, c_b + c_br * r, c_r + c_br * b)
     return _log2(c), tuple(d / (LN2 * c) for d in slopes)
 
 
 def dc_rate_vehicle(mode, k, g_r, g_1, g_2, p1, p2, pr):
     """Per-vehicle DC rate (the function the power bound minorizes)."""
-    (cu0, cur, cv), coef = _dc_split(mode, k, g_r, g_1, g_2)
-    concave = _log2(cu0 + cur * pr) + _log2(cv[0] + cv[1] * p1 + cv[2] * p2)
+    _check_modes(mode)
+    g_k, a, b = (g_1, p1, p2) if k == 1 else (g_2, p2, p1)
+    (cu0, cv_b), coef = _dc_split(mode == 3, mode == k, g_r, g_k)
+    concave = _log2(cu0 + g_k * pr) + _log2(1.0 + g_r * a + cv_b * b)
     c_m = 0.5 if mode == 3 else 1.0
-    return c_m * (concave - _log2_and_slopes(coef, p1, p2, pr)[0])
+    return c_m * (concave - _log2_and_slopes(coef, a, b, pr)[0])
 
 
 class PowerBound:
     """Rows of the power-side bound, each of one vehicle in one slot.
 
-    A row evaluates to
-        cm * (log2(cu0 + cur*pr) + log2(cv0 + cv1*p1 + cv2*p2)
-              - t0 - a1*p1 - a2*p2 - ar*pr),
-    the vehicle's DC rate at the slot with its subtracted log term replaced by
-    the tangent plane t0 + a1*p1 + a2*p2 + ar*pr.  A slot's variables are
-    its (p1, p2, pr) divided by ``scale``.
+    A row reads its own, the other vehicle's and the relay power (a, b, r),
+    divided by ``scale``, and evaluates to
+        cm * (log2(cu0 + g_k*r) + log2(1 + g_r*a + cv_b*b) - t0 - t_a*a - t_b*b - t_r*r),
+    the vehicle's DC rate at the slot (``_dc_split``) with its subtracted
+    log term replaced by the tangent plane t0 + t_a*a + t_b*b + t_r*r.
     """
 
-    COEFFS = ("cm", "cu0", "cur", "cv0", "cv1", "cv2", "t0", "a1", "a2", "ar")
+    COEFFS = ("cm", "cu0", "g_r", "g_k", "cv_b", "t0", "t_a", "t_b", "t_r")
     __slots__ = COEFFS + ("scale",)
 
-    def __init__(self, n, scale):
-        for name in self.COEFFS:
-            setattr(self, name, np.zeros(n))
-        self.scale = scale
+    def __init__(self, **fields):
+        for name in self.__slots__:
+            setattr(self, name, fields[name])
 
     def local(self, v, order):
         """(values, grad, hess): row values (-inf where a log argument
         leaves its domain), with ``order`` >= 1 the (m, 3) gradients and
-        with ``order`` 2 the (m, 3, 3) Hessians over the scaled slot
+        with ``order`` 2 the (m, 3, 3) Hessians over the scaled row
         variables ``v``; None beyond ``order``."""
-        p1, p2, pr = (v * self.scale).T
-        u = self.cu0 + self.cur * pr
-        w = self.cv0 + self.cv1 * p1 + self.cv2 * p2
+        a, b, r = (v * self.scale).T
+        u = self.cu0 + self.g_k * r
+        w = 1.0 + self.g_r * a + self.cv_b * b
         bad = (u <= 0.0) | (w <= 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            lin = self.t0 + self.a1 * p1 + self.a2 * p2 + self.ar * pr
+            lin = self.t0 + self.t_a * a + self.t_b * b + self.t_r * r
             vals = self.cm * (np.log2(u) + np.log2(w) - lin)
         vals = np.where(bad, -np.inf, vals)
         if order == 0:
             return vals, None, None
         gw = self.cm / (LN2 * w)
         grad = np.empty((len(u), 3))
-        grad[:, 0] = self.cv1 * gw - self.cm * self.a1
-        grad[:, 1] = self.cv2 * gw - self.cm * self.a2
-        grad[:, 2] = self.cur * self.cm / (LN2 * u) - self.cm * self.ar
+        grad[:, 0] = self.g_r * gw - self.cm * self.t_a
+        grad[:, 1] = self.cv_b * gw - self.cm * self.t_b
+        grad[:, 2] = self.g_k * self.cm / (LN2 * u) - self.cm * self.t_r
         grad *= self.scale
         if order == 1:
             return vals, grad, None
         cw = -self.cm / (LN2 * w * w)
         hess = np.zeros((len(u), 3, 3))
-        hess[:, 0, 0] = cw * self.cv1 * self.cv1
-        hess[:, 0, 1] = hess[:, 1, 0] = cw * self.cv1 * self.cv2
-        hess[:, 1, 1] = cw * self.cv2 * self.cv2
-        hess[:, 2, 2] = -self.cm * self.cur * self.cur / (LN2 * u * u)
+        hess[:, 0, 0] = cw * self.g_r * self.g_r
+        hess[:, 0, 1] = hess[:, 1, 0] = cw * self.g_r * self.cv_b
+        hess[:, 1, 1] = cw * self.cv_b * self.cv_b
+        hess[:, 2, 2] = -self.cm * self.g_k * self.g_k / (LN2 * u * u)
         return vals, grad, hess * np.outer(self.scale, self.scale)
 
 
 def power_lb_build(modes, g_r, g_1, g_2, p1_l, p2_l, pr_l, scale) -> PowerBound:
     """Both vehicles' bound rows around the expansion powers (p1_l, p2_l,
     pr_l), vehicle 1's first; row i in slot i mod N, in mode
-    ``modes[i mod N]``.  ``scale`` holds the units of a slot's (p1, p2, pr)
-    variables."""
+    ``modes[i mod N]``, reading (p1, p2, pr) for vehicle 1 and (p2, p1, pr)
+    for vehicle 2.  ``scale`` holds the units of a row's (a, b, r)."""
     modes = _check_modes(modes)
-    n = len(modes)
-    g_r, g_1, g_2 = (np.asarray(v, dtype=float) for v in (g_r, g_1, g_2))
     p1_l, p2_l, pr_l = _expansion_powers(p1_l, p2_l, pr_l)
-    out = PowerBound(2 * n, scale)
-    for k, m in itertools.product((1, 2), (1, 2, 3)):
-        sel = np.nonzero(modes == m)[0]
-        if not len(sel):
-            continue
-        q1, q2, qr = p1_l[sel], p2_l[sel], pr_l[sel]
-        rows = sel + (k - 1) * n
-        (cu0, cu_r, cv), coef = _dc_split(m, k, g_r[sel], g_1[sel], g_2[sel])
-        value, (d, t, c) = _log2_and_slopes(coef, q1, q2, qr)
-        out.cm[rows] = 0.5 if m == 3 else 1.0
-        out.cu0[rows], out.cur[rows] = cu0, cu_r
-        out.cv0[rows], out.cv1[rows], out.cv2[rows] = cv
-        out.a1[rows], out.a2[rows], out.ar[rows] = d, t, c
-        out.t0[rows] = value - d * q1 - t * q2 - c * qr
-    return out
+    oma, sic = np.concatenate([modes, modes]) == 3, np.concatenate([modes == 1, modes == 2])
+    a, b, r = np.concatenate([p1_l, p2_l]), np.concatenate([p2_l, p1_l]), np.concatenate([pr_l, pr_l])
+    g_r, g_k = np.concatenate([g_r, g_r], dtype=float), np.concatenate([g_1, g_2], dtype=float)
+    (cu0, cv_b), coef = _dc_split(oma, sic, g_r, g_k)
+    value, (t_a, t_b, t_r) = _log2_and_slopes(coef, a, b, r)
+    return PowerBound(
+        cm=np.where(oma, 0.5, 1.0), cu0=cu0, g_r=g_r, g_k=g_k, cv_b=cv_b,
+        t0=value - t_a * a - t_b * b - t_r * r, t_a=t_a, t_b=t_b, t_r=t_r, scale=scale,
+    )

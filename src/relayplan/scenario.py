@@ -1,8 +1,8 @@
 """Scenario configuration, node kinematics, and the free-space channel model.
 
 Distances are meters, powers watts, rates bps/Hz.  The scenario file carries
-the physical parametrization (bandwidth, noise density, reference SNR) and the
-loader derives the linear noise power and reference channel gain from it:
+the physical parametrization (bandwidth, noise density, reference SNR), and
+``Scenario`` derives the linear noise power and reference channel gain from it:
 sigma^2 = B * 10^(N0_dBm/10) / 1000 and beta0 = 10^(refSNR_dB/10) * sigma^2.
 """
 
@@ -77,30 +77,26 @@ class Scenario:
     avg_relay_power: float
     rate_targets: np.ndarray  # per vehicle, bps/Hz
     mode_threshold: float
-    beta0: float = 0.0  # derived unless given
-    noise_power: float = 0.0  # derived unless given
 
     def __post_init__(self):
-        for name in (f.name for f in dataclasses.fields(self) if f.name not in _ARRAY_FIELDS):
-            if not _is_number(getattr(self, name)):
-                raise ScenarioError(f"{name} must be a number, got {getattr(self, name)!r}")
+        for name in (f.name for f in dataclasses.fields(self)):
+            value, shape = getattr(self, name), _ARRAY_FIELDS.get(name, ())
+            entries = np.asarray(value, dtype=object)
+            if not all(map(_is_number, entries.flat)):
+                kind = "hold numbers" if shape else "be a number"
+                raise ScenarioError(f"{name} must {kind}, got {value!r}")
+            try:
+                arr = entries.astype(float)
+            except OverflowError:
+                raise ScenarioError(f"{name} must be finite, got a number too large for a float") from None
+            if arr.shape != shape:
+                raise ScenarioError(f"{name}: expected shape {shape}, got {arr.shape}")
+            if shape:
+                arr.flags.writeable = False
+                object.__setattr__(self, name, arr)
         if not float(self.slot_count).is_integer():
             raise ScenarioError(f"slot_count must be an integer, got {self.slot_count!r}")
         object.__setattr__(self, "slot_count", int(self.slot_count))
-        for name, shape in _ARRAY_FIELDS.items():
-            entries = np.asarray(getattr(self, name), dtype=object)
-            if not all(map(_is_number, entries.flat)):
-                raise ScenarioError(f"{name} must hold numbers, got {getattr(self, name)!r}")
-            arr = entries.astype(float)
-            if arr.shape != shape:
-                raise ScenarioError(f"{name}: expected shape {shape}, got {arr.shape}")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if self.noise_power == 0.0:
-            sigma2 = self.bandwidth_hz * 10.0 ** (self.noise_density_dbm_per_hz / 10.0) / 1000.0
-            object.__setattr__(self, "noise_power", sigma2)
-        if self.beta0 == 0.0:
-            object.__setattr__(self, "beta0", 10.0 ** (self.reference_snr_db / 10.0) * self.noise_power)
         self._check()
 
     def _check(self):
@@ -127,6 +123,16 @@ class Scenario:
                 raise ScenarioError(f"{name} lies outside the flight box")
 
     # ---- derived quantities ----
+
+    @property
+    def noise_power(self) -> float:
+        """Full-band noise power sigma^2 = B * 10^(N0_dBm/10) / 1000, watts."""
+        return self.bandwidth_hz * 10.0 ** (self.noise_density_dbm_per_hz / 10.0) / 1000.0
+
+    @property
+    def beta0(self) -> float:
+        """Reference channel gain 10^(refSNR_dB/10) * sigma^2."""
+        return 10.0 ** (self.reference_snr_db / 10.0) * self.noise_power
 
     @property
     def bs_energy(self) -> float:

@@ -365,14 +365,14 @@ def _epigraph_start(bound_rows_min):
 # ---- single linearize-and-solve passes ----
 
 
-def _subproblem(sc, terms, slots, width, z0, blocks, objective: str, step: str, diag: Dict):
+def _subproblem(sc, terms, row_slots, width, z0, blocks, objective: str, step: str, diag: Dict):
     """Add both vehicles' rate rows to the fixed ``blocks`` and solve.
 
-    z is slot-major: ``slots[n]`` holds the positions of slot n's d
-    variables, which fill z[:d * n] in order.  The barrier sees them as a
-    band of ``width`` and at most the epigraph scalar as its border.  The
-    2N rows of ``terms`` are stacked, vehicle 1's first, so row i reads
-    slot i mod N.  For "sum" the objective is the rows summed, and a
+    z is slot-major: slot n's d variables fill z[d * n:d * (n + 1)], all of
+    z0.  The barrier sees them as a band of ``width`` and at most the
+    epigraph scalar as its border.  The 2N rows of ``terms`` are stacked,
+    vehicle 1's first, so row i reads slot i mod N, at the positions in z
+    of ``row_slots[i]``.  For "sum" the objective is the rows summed, and a
     vehicle's target rows are kept at the slots whose bound clears the
     target at the start; the others are dropped and recorded under
     ``step``.  For "min" an epigraph scalar is appended to z and every row
@@ -381,17 +381,16 @@ def _subproblem(sc, terms, slots, width, z0, blocks, objective: str, step: str, 
     refined Newton directions are counted in ``diag``.  Returns
     (z, bound, info), bound being the subproblem's optimum.
     """
-    row_slots = np.concatenate([slots, slots])
     rows = SlotRowBlock(terms, row_slots, "sum-rate objective")
     start = rows.evaluate(z0, 0)[0]
-    blocks = list(blocks)
+    blocks, band = list(blocks), (len(z0), width)
     if objective == "min":
         t_idx = len(z0)
         z0 = np.append(z0, _epigraph_start(float(start.min())))
         blocks.append(SlotRowBlock(terms, row_slots, "epigraph rate", epi_idx=t_idx))
         obj = [AffineRows([[t_idx]], 1.0, 0.0, "epigraph objective")]
     else:
-        targets = np.repeat(sc.rate_targets, len(slots))
+        targets = np.repeat(sc.rate_targets, len(row_slots) // 2)
         rhs = targets - TARGET_SLACK
         keep = start - rhs > TARGET_MARGIN
         for k, dropped in enumerate(np.split((targets > 0.0) & ~keep, 2), 1):
@@ -403,7 +402,7 @@ def _subproblem(sc, terms, slots, width, z0, blocks, objective: str, step: str, 
         if len(idx):
             blocks.append(RowSubset(rows, idx, rhs[idx]))
         obj = [rows]
-    z, info = concave_max(obj, blocks, z0, band=(slots.size, width))
+    z, info = concave_max(obj, blocks, z0, band=band)
     diag["capped_stages"] = diag.get("capped_stages", 0) + info.capped_stages
     diag["failed_solves"] = diag.get("failed_solves", 0) + int(info.line_search_failed)
     diag["skipped_stages"] = diag.get("skipped_stages", 0) + info.skipped_stages
@@ -434,9 +433,8 @@ def _power_step(sc, cs, modes, start: PowerAllocation, objective: str, diag: Dic
 
     z0 = np.column_stack([start.p1 / ps, start.p2 / ps, start.pr / prs]).ravel()
     terms = _power_terms(sc, cs, modes, start)
-    z, bound, info = _subproblem(
-        sc, terms, slots, 2, z0, blocks, objective, "power", diag
-    )
+    row_slots = np.concatenate([slots, slots[:, [1, 0, 2]]])  # (own, other, relay) power
+    z, bound, info = _subproblem(sc, terms, row_slots, 2, z0, blocks, objective, "power", diag)
     p = z[slots]
     return PowerAllocation(ps * p[:, 0], ps * p[:, 1], prs * p[:, 2]), bound, info
 
@@ -458,9 +456,8 @@ def _traj_step(sc, powers, modes, start_traj, objective: str, diag: Dict):
     traj = _clamp_into_box(sc, start_traj)
     z0 = (traj + BACKOFF * (initial_trajectory(sc) - traj)).ravel() / LENGTH_SCALE
     terms = _traj_terms(sc, channel_state(start_traj, sc), modes, powers)
-    z, bound, info = _subproblem(
-        sc, terms, slots, 3, z0, blocks, objective, "trajectory", diag
-    )
+    row_slots = np.concatenate([slots, slots])
+    z, bound, info = _subproblem(sc, terms, row_slots, 3, z0, blocks, objective, "trajectory", diag)
     return LENGTH_SCALE * z[slots], bound, info
 
 

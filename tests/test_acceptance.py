@@ -157,13 +157,15 @@ def test_surrogate_coefficients_match_finite_differences():
         g_r, g_1, g_2 = rng.uniform(1e2, 1e6, (3, 500))
         q1, q2, qr = rng.uniform(0.05, 1.0, (3, 500))
         pb = sca.power_lb_build(mode * ones, g_r, g_1, g_2, q1, q2, qr, np.ones(3))
-        sub_arg = sca._dc_split(mode, k, g_r, g_1, g_2)[1]  # the subtracted argument
+        # vehicle k's role and its (own, other) powers
+        g_k, qa, qb = (g_1, q1, q2) if k == 1 else (g_2, q2, q1)
+        sub_arg = sca._dc_split(mode == 3, mode == k, g_r, g_k)[1]  # the subtracted argument
         f = lambda a, b, c: sca._log2_and_slopes(sub_arg, a, b, c)[0]
         h = 1e-6
         for coef, num in (
-            (pb.a1[vehicle_k], (f(q1 + h, q2, qr) - f(q1 - h, q2, qr)) / (2 * h)),
-            (pb.a2[vehicle_k], (f(q1, q2 + h, qr) - f(q1, q2 - h, qr)) / (2 * h)),
-            (pb.ar[vehicle_k], (f(q1, q2, qr + h) - f(q1, q2, qr - h)) / (2 * h)),
+            (pb.t_a[vehicle_k], (f(qa + h, qb, qr) - f(qa - h, qb, qr)) / (2 * h)),
+            (pb.t_b[vehicle_k], (f(qa, qb + h, qr) - f(qa, qb - h, qr)) / (2 * h)),
+            (pb.t_r[vehicle_k], (f(qa, qb, qr + h) - f(qa, qb, qr - h)) / (2 * h)),
         ):
             denom = np.maximum(np.abs(num), 1e-4)  # guard the zero coefficients
             worst = max(worst, float(np.max(np.abs(coef - num) / denom)))
@@ -188,6 +190,12 @@ def test_surrogate_coefficients_match_finite_differences():
         f"surrogate coefficients match finite differences "
         f"(worst rel {worst:.2e}, certified Hessian eig min {eig_min:.2e})",
         coeff_ok and hess_ok)
+
+
+def own_order(p):
+    """Both vehicles' power-row variables at slot powers ``p``, one (p1, p2,
+    pr) row per slot: vehicle 2's rows read (p2, p1, pr), as in the solver."""
+    return np.concatenate([p, p[:, [1, 0, 2]]])
 
 
 def test_bounds_anchor_and_minorize():
@@ -219,11 +227,12 @@ def test_bounds_anchor_and_minorize():
         g = rng.uniform(1e2, 1e6, (3, 1))
         q = rng.uniform(0.05, 1.0, (3, 1))
         pb = sca.power_lb_build(np.full(n, mode), *np.tile(g, n), *np.tile(q, n), np.ones(3))
-        panchor = pb.local(np.tile(q.T, (2 * n, 1)), 0)[0][(k - 1) * n]
+        # vehicle 2's rows read (p2, p1, pr): (own, other, relay) power
+        panchor = pb.local(own_order(np.tile(q.T, (n, 1))), 0)[0][(k - 1) * n]
         ptarget0 = sca.dc_rate_vehicle(mode, k, *g[:, 0], *q[:, 0])
         anchor_err = max(anchor_err, abs(panchor - ptarget0) / max(abs(ptarget0), 1e-12))
         ptrials = rng.uniform(1e-3, 2.0, size=(n, 3))
-        pbound = pb.local(np.tile(ptrials, (2, 1)), 0)[0][vehicle_k]
+        pbound = pb.local(own_order(ptrials), 0)[0][vehicle_k]
         ptarget = sca.dc_rate_vehicle(mode, k, *g[:, 0], *ptrials.T)
         overshoot = max(overshoot, float((pbound - ptarget).max()))
     ok = anchor_err <= 1e-12 and overshoot <= 1e-9

@@ -153,6 +153,31 @@ def test_non_finite_scenario_field_exits_3(tmp_path, capsys, field, entry, value
 
 
 @pytest.mark.parametrize(
+    "path, name",
+    [(("slot_count",), "slot_count"), (("avg_bs_power_w",), "avg_bs_power"),
+     (("uav_height_m",), "uav_height"), (("rate_targets_bpshz", 0), "rate_targets"),
+     (("vehicle_initial_m", 1, 0), "vehicle_initial")],
+    ids=["slot_count", "avg_bs_power", "uav_height", "rate_targets", "vehicle_initial"],
+)
+def test_number_too_large_for_a_float_exits_3(tmp_path, capsys, path, name):
+    """A 401-digit integer is one JSON parse error naming the field, not an
+    OverflowError or TypeError traceback."""
+    raw = json.loads(Path(DEFAULT).read_text())
+    *outer, last = path
+    entry = raw
+    for key in outer:
+        entry = entry[key]
+    entry[last] = 10**400
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps(raw))
+    for command in ("validate", "solve-sumrate"):
+        assert main([command, str(scen), "--slots", "8", "--out-dir", str(tmp_path)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "parse"
+        assert err["error"]["message"].startswith(name + " must be finite")
+
+
+@pytest.mark.parametrize(
     "field, value, name",
     [("uav_height_m", "100", "uav_height"), ("mode_threshold_bpshz", None, "mode_threshold"),
      ("reference_snr_db", True, "reference_snr_db"), ("rate_targets_bpshz", ["a", 1], "rate_targets"),
@@ -234,6 +259,33 @@ def test_rates_rejects_inconsistent_schedule(tmp_path, capsys, state, mode):
                  "--powers", str(bad), "--out-dir", str(tmp_path)]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "parse"
+    assert not (tmp_path / "rates_slots.csv").exists()
+
+
+@pytest.mark.parametrize("bad_file", ["trajectory", "powers"])
+@pytest.mark.parametrize(
+    "column, value",
+    [("p1", "-0.25"), ("p2", "-1e-300"), ("pr", "inf"), ("pr", "nan"), ("x", "nan"),
+     ("y", "-inf"), ("R1", "nan"), ("state", "+0.5"), ("mode", "nan"), ("n", "inf")],
+)
+def test_rates_rejects_bad_csv_values(tmp_path, capsys, bad_file, column, value):
+    """A non-finite value, a negative power or a non-integral state or mode
+    in either CSV is one JSON parse error naming the file, column and row,
+    not a traceback, NaN rates or a truncated state."""
+    assert main(["validate", DEFAULT, "--slots", "4", "--out-dir", str(tmp_path)]) == 0
+    header, rows = read_rows(tmp_path / "validate_slots.csv")
+    col = header.index(column)
+    rows[2][col] = repr(float(rows[2][col]) + 0.5) if value == "+0.5" else value
+    bad = tmp_path / "bad_slots.csv"
+    bad.write_text("\n".join(", ".join(r) for r in [header] + rows) + "\n")
+    good = str(tmp_path / "validate_slots.csv")
+    files = {"trajectory": good, "powers": good, bad_file: str(bad)}
+    capsys.readouterr()
+    assert main(["rates", DEFAULT, "--slots", "4", "--trajectory", files["trajectory"],
+                 "--powers", files["powers"], "--out-dir", str(tmp_path)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "parse"
+    assert err["error"]["message"].startswith(f"{bad}: column {column}, row 3: ")
     assert not (tmp_path / "rates_slots.csv").exists()
 
 

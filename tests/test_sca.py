@@ -21,12 +21,19 @@ def power_bound(mode, gains, powers, n=1):
     return sca.power_lb_build(np.full(n, mode), *tiled, ONES)
 
 
+def own_order(p):
+    """Both vehicles' power-row variables at slot powers ``p``, one (p1, p2,
+    pr) row per slot, as the solver maps them: vehicle 1's rows read (p1,
+    p2, pr) and vehicle 2's (p2, p1, pr), each (own, other, relay)."""
+    p = np.atleast_2d(p)
+    return np.concatenate([p, p[:, [1, 0, 2]]])
+
+
 def power_rows(mode, k, gains, powers, at):
     """Vehicle k's row of one slot's ``power_bound`` at each (p1, p2, pr)
     row of ``at``, one slot per point."""
-    at = np.atleast_2d(at)
-    n = len(at)
-    vals = power_bound(mode, gains, powers, n).local(np.tile(at, (2, 1)), 0)[0]
+    n = len(np.atleast_2d(at))
+    vals = power_bound(mode, gains, powers, n).local(own_order(at), 0)[0]
     return vals[(k - 1) * n : k * n]
 
 
@@ -236,38 +243,44 @@ def test_dc_gap_characterization_power_ratio_sweep():
 
 
 def test_power_coefficients_match_finite_differences():
+    """Each row's plane slopes over its (own, other, relay) powers (a, b, r)
+    against the subtracted log term of its role's split."""
     rng = np.random.default_rng(37)
     for mode, k in MODE_K:
         for _ in range(40):
             g_r, g_1, g_2 = rng.uniform(1e2, 1e6, 3)
             p1, p2, pr = rng.uniform(0.05, 1.0, 3)
             b, row = power_bound(mode, (g_r, g_1, g_2), (p1, p2, pr)), k - 1
-            sub_arg = sca._dc_split(mode, k, g_r, g_1, g_2)[1]  # the subtracted argument
+            g_k, a, o = (g_1, p1, p2) if k == 1 else (g_2, p2, p1)
+            sub_arg = sca._dc_split(mode == 3, mode == k, g_r, g_k)[1]  # the subtracted argument
             f = lambda a, b, c: sca._log2_and_slopes(sub_arg, a, b, c)[0]
             h = 1e-6
             num = [
-                (f(p1 + h, p2, pr) - f(p1 - h, p2, pr)) / (2 * h),
-                (f(p1, p2 + h, pr) - f(p1, p2 - h, pr)) / (2 * h),
-                (f(p1, p2, pr + h) - f(p1, p2, pr - h)) / (2 * h),
+                (f(a + h, o, pr) - f(a - h, o, pr)) / (2 * h),
+                (f(a, o + h, pr) - f(a, o - h, pr)) / (2 * h),
+                (f(a, o, pr + h) - f(a, o, pr - h)) / (2 * h),
             ]
-            assert b.a1[row] == pytest.approx(num[0], rel=1e-5, abs=1e-9)
-            assert b.a2[row] == pytest.approx(num[1], rel=1e-5, abs=1e-9)
-            assert b.ar[row] == pytest.approx(num[2], rel=1e-5, abs=1e-9)
-            assert b.a1[row] >= 0 and b.a2[row] >= 0 and b.ar[row] >= 0
+            assert b.t_a[row] == pytest.approx(num[0], rel=1e-5, abs=1e-9)
+            assert b.t_b[row] == pytest.approx(num[1], rel=1e-5, abs=1e-9)
+            assert b.t_r[row] == pytest.approx(num[2], rel=1e-5, abs=1e-9)
+            assert b.t_a[row] >= 0 and b.t_b[row] >= 0 and b.t_r[row] >= 0
             # the plane touches the subtracted term at the expansion point
-            plane = b.t0[row] + b.a1[row] * p1 + b.a2[row] * p2 + b.ar[row] * pr
-            assert plane == pytest.approx(f(p1, p2, pr), rel=1e-12)
+            plane = b.t0[row] + b.t_a[row] * a + b.t_b[row] * o + b.t_r[row] * pr
+            assert plane == pytest.approx(f(a, o, pr), rel=1e-12)
 
 
 def test_power_coefficient_structure():
     g = (3e5, 8e5, 2e5)
     p = (0.1, 0.4, 0.5)
-    assert power_bound(1, g, p).a2[1] == 0.0  # vehicle 2: no p2 term in the subtracted part
-    assert power_bound(2, g, p).a1[0] == 0.0
-    assert power_bound(3, g, p).a2[0] == 0.0
+    # interfered row (mode 1 vehicle 2, mode 2 vehicle 1): no own-power term
+    # in the subtracted part
+    assert power_bound(1, g, p).t_a[1] == 0.0
+    assert power_bound(2, g, p).t_a[0] == 0.0
+    # OMA rows: no other-power term
+    assert power_bound(3, g, p).t_b[0] == 0.0 and power_bound(3, g, p).t_b[1] == 0.0
     # relay link switched off: every coefficient that rides on g_r vanishes
     b = power_bound(1, (0.0, 8e5, 2e5), p)
-    assert b.a1[0] == 0.0 and b.a2[0] == 0.0 and b.ar[0] > 0.0
+    assert b.t_a[0] == 0.0 and b.t_b[0] == 0.0 and b.t_r[0] > 0.0
 
 
 def test_power_bound_rejects_bad_inputs():
@@ -306,7 +319,8 @@ def test_power_bound_separable_factorization_mode3():
     g_r, g_1, g_2 = 3e5, 8e5, 2e5
     b = power_bound(3, (g_r, g_1, g_2), (0.2, 0.3, 0.5))  # vehicle 1: row 0
     p1, pr = 0.37, 0.61
-    whole = (b.cu0[0] + b.cur[0] * pr) * (b.cv0[0] + b.cv1[0] * p1)
+    assert b.cv_b[0] == 0.0  # the vehicle factor reads only its own power
+    whole = (b.cu0[0] + b.g_k[0] * pr) * (1.0 + b.g_r[0] * p1)
     expanded = pr * g_1 * g_r * p1 / 2 * 2 + pr * g_1 + 2 * p1 * g_r + 2
     assert whole == pytest.approx(expanded, rel=1e-12)
     # cross/linear coefficient ratios of the expansion agree (separability)
@@ -335,7 +349,7 @@ def test_mixed_mode_builds_match_references_and_single_mode_builds():
     pb = sca.power_lb_build(modes, *g, *p, ONES)
     tb = sca.trajectory_lb_build(modes, *p, psi_r, *psi, paths, **GEOMETRY)
     assert pb.cm.shape == tb.cm.shape == (2 * n,)
-    p_rows, t_rows = pb.local(np.tile(p.T, (2, 1)), 0)[0], tb.local(np.tile(q, (2, 1)), 0)[0]
+    p_rows, t_rows = pb.local(own_order(p.T), 0)[0], tb.local(np.tile(q, (2, 1)), 0)[0]
     for k in (1, 2):
         rows = np.arange(n) + (k - 1) * n
         dc = [sca.dc_rate_vehicle(m, k, *g[:, i], *p[:, i]) for i, m in enumerate(modes)]
@@ -378,13 +392,13 @@ def reference_traj_local(b, v):
 
 def reference_power_grad(b, v):
     """``PowerBound.local``'s gradient as one column_stack, then scaled."""
-    p1, p2, pr = (v * b.scale).T
-    u, w = b.cu0 + b.cur * pr, b.cv0 + b.cv1 * p1 + b.cv2 * p2
+    a, o, r = (v * b.scale).T
+    u, w = b.cu0 + b.g_k * r, 1.0 + b.g_r * a + b.cv_b * o
     gw = b.cm / (sca.LN2 * w)
     return np.column_stack((
-        b.cv1 * gw - b.cm * b.a1,
-        b.cv2 * gw - b.cm * b.a2,
-        b.cur * b.cm / (sca.LN2 * u) - b.cm * b.ar,
+        b.g_r * gw - b.cm * b.t_a,
+        b.cv_b * gw - b.cm * b.t_b,
+        b.g_k * b.cm / (sca.LN2 * u) - b.cm * b.t_r,
     )) * b.scale
 
 
@@ -414,7 +428,7 @@ def test_local_kernels_match_whole_array_formulas_bit_for_bit(n):
     scale = np.array([0.5, 0.5, 0.7])
     pb = sca.power_lb_build(modes, *rng.uniform(1e2, 1e6, (3, n)), *p, scale)
     for spread in (0.0, 0.5, 3.0):
-        v = p.T[rows] / scale + rng.uniform(-spread, spread, (2 * n, 3))
+        v = own_order(p.T) / scale + rng.uniform(-spread, spread, (2 * n, 3))
         with np.errstate(divide="ignore", invalid="ignore"):
             got, want = pb.local(v, 1)[1], reference_power_grad(pb, v)
         assert np.array_equal(got, want, equal_nan=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -49,6 +50,18 @@ def test_derived_noise_and_reference_gain():
     assert sc.step_radius == pytest.approx(3.0)
 
 
+def test_replace_re_derives_noise_and_reference_gain():
+    """sigma^2 and beta0 are derived, not stored: a copy with a new bandwidth
+    or reference SNR has its own."""
+    sc = default_scenario(slots=10)
+    assert {"noise_power", "beta0"}.isdisjoint(f.name for f in dataclasses.fields(sc))
+    wide = dataclasses.replace(sc, bandwidth_hz=2 * sc.bandwidth_hz)
+    assert wide.noise_power == 2 * sc.noise_power and wide.beta0 == 2 * sc.beta0
+    loud = dataclasses.replace(sc, reference_snr_db=sc.reference_snr_db + 10.0)
+    assert loud.noise_power == sc.noise_power
+    assert loud.beta0 == pytest.approx(10 * sc.beta0, rel=1e-12)
+
+
 def test_loader_rejects_unknown_fields():
     raw = default_dict()
     raw["uav_altitude_m"] = 120.0
@@ -94,6 +107,10 @@ def test_loader_shape_and_sign_checks():
         ("slot_count", 10.7, "slot_count must be an integer"),
         ("slot_count", "12", "slot_count must be a number"),
         ("slot_count", True, "slot_count must be a number"),
+        ("slot_count", 10**400, "slot_count must be finite"),
+        ("uav_height_m", 10**400, "uav_height must be finite"),
+        ("avg_bs_power_w", 10**400, "avg_bs_power must be finite"),
+        ("rate_targets_bpshz", [1, 10**400], "rate_targets must be finite"),
     ]:
         raw = dict(default_dict(), **{field: value})
         with pytest.raises(ScenarioError, match=match):

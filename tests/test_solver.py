@@ -710,9 +710,11 @@ def test_subproblems_cover_every_block_kind(subproblems):
     assert bands == {2 * n: (2 * n, 3), 2 * n + 1: (2 * n, 3),
                      3 * n: (3 * n, 2), 3 * n + 1: (3 * n, 2)}
     # both vehicles' rows stacked in one block, vehicle 1's first: row i
-    # reads slot i mod n
-    for d in (2, 3):
-        slots = np.arange(d * n).reshape(n, d)[np.arange(2 * n) % n]
+    # reads slot i mod n, a power row as (own, other, relay) power, so
+    # vehicle 2's power rows read (p2, p1, pr)
+    for d, vehicle_2 in ((2, [0, 1]), (3, [1, 0, 2])):
+        slots = np.arange(d * n).reshape(n, d)
+        slots = np.concatenate([slots, slots[:, vehicle_2]])
         (rows,) = first[d * n][0]
         assert rows.label == "sum-rate objective"
         np.testing.assert_array_equal(rows.cols, slots)
@@ -810,7 +812,8 @@ def test_row_blocks_match_their_formulas_bit_for_bit():
     for terms, d in ((solver._power_terms(sc, channel_state(traj, sc), modes, powers), 3),
                      (solver._traj_terms(sc, channel_state(traj, sc), modes, powers), 2)):
         slots = np.arange(d * n).reshape(n, d)
-        row_slots = np.concatenate([slots, slots])
+        # as the solver maps them: vehicle 2's power rows read (p2, p1, pr)
+        row_slots = np.concatenate([slots, slots[:, [1, 0, 2]] if d == 3 else slots])
         anchor = (np.column_stack([powers.p1, powers.p2, powers.pr]) / terms.scale if d == 3
                   else traj / solver.LENGTH_SCALE).ravel()
         idx = np.sort(rng.choice(2 * n, n, replace=False))
