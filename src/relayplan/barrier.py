@@ -74,7 +74,8 @@ every local entry between two of them lies within bw of the diagonal, so A
 is banded.  The other nk variables (the min-rate epigraph scalar) are the
 dense border B, C, and each dense affine row (an energy budget) adds the
 column sqrt(w2_i) a_i to V.  ``Scatter`` maps every local entry into this
-structure once per solve and raises on an entry outside the band;
+structure once per solve and raises on an entry outside the band, and
+one ``bincount`` per step fills the gradient and the system together;
 ``NewtonSystem.solve`` calls LAPACK directly (a scipy wrapper call costs
 more than these small solves): ``pbtrf`` factors A, one ``pbtrs`` solves
 [g, V, B], and ``potrf``/``potrs`` eliminate the border through its nk x nk
@@ -82,6 +83,14 @@ Schur complement and V through the r x r capacitance matrix I + V^T K^-1 V
 (Woodbury).  Assembly and solve cost O(nb * (bw + 1) * (bw + 1 + nk + r))
 per step, linear in the slot count, against O(n^2) assembly and an O(n^3)
 dense factorisation.  Without a declared band the band spans every variable.
+
+LAPACK binding.  The four routines are this module's ``_PBTRF``,
+``_PBTRS``, ``_POTRF`` and ``_POTRS``, bound from ``scipy.linalg`` on the
+first Newton solve, or earlier when one of the names is read from outside
+the module (PEP 562 ``__getattr__``); a name already set from outside (a
+test's spy) is kept.  So importing relayplan does not import scipy, and
+the commands that never solve (validate, rates, oracle, highsnr) start
+without it.
 
 Generic blocks.  ``LinearBlock`` holds dense affine rows a . z + b, which
 enter V; ``AffineRows`` holds sparse affine rows over a few positions each
@@ -93,7 +102,6 @@ import dataclasses
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg as sla
 
 ARMIJO_C1 = 1e-4
 MAX_HALVINGS = 60
@@ -105,8 +113,27 @@ CENTRING_THETA = 0.1  # a stage before the last ends once grad . d <= theta * mu
 MAX_NEWTON_PER_STAGE = 120
 RIDGE_TRIES = 12
 
-_PBTRF, _PBTRS, _POTRF, _POTRS = sla.get_lapack_funcs(
-    ("pbtrf", "pbtrs", "potrf", "potrs"), dtype=np.float64)
+_LAPACK = {"_PBTRF": "pbtrf", "_PBTRS": "pbtrs", "_POTRF": "potrf", "_POTRS": "potrs"}
+_lapack_bound = False
+
+
+def _bind_lapack():
+    """Bind the LAPACK routines of ``_LAPACK`` that this module does not hold yet."""
+    global _lapack_bound
+    names = [name for name in _LAPACK if name not in globals()]
+    if names:
+        from scipy.linalg import get_lapack_funcs
+
+        globals().update(zip(names, get_lapack_funcs([_LAPACK[n] for n in names], dtype=np.float64)))
+    _lapack_bound = True
+
+
+def __getattr__(name):
+    """Reading one of the LAPACK names binds them (PEP 562)."""
+    if name in _LAPACK:
+        _bind_lapack()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class InfeasibleStartError(ValueError):
@@ -250,6 +277,8 @@ class NewtonSystem:
         raise np.linalg.LinAlgError("Newton system not positive definite despite damping")
 
     def _solve(self, g, ridge):
+        if not _lapack_bound:
+            _bind_lapack()
         nb, nk = self.border.shape
         v = self.lowrank
         r = v.shape[1]
@@ -322,11 +351,11 @@ class Scatter:
             idx[corner] = (off_corner + (r - nb) * nk + c - nb)[corner]
             self.maps.append((cols.ravel(), idx.ravel()))
         local = [m for m in self.maps if m is not None] or [(np.zeros(0, int),) * 2]
-        self.grad_idx, self.system_idx = (np.concatenate(idx) for idx in zip(*local))
+        self.grad_idx, system_idx = (np.concatenate(idx) for idx in zip(*local))
+        # the gradient's bins, then the packed system's after them
+        self.both_idx = np.concatenate([self.grad_idx, system_idx + n])
 
-    def gradient(self, evals, w1s):
-        """sum_i w1_i grad g_i over every block's rows; a block whose w1 is
-        None has weight 1 on every row."""
+    def _gradient_weights(self, evals, w1s):
         weights, dense = [], np.zeros(self.n)
         for m, (_, g, _), w1 in zip(self.maps, evals, w1s):
             if m is None:
@@ -335,13 +364,23 @@ class Scatter:
                 weights.append(g.ravel())
             else:
                 weights.append((w1[:, None] * g).ravel())
+        return weights, dense
+
+    def gradient(self, evals, w1s):
+        """sum_i w1_i grad g_i over every block's rows; a block whose w1 is
+        None has weight 1 on every row."""
+        weights, dense = self._gradient_weights(evals, w1s)
         return _accumulate(self.grad_idx, weights, self.n) + dense
 
-    def system(self, evals, w1s, w2s) -> NewtonSystem:
-        """-H = sum_i (w2_i grad g_i grad g_i^T - w1_i hess g_i); a block
+    def newton(self, evals, w1s, w2s) -> Tuple[np.ndarray, NewtonSystem]:
+        """(``gradient``, -H) from one ``bincount``, with
+        -H = sum_i (w2_i grad g_i grad g_i^T - w1_i hess g_i); a block
         whose w2 is None adds no rank-one terms, and zeros if h is None too.
-        A w1 of None weighs every row 1, as in ``gradient``."""
-        weights, lowrank = [], []
+        Each bin sums the same weights in the same order as a separate
+        gradient would."""
+        n = self.n
+        weights, dense = self._gradient_weights(evals, w1s)
+        lowrank = []
         for m, (_, g, h), w1, w2 in zip(self.maps, evals, w1s, w2s):
             if m is None:
                 if h is not None:
@@ -360,13 +399,14 @@ class Scatter:
                     neg -= curv
             weights.append(np.zeros(len(m[1])) if neg is None else neg.ravel())
         nb, nk, off_border, off_corner = self.nb, self.nk, self.off_border, self.off_corner
-        packed = _accumulate(self.system_idx, weights, self.trash + 1)
+        both = _accumulate(self.both_idx, weights, n + self.trash + 1)
+        packed = both[n:]
         corner = packed[off_corner : self.trash].reshape(nk, nk)
-        return NewtonSystem(
+        return both[:n] + dense, NewtonSystem(
             packed[:off_border].reshape(self.bw + 1, nb),
             packed[off_border:off_corner].reshape(nb, nk),
             corner + np.tril(corner, -1).T if nk > 1 else corner,
-            np.hstack(lowrank) if lowrank else np.zeros((self.n, 0)),
+            np.hstack(lowrank) if lowrank else np.zeros((n, 0)),
         )
 
 
@@ -419,10 +459,15 @@ def _start_error(blocks, z) -> InfeasibleStartError:
 
 
 def _gradient(point, mu, scatter):
-    """grad of f + mu * sum log g at ``point``, with the row weights w1
-    (None, weight 1, on the objective rows)."""
-    w1 = [None] * len(point.obj) + [mu / e[0] for e in point.rows]
-    return scatter.gradient(point.obj + point.rows, w1), w1
+    """grad of f + mu * sum log g at ``point``."""
+    return scatter.gradient(point.obj + point.rows, _weights(point, mu)[0])
+
+
+def _weights(point, mu):
+    """The row weights (w1, w2) = (mu / g, mu / g^2) of the constraint
+    rows, after None (weight 1, no rank-one term) for the objective rows."""
+    none = [None] * len(point.obj)
+    return none + [mu / e[0] for e in point.rows], none + [mu / e[0] ** 2 for e in point.rows]
 
 
 def _max_step(blocks, point, z, d):
@@ -452,10 +497,10 @@ def _centring_mu(point, scatter):
     off = [np.zeros(len(e[0])) for e in point.obj]
     w1 = off + [1.0 / e[0] for e in point.rows]
     w2 = [None] * len(point.obj) + [1.0 / e[0] ** 2 for e in point.rows]
-    g_f = _gradient(point, 0.0, scatter)[0]
-    g_b = scatter.gradient(evals, w1)
+    g_f = _gradient(point, 0.0, scatter)
+    g_b, system = scatter.newton(evals, w1, w2)
     try:
-        d = scatter.system(evals, w1, w2).solve(g_b)
+        d = system.solve(g_b)
     except np.linalg.LinAlgError:
         return float("nan")
     den = float(g_b @ d)
@@ -503,13 +548,11 @@ def concave_max(
         exit_ = "capped"
         stage_steps.append(0)
         for _ in range(MAX_NEWTON_PER_STAGE):
-            grad, w1 = _gradient(point, mu, scatter)
+            grad, system = scatter.newton(point.obj + point.rows, *_weights(point, mu))
             if float(np.max(np.abs(grad))) <= KKT_TOL:
                 exit_ = "kkt"
                 break
-            w2 = [None] * len(point.obj) + [mu / e[0] ** 2 for e in point.rows]
             try:
-                system = scatter.system(point.obj + point.rows, w1, w2)
                 d = system.solve(grad)
                 slope = float(grad @ d)  # the squared Newton decrement
                 if slope < -flat:  # rounding turned the direction: refine it once
@@ -534,11 +577,12 @@ def concave_max(
             accepted = False
             for _ in range(MAX_HALVINGS):
                 if alpha <= limit:  # a longer trial leaves a capped block's rows
-                    trial = _evaluate_point(objective, blocks, z + alpha * d)
+                    zt = z + alpha * d  # kept: the blocks' caches know this array
+                    trial = _evaluate_point(objective, blocks, zt)
                     if trial is not None and (
                         trial.f_sum + mu * trial.log_sum >= phi + ARMIJO_C1 * alpha * slope
                     ):
-                        z, point = z + alpha * d, trial
+                        z, point = zt, trial
                         accepted = True
                         break
                 alpha *= 0.5
@@ -550,7 +594,7 @@ def concave_max(
         exits.append(exit_)
         if exit_ == "failed":
             break
-    kkt = float(np.max(np.abs(_gradient(point, mus[-1], scatter)[0])))
+    kkt = float(np.max(np.abs(_gradient(point, mus[-1], scatter))))
     info = SolveInfo(
         converged=exits[-1] in ("kkt", "decrement"),
         stages=len(mus),

@@ -177,7 +177,14 @@ def _cmd_rates(args) -> int:
         raise CliError(f"{args.trajectory}: {exc}", EXIT_PARSE) from exc
     traj = np.column_stack([traj_cols["x"], traj_cols["y"]])
     powers = PowerAllocation(power_cols["p1"], power_cols["p2"], power_cols["pr"])
-    _, (r1, r2) = _exact_plan(sc, traj, powers, sched)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge power overflows the SINR table
+        _, (r1, r2) = _exact_plan(sc, traj, powers, sched)
+    bad = ~(np.isfinite(r1) & np.isfinite(r2))
+    if bad.any():
+        i = int(np.argmax(bad))
+        name = max(("p1", "p2", "pr"), key=lambda c: power_cols[c][i])
+        raise CliError(f"{args.powers}: column {name}, slot {i + 1}: {float(power_cols[name][i])!r} "
+                       "overflows the exact rates", EXIT_NUMERICAL)
     _write_plan(args, "rates", sc, traj, powers, sched, (r1, r2), {
         "objective": float(np.sum(r1 + r2)),
         "min_rate": float(min(r1.min(), r2.min())),
@@ -216,20 +223,35 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _highsnr_records(gains, piece: str, noise: float) -> Dict:
+    """The high-SNR report at one sweep value; CliError unless its exact and
+    approximate rates are all finite (NaN, inf, or a power so large or
+    small in watts that a rate overflows or divides by zero)."""
+    bad = CliError(f"bad sweep value {piece!r}", EXIT_PARSE)
+    try:
+        p_dbm = float(piece)
+    except ValueError as exc:
+        raise bad from exc
+    try:
+        with np.errstate(all="ignore"):  # a non-finite rate is caught below
+            report = oracle_mod.highsnr_proposition_suite([gains], [p_dbm], noise)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise bad from exc
+    if not all(np.isfinite(v) for rec in report["records"]
+               for key in ("exact", "approx") for v in rec[key].values()):
+        raise bad
+    return report
+
+
 def _cmd_highsnr(args) -> int:
     sc = load_scenario(args.scenario, slots=args.slots)
-    sweep: List[float] = []
-    for token in args.sweep:
-        for piece in str(token).split(","):
-            if piece:
-                try:
-                    sweep.append(float(piece))
-                except ValueError as exc:
-                    raise CliError(f"bad sweep value {piece!r}", EXIT_PARSE) from exc
-    if not sweep:
-        raise CliError("--sweep needs at least one dBm value", EXIT_PARSE)
+    gains = oracle_mod.initial_gains(sc)
     noise = 10 ** (sc.noise_density_dbm_per_hz / 10.0) / 1000.0
-    report = oracle_mod.highsnr_proposition_suite([oracle_mod.initial_gains(sc)], sweep, noise)
+    parts = [_highsnr_records(gains, piece, noise)
+             for token in args.sweep for piece in str(token).split(",") if piece]
+    if not parts:
+        raise CliError("--sweep needs at least one dBm value", EXIT_PARSE)
+    report = {key: [x for part in parts for x in part[key]] for key in ("records", "violations")}
     worst = max(
         abs(rec["gap"][key])
         for rec in report["records"]
@@ -241,7 +263,7 @@ def _cmd_highsnr(args) -> int:
         "objective": worst,
         "records": report["records"],
         "violations": report["violations"],
-        "noma_split": list(report["noma_split"]),
+        "noma_split": list(parts[0]["noma_split"]),
     })
     print(f"worst approximation gap {_fmt(worst)} over {len(report['records'])} records")
     return EXIT_OK

@@ -253,7 +253,8 @@ class VelocityChainBlock:
     Gap j joins slot j - 1 (or the start) to slot j (or the end), and its
     row reads both slots' (x, y), whose positions in z are rows of
     ``slots``.  The first and last gaps repeat their one slot's positions
-    with zero derivatives, so every row has four columns.
+    with zero derivatives, so every row has four columns.  The gaps of the
+    last evaluation are kept for ``max_step`` at the same z array.
     """
 
     # Hessian of -|q_right - q_left|^2 over (left x, left y, right x, right y)
@@ -274,6 +275,7 @@ class VelocityChainBlock:
         self.right = np.r_[np.ones(n), 0.0][:, None]  # gap n ends at uav_end
         side = np.hstack([self.left, self.left, self.right, self.right])
         self.hess = LENGTH_SCALE**2 * self._PAIR * side[:, :, None] * side[:, None, :]
+        self._last = (None, None)  # (z, gaps)
 
     def _gaps(self, z, start, end):
         q = LENGTH_SCALE * z[self.slots]
@@ -285,6 +287,7 @@ class VelocityChainBlock:
 
     def evaluate(self, z, order):
         gap = self._gaps(z, self.start, self.end)
+        self._last = (z, gap)
         dx, dy = gap.T
         vals = self.r2 - dx * dx - dy * dy
         if order == 0:
@@ -300,7 +303,8 @@ class VelocityChainBlock:
         rows, with a = |dgap|^2, b = 2 gap . dgap and c the row's value;
         2c / (b + sqrt(b^2 + 4ac)) when b >= 0, and the cancellation-free
         (sqrt(b^2 + 4ac) - b) / 2a otherwise."""
-        gap, dgap = self._gaps(z, self.start, self.end), self._gaps(d, 0.0, 0.0)
+        gap = self._last[1] if self._last[0] is z else self._gaps(z, self.start, self.end)
+        dgap = self._gaps(d, 0.0, 0.0)
         a = np.einsum("ij,ij->i", dgap, dgap)
         b = 2.0 * np.einsum("ij,ij->i", gap, dgap)
         root = np.sqrt(b * b + 4.0 * a * vals)

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,8 @@ import pytest
 import relayplan
 from relayplan.cli import CSV_HEADER, main
 from relayplan.modes import MODE_OF_STATE
+from relayplan.scenario import load_scenario
+from relayplan.solver import solve_minrate
 
 DEFAULT = str(Path(relayplan.__file__).parent / "data" / "default_paper.json")
 
@@ -18,6 +23,63 @@ def read_rows(path):
     with open(path) as fh:
         rows = [[c.strip() for c in row] for row in csv.reader(fh)]
     return rows[0], rows[1:]
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+
+    def refuse(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.fixture(autouse=True)
+def summaries_are_strict_json(tmp_path):
+    """Every summary JSON a test of this module writes parses strictly."""
+    yield
+    for path in sorted(tmp_path.rglob("*_summary.json")):
+        strict_json(path.read_text())
+
+
+def test_strict_json_rejects_non_finite_constants():
+    assert strict_json('{"a": 1.5}') == {"a": 1.5}
+    for text in ('{"a": NaN}', '[Infinity]', '[-Infinity]'):
+        with pytest.raises(ValueError, match="non-finite JSON constant"):
+            strict_json(text)
+
+
+STARTUP = """
+import json, sys
+from relayplan.cli import main
+from relayplan.solver import solve_minrate
+from relayplan.scenario import load_scenario
+
+scenario, out = sys.argv[1:]
+common = [scenario, "--slots", "4", "--out-dir", out]
+slots = out + "/validate_slots.csv"
+codes = [main(["validate", *common]),
+         main(["rates", *common, "--trajectory", slots, "--powers", slots])]
+before = "scipy" in sys.modules
+objective = solve_minrate(load_scenario(scenario, slots=4)).objective
+print(json.dumps({"codes": codes, "before": before, "after": "scipy" in sys.modules,
+                  "objective": objective.hex()}))
+"""
+
+
+def test_commands_that_do_not_solve_start_without_scipy(tmp_path):
+    """In a fresh interpreter, importing the CLI and running validate and
+    rates loads no scipy; the first Newton solve loads it and gives the
+    same plan as this process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(relayplan.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", STARTUP, DEFAULT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    got = json.loads(done.stdout.splitlines()[-1])
+    assert got["codes"] == [0, 0]
+    assert got["before"] is False
+    assert got["after"] is True
+    want = solve_minrate(load_scenario(DEFAULT, slots=4)).objective
+    assert float.fromhex(got["objective"]) == want
 
 
 def test_validate_default(tmp_path, capsys):
@@ -240,6 +302,36 @@ def test_highsnr_report(tmp_path):
     assert summary["violations"] == []
     worst = max(max(r["gap"].values()) for r in summary["records"])
     assert summary["objective"] == pytest.approx(worst)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e6", "2000", "-5000"])
+def test_highsnr_rejects_sweep_values_it_cannot_evaluate(tmp_path, capsys, value):
+    """A sweep value that is not finite, whose watts overflow (1e6 dBm) or
+    underflow to zero (-5000 dBm), or whose rates overflow (2000 dBm) is a
+    parse error, not NaN in the summary or a traceback."""
+    assert main(["highsnr", DEFAULT, "--slots", "2", "--sweep", "23," + value,
+                 "--out-dir", str(tmp_path)]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "parse", "message": f"bad sweep value {value!r}", "exit_code": 3}
+    assert not (tmp_path / "highsnr_summary.json").exists()
+
+
+def test_rates_rejects_a_power_that_overflows_the_rates(tmp_path, capsys):
+    """A finite but huge power overflows the SINR table: one numerical JSON
+    error naming the file, column and slot, without a RuntimeWarning (an
+    error under this suite's warning filter) or NaN rates."""
+    assert main(["solve-sumrate", DEFAULT, "--slots", "8", "--out-dir", str(tmp_path)]) == 0
+    header, rows = read_rows(tmp_path / "sumrate_slots.csv")
+    rows[1][header.index("pr")] = "1e307"
+    bad = tmp_path / "huge_slots.csv"
+    bad.write_text("\n".join(", ".join(r) for r in [header] + rows) + "\n")
+    capsys.readouterr()
+    assert main(["rates", DEFAULT, "--slots", "8", "--trajectory", str(bad),
+                 "--powers", str(bad), "--out-dir", str(tmp_path)]) == 4
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "numerical"
+    assert err["message"] == f"{bad}: column pr, slot 2: 1e+307 overflows the exact rates"
+    assert not (tmp_path / "rates_slots.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -857,7 +857,8 @@ def test_subproblem_derivatives_match_finite_differences(subproblems, dense_syst
             """(gradient, dense -H) of one block under the driver's band."""
             scatter = barrier.Scatter(size, band, [blk])
             ev = blk.evaluate(z0, 2)
-            return scatter.gradient([ev], [w1]), dense_system(scatter.system([ev], [w1], [w2]))
+            grad, system = scatter.newton([ev], [w1], [w2])
+            return grad, dense_system(system)
 
         def value(z):
             return sum(src.evaluate(z, 0)[0].sum() for src in objective)
