@@ -47,34 +47,23 @@ def select_mode(h_r: float, h_1: float, h_2: float, r_th: float) -> Tuple[int, i
 def policy_states(h_r, h_1, h_2, r_th: float) -> np.ndarray:
     """Array version of ``select_mode``'s state classifier.
 
-    Same branch structure as the scalar selector, expressed with masks so a
-    whole horizon, or a grid of candidate relay positions, is classified at
-    once.
+    Both branches of the scalar selector compare the relay with the nearer
+    and the farther vehicle, so each slot takes one gain ratio and one log:
+    the nearer gain over the farther one with the relay above both, the
+    relay's gain over the farther one with the relay between them.  States
+    6-10 are states 1-5 with the vehicles swapped.  A whole horizon, or a
+    grid of candidate relay positions, is classified at once.
     """
     h_r, h_1, h_2 = np.broadcast_arrays(*np.atleast_1d(h_r, h_1, h_2))
     if np.any(h_r <= 0) or np.any(h_1 <= 0) or np.any(h_2 <= 0):
         raise ValueError("gains must be positive")
+    first = h_1 >= h_2
+    near, far = np.where(first, h_1, h_2), np.where(first, h_2, h_1)
+    above, between = h_r > near, h_r > far
     # the ratio form of select_mode: a difference of two logs can round a
     # one-ulp gain ratio to zero and classify a near-tie the other way
-    half_log = lambda num, den: 0.5 * np.log2(num / den)
-    first = h_1 >= h_2
-    return np.select(
-        [
-            first & (h_r > h_1),
-            first & (h_r > h_2),
-            first,
-            ~first & (h_r > h_2),
-            ~first & (h_r > h_1),
-        ],
-        [
-            np.where(half_log(h_1, h_2) > r_th, 1, 2),
-            np.where(half_log(h_r, h_2) > r_th, 3, 4),
-            5,
-            np.where(half_log(h_2, h_1) > r_th, 6, 7),
-            np.where(half_log(h_r, h_1) > r_th, 8, 9),
-        ],
-        default=10,
-    )
+    noma = 0.5 * np.log2(np.where(above, near, h_r) / far) > r_th
+    return np.where(above, 1, np.where(between, 3, 5)) + (between & ~noma) + np.where(first, 0, 5)
 
 
 @dataclasses.dataclass(frozen=True)

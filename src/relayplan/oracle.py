@@ -28,15 +28,6 @@ def _axis(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(max(count, 0))
 
 
-def _oma_rates(h_r, h_k, own, inv, s2):
-    """(cells, triples, slots) OMA rates of one vehicle, given each triple's
-    row ``inv`` of its distinct (p_k, pr) table ``own``; each distinct pair
-    that the triples use is evaluated once."""
-    used, back = np.unique(inv, return_inverse=True)
-    p_k, pr = own[used, 0], own[used, 1]
-    return oma_rate(h_r[:, None, None], h_k[:, None, :], p_k[:, None], pr[:, None], s2)[:, back]
-
-
 def _weakest_link_ok(modes, h_r, h_1, h_2, p1, p2, pr, oma, s2, t1, t2):
     """(cells, triples) mask of the candidates that may meet both rate targets.
 
@@ -64,6 +55,45 @@ def _weakest_link_ok(modes, h_r, h_1, h_2, p1, p2, pr, oma, s2, t1, t2):
     return ok
 
 
+def _pair_rates(modes, h_r, h_1, h_2, pc, pt, p1, p2, pr, oma, s2):
+    """(pairs, slots) rates R1 and R2 of the (cell, triple) pairs ``pc, pt``,
+    given cell-major, under each cell's per-slot policy ``modes``.
+
+    Every slot starts from OMA: one row per distinct (cell, (p_k, pr)) of
+    each vehicle, gathered to its pairs.  A cell's NOMA slots are then
+    evaluated at that cell's contiguous block of pairs only.
+    """
+    n_cells, n_slots = modes.shape
+    rates = []
+    for h_k, (own, inv) in zip((h_1, h_2), oma):
+        # mark the (cell, own row) keys in use; no sort, as pairs can far
+        # outnumber slots
+        key = pc * len(own) + inv[pt]
+        used = np.zeros(n_cells * len(own), dtype=bool)
+        used[key] = True
+        c, o = np.divmod(np.flatnonzero(used), len(own))
+        row = np.cumsum(used) - 1
+        rates.append(oma_rate(h_r[c, None], h_k[c], own[o, :1], own[o, 1:], s2)[row[key]])
+    r1, r2 = rates
+    bounds = np.searchsorted(pc, np.arange(n_cells + 1))  # each cell's block of pairs
+    start, count = bounds[:-1], np.diff(bounds)
+    for mode in (1, 2):
+        ci, si = np.nonzero(modes == mode)
+        reps = count[ci]  # each (cell, slot) entry is evaluated at its cell's pairs
+        total = int(reps.sum())
+        if not total:
+            continue
+        pair = np.arange(total) + np.repeat(start[ci] - (np.cumsum(reps) - reps), reps)
+        tri = pt[pair]
+        spread = lambda v: np.repeat(v, reps)
+        x1, x2 = rates_for_mode(
+            mode, spread(h_r[ci]), spread(h_1[ci, si]), spread(h_2[ci, si]), p1[tri], p2[tri], pr[tri], s2
+        )
+        flat = pair * n_slots + spread(si)
+        r1.reshape(-1)[flat], r2.reshape(-1)[flat] = x1, x2
+    return r1, r2
+
+
 def _grid_search(sc, xs, ys, p1_tri, p2_tri, pr_tri, objective):
     """Scan every (cell, triple) pair; first maximum in index order wins."""
     paths = vehicle_paths(sc)
@@ -74,18 +104,15 @@ def _grid_search(sc, xs, ys, p1_tri, p2_tri, pr_tri, objective):
     n_slots = sc.slot_count
     t1, t2 = (float(v) for v in sc.rate_targets)
     targets = objective == "sum" and (t1 > 0.0 or t2 > 0.0)
-    # An OMA rate reads only its own vehicle's power and pr: tabulate each
-    # vehicle's once per distinct (p_k, pr), and evaluate only the policy's
-    # NOMA slots per triple.
+    # An OMA rate reads only its own vehicle's power and pr: index each
+    # vehicle's distinct (p_k, pr) once, for the screen and the OMA rows.
     own1, inv1 = np.unique(np.stack([p1_tri, pr_tri], axis=1), axis=0, return_inverse=True)
     own2, inv2 = np.unique(np.stack([p2_tri, pr_tri], axis=1), axis=0, return_inverse=True)
     oma = ((own1, inv1), (own2, inv2))
     chunk = max(1, int(CHUNK_EVALS // max(n_tri * n_slots, 1)))
-    every = np.arange(n_tri)
     best_val, best_cell, best_tri = -np.inf, -1, -1
     for lo in range(0, n_cells, chunk):
         idx = np.arange(lo, min(lo + chunk, n_cells))
-        tri = every
         pos = np.stack([xs[idx // ys.size], ys[idx % ys.size]], axis=1)
         h_r = channel_gain(pos, bs, sc.uav_height, sc.beta0)
         h_1 = channel_gain(pos[:, None, :], paths[0], sc.uav_height, sc.beta0)
@@ -106,36 +133,29 @@ def _grid_search(sc, xs, ys, p1_tri, p2_tri, pr_tri, objective):
                 oma_rate(h_r[:, None, None], h_k[:, None, :], own[None, :, :1], own[None, :, 1:], s2)
                 for h_k, own in ((h_1, own1), (h_2, own2))
             )
-            score = np.minimum(o1.min(axis=2)[:, inv1], o2.min(axis=2)[:, inv2])
+            score = np.minimum(o1.min(axis=2)[:, inv1], o2.min(axis=2)[:, inv2]).ravel()
+            kept = np.arange(score.size)
         else:
             modes = MODE_OF_STATE[policy_states(h_r[:, None], h_1, h_2, sc.mode_threshold)]
             if targets:
-                # score only the cells where some triple passes the screen,
-                # and only the triples that pass it in one of those cells
                 ok = _weakest_link_ok(modes, h_r, h_1, h_2, p1_tri, p2_tri, pr_tri, oma, s2, t1, t2)
-                cells = ok.any(axis=1)
-                if not cells.any():
-                    continue
-                tri = np.nonzero(ok[cells].any(axis=0))[0]
-                idx, h_r, h_1, h_2, modes = idx[cells], h_r[cells], h_1[cells], h_2[cells], modes[cells]
-            r1, r2 = (
-                _oma_rates(h_r, h_k, own, inv[tri], s2) for h_k, own, inv in ((h_1, own1, inv1), (h_2, own2, inv2))
-            )
-            for mode in (1, 2):
-                ci, si = np.nonzero(modes == mode)
-                r1[ci, :, si], r2[ci, :, si] = rates_for_mode(
-                    mode, h_r[ci, None], h_1[ci, si, None], h_2[ci, si, None], p1_tri[tri], p2_tri[tri], pr_tri[tri], s2
-                )
-            score = (r1 + r2).sum(axis=2)
+            else:
+                ok = np.ones((idx.size, n_tri), dtype=bool)
+            # score exactly the pairs the screen keeps, cell-major, so the
+            # first maximum in index order still wins
+            kept = np.flatnonzero(ok)
+            if not kept.size:
+                continue
+            pc = kept // n_tri
+            r1, r2 = _pair_rates(modes, h_r, h_1, h_2, pc, kept - pc * n_tri, p1_tri, p2_tri, pr_tri, oma, s2)
+            score = (r1 + r2).sum(axis=1)
             if targets:
-                ok = (r1.min(axis=2) >= t1) & (r2.min(axis=2) >= t2)
-                score = np.where(ok, score, -np.inf)
-        flat = score.ravel()
-        j = int(np.argmax(flat))
-        if flat[j] > best_val:
-            best_val = float(flat[j])
-            best_cell = int(idx[j // tri.size])
-            best_tri = int(tri[j % tri.size])
+                score[(r1.min(axis=1) < t1) | (r2.min(axis=1) < t2)] = -np.inf
+        j = int(np.argmax(score))
+        if score[j] > best_val:
+            best_val = float(score[j])
+            best_cell = int(idx[kept[j] // n_tri])
+            best_tri = int(kept[j] % n_tri)
     return best_val, best_cell, best_tri
 
 
@@ -164,15 +184,18 @@ def static_placement_oracle(
     p1 > p2.  The sum optimum therefore sits on the edge of the region where
     the policy keeps a single SIC order, and that edge moves with R_th.
 
-    Under positive targets the sum search first screens each cell by its
-    weakest links.  In every mode a vehicle's rate reads only h_r and its
+    The sum search scores (cell, triple) pairs exactly, per slot: each
+    vehicle's OMA rates come from one row per distinct (cell, (p_k, pr)),
+    and its NOMA rates are evaluated only at the pair's mode-1 and mode-2
+    slots.  Under positive targets a weakest-link screen first picks the
+    pairs to score.  In every mode a vehicle's rate reads only h_r and its
     own link gain, and rises with that gain, so its worst slot of a mode is
     the one with its smallest gain.  The screen evaluates each mode present
-    once at those smallest gains and scores only the cells where some
-    triple clears every target there (less 1e-9 for rounding), and only
-    the triples that clear them in one of those cells.  Every candidate
-    dropped misses a target in a real slot, and the kept ones are scored
-    exactly as without the screen, so the result is the same bit for bit.
+    once at those smallest gains and keeps only the pairs that clear every
+    target there (less 1e-9 for rounding); without targets every pair is
+    kept.  Every pair dropped misses a target in a real slot, and the kept
+    ones are scored exactly as without the screen, so the result is the
+    same bit for bit.
     The min objective likewise rates each vehicle once, at its smallest gain
     over the horizon, and scores per slot only the cells whose rate there
     comes within a relative 1e-12 of the best, so it too keeps every result.

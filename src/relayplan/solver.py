@@ -24,6 +24,7 @@ Bookkeeping conventions:
   recorded; targets are re-checked against exact rates at the end.
 """
 
+import contextlib
 import dataclasses
 import time
 from typing import Dict, List, Optional
@@ -465,9 +466,10 @@ def _traj_step(sc, powers, modes, start_traj, objective: str, diag: Dict):
     return LENGTH_SCALE * z[slots], bound, info
 
 
-def _damped_traj_accept(sc, powers, modes, anchor, cand, objective, diag):
+def _damped_traj_accept(sc, powers, modes, anchor, cand, objective, base, diag):
     """Largest damped blend of a trajectory-step optimum that keeps the exact
-    objective from falling below its value at the anchor.
+    objective from falling below ``base``, its value at the anchor (None to
+    compute it here).
 
     The trajectory bound minorizes the certificate-relaxed rate rather than
     the exact one, so the subproblem optimum can trade exact objective away;
@@ -480,7 +482,8 @@ def _damped_traj_accept(sc, powers, modes, anchor, cand, objective, diag):
             objective, *_exact_rate_arrays(sc, channel_state(tr, sc), modes, powers)
         )
 
-    base = value(anchor)
+    if base is None:
+        base = value(anchor)
     theta = 1.0
     for _ in range(6):
         blend = anchor + theta * (cand - anchor)
@@ -500,8 +503,18 @@ def _relative_gain(new, old):
     return (new - old) / max(1.0, abs(old))
 
 
+@contextlib.contextmanager
+def _timed(phase_s: Dict, phase: str):
+    """Add the block's ``perf_counter`` seconds to ``phase_s[phase]``."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        phase_s[phase] = phase_s.get(phase, 0.0) + time.perf_counter() - start
+
+
 def _alternate(sc: Scenario, objective: str, traj, powers: PowerAllocation,
-               started: float) -> SolverResult:
+               started: float, phase_s: Dict) -> SolverResult:
     """The alternating-optimisation loop both problems share.
 
     Each outer iteration takes one damped trajectory step (none when the
@@ -511,28 +524,37 @@ def _alternate(sc: Scenario, objective: str, traj, powers: PowerAllocation,
     schedules every slot orthogonally.  "sum" re-balances the powers for
     the rate targets before each power step, can freeze the schedule, and
     checks the targets on the exact rates of the returned plan.
+    ``phase_s`` holds the seconds spent so far on each phase; it becomes
+    ``diagnostics["phase_s"]``.
     """
     policy = sc if objective == "sum" else dataclasses.replace(sc, mode_threshold=np.inf)
     rebalance = objective == "sum" and np.any(sc.rate_targets > 0)
-    diag: Dict = {}
+    diag: Dict = {"phase_s": phase_s}
+    for phase in ("trajectory", "power", "modes", "rebalance"):
+        phase_s.setdefault(phase, 0.0)
     history: List[Dict] = []
     objective_history: List[float] = []
     newton_steps: List[int] = []
     converged = frozen = False
-    cs = channel_state(traj, sc)
-    sched = mode_schedule(cs, policy)
+    with _timed(phase_s, "modes"):
+        cs = channel_state(traj, sc)
+        sched = mode_schedule(cs, policy)
     prev = None
     for _ in range(MAX_OUTER):
         steps = 0
         bound_t = None
         if sc.step_radius > 0.0:
-            cand, bound_t, info_t = _traj_step(sc, powers, sched.modes, traj, objective, diag)
-            traj = _damped_traj_accept(sc, powers, sched.modes, traj, cand, objective, diag)
-            cs = channel_state(traj, sc)
+            with _timed(phase_s, "trajectory"):
+                cand, bound_t, info_t = _traj_step(sc, powers, sched.modes, traj, objective, diag)
+                # the previous iteration's exact objective was taken at this
+                # trajectory, schedule and powers
+                traj = _damped_traj_accept(sc, powers, sched.modes, traj, cand, objective, prev, diag)
+                cs = channel_state(traj, sc)
             steps += info_t.newton_steps
         mode_changes = 0
         if not frozen:
-            new_sched = mode_schedule(cs, policy)
+            with _timed(phase_s, "modes"):
+                new_sched = mode_schedule(cs, policy)
             mode_changes = int(np.sum(new_sched.modes != sched.modes))
             sched = new_sched
         if rebalance:
@@ -540,13 +562,15 @@ def _alternate(sc: Scenario, objective: str, traj, powers: PowerAllocation,
             # target; re-balance so the target rows survive into the barrier.
             # Satisfied slots are left alone: the row slack keeps an exactly
             # on-target start strictly interior.
-            powers = _rebalance_for_targets(sc, cs, sched.modes, powers)
-        # the previous optimum sits on its energy budgets to within the
-        # barrier's final gap; back it off to a strictly interior start
-        powers = _prepare_power_start(sc, sched.modes, powers)
-        powers, bound_p, info_p = _power_step(sc, cs, sched.modes, powers, objective, diag)
+            with _timed(phase_s, "rebalance"):
+                powers = _rebalance_for_targets(sc, cs, sched.modes, powers)
+        with _timed(phase_s, "power"):
+            # the previous optimum sits on its energy budgets to within the
+            # barrier's final gap; back it off to a strictly interior start
+            powers = _prepare_power_start(sc, sched.modes, powers)
+            powers, bound_p, info_p = _power_step(sc, cs, sched.modes, powers, objective, diag)
+            r1, r2 = _exact_rate_arrays(sc, cs, sched.modes, powers)
         steps += info_p.newton_steps
-        r1, r2 = _exact_rate_arrays(sc, cs, sched.modes, powers)
         exact = _objective_value(objective, r1, r2)
         history.append({
             "bound_traj": bound_t,
@@ -604,21 +628,25 @@ def solve_minrate(sc: Scenario) -> SolverResult:
     started = time.perf_counter()
     traj, powers = feasible_init(sc)
     powers = _prepare_power_start(sc, np.full(sc.slot_count, 3), powers)
-    return _alternate(sc, "min", traj, powers, started)
+    return _alternate(sc, "min", traj, powers, started, {})
 
 
 def algorithm3_joint(sc: Scenario) -> SolverResult:
     """Joint sum-rate optimization: trajectory, modes, and powers, started
     from the fairness solution."""
     started = time.perf_counter()
-    res = solve_minrate(sc)
-    cs = channel_state(res.trajectory, sc)
-    sched = mode_schedule(cs, sc)
+    phase_s: Dict = {}
+    with _timed(phase_s, "warm_start"):
+        res = solve_minrate(sc)
+    with _timed(phase_s, "modes"):
+        cs = channel_state(res.trajectory, sc)
+        sched = mode_schedule(cs, sc)
     # The fairness powers are balanced for the orthogonal mode; slots the
     # policy flips to superposition need their BS split re-balanced before
     # the per-slot targets hold.
-    powers = _rebalance_for_targets(sc, cs, sched.modes, res.powers)
-    return _alternate(sc, "sum", res.trajectory, powers, started)
+    with _timed(phase_s, "rebalance"):
+        powers = _rebalance_for_targets(sc, cs, sched.modes, res.powers)
+    return _alternate(sc, "sum", res.trajectory, powers, started, phase_s)
 
 
 def feasible_init(sc: Scenario):

@@ -129,6 +129,22 @@ def test_solve_summaries_carry_solver_health(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "command, stem, phases",
+    [("solve-sumrate", "sumrate", {"warm_start", "trajectory", "power", "modes", "rebalance"}),
+     ("solve-minrate", "minrate", {"trajectory", "power", "modes", "rebalance"})],
+    ids=["solve-sumrate", "solve-minrate"],
+)
+def test_solve_summaries_carry_phase_times(tmp_path, command, stem, phases):
+    assert main([command, DEFAULT, "--slots", "6", "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / f"{stem}_summary.json").read_text())
+    spent = summary["diagnostics"]["phase_s"]
+    assert set(spent) == phases
+    assert all(type(s) is float and s >= 0.0 for s in spent.values())
+    assert spent["power"] > 0.0 and spent["trajectory"] > 0.0
+    assert sum(spent.values()) <= summary["wall_time_s"]
+
+
+@pytest.mark.parametrize(
     "command, stem, slots",
     # every slot of the 8-slot sum-rate plan is in mode 1 (SIC at vehicle 1)
     [("solve-minrate", "minrate", "5"), ("solve-sumrate", "sumrate", "8")],

@@ -92,9 +92,9 @@ def test_p1_init_meets_targets_every_slot(monkeypatch):
     started = {}
     loop = solver._alternate
 
-    def spy(sc, objective, traj, powers, t0):
+    def spy(sc, objective, traj, powers, t0, phase_s):
         if objective == "min":
-            return loop(sc, objective, traj, powers, t0)
+            return loop(sc, objective, traj, powers, t0, phase_s)
         started.update(traj=traj, powers=powers)
 
     monkeypatch.setattr(solver, "_alternate", spy)
@@ -133,10 +133,13 @@ def test_zero_targets_inactive_and_objective_climbs(monkeypatch):
         labels.extend(getattr(blk, "label", "") for blk in blocks)
         return real(objective, blocks, z0, **kwargs)
 
-    def accept(sc_, powers, modes, anchor, cand, objective, diag):
-        traj = real_accept(sc_, powers, modes, anchor, cand, objective, diag)
+    def accept(sc_, powers, modes, anchor, cand, objective, base, diag):
+        traj = real_accept(sc_, powers, modes, anchor, cand, objective, base, diag)
         if objective == "sum":  # not the warm start's min-rate steps
-            steps.append((exact_sum(sc, anchor, modes, powers), exact_sum(sc, traj, modes, powers)))
+            before = exact_sum(sc, anchor, modes, powers)
+            # a base handed down from the previous iteration is the same value
+            assert base is None or base == before
+            steps.append((before, exact_sum(sc, traj, modes, powers)))
         return traj
 
     monkeypatch.setattr(solver, "concave_max", spy)
