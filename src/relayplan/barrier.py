@@ -48,17 +48,17 @@ constraint blocks in list order, stops at the first with a row that is not
 positive, and runs the objective only inside every constraint, so cheap
 rows listed first spare a rejected point the costly ones.  Rows do not
 depend on mu, so each point (the start, every line-search trial) is
-evaluated once, at order 2, and an accepted trial's rows serve the next
-Newton step, a new mu stage and the final KKT check.  Every block sees a
-point as one z array, which is never changed in place.  A block gives
+evaluated once, derivatives included, and an accepted trial's rows serve
+the next Newton step, a new mu stage and the final KKT check.  A block
+sees a point as one z array, which is never changed in place, and gives
 
     count               number of rows m
     cols                (m, k) positions in z that row i reads, fixed for
                         the solve; None for dense affine rows
-    evaluate(z, order)  (values, grad, hess): values (m,); with order >= 1
-                        grad (m, k), row i's gradient over cols[i]; with
-                        order 2 hess (m, k, k) over the same positions, or
-                        None for affine rows.  Dense rows give grad (m, n).
+    evaluate(z)         (values, grad, hess): values (m,); grad (m, k), row
+                        i's gradient over cols[i]; hess (m, k, k) over the
+                        same positions, or None for affine rows.  Dense
+                        rows give grad (m, n).
     max_step(z, d, vals)  optional, constraint blocks only: the largest
                         alpha with every row positive at z + alpha d, given
                         the rows' values at z; inf when no row decreases.
@@ -154,8 +154,8 @@ class LinearBlock:
         self.count = self.a.shape[0]
         self.label = label
 
-    def evaluate(self, z, order):
-        return self.a @ z + self.b, (self.a if order else None), None
+    def evaluate(self, z):
+        return self.a @ z + self.b, self.a, None
 
     def max_step(self, z, d, vals):
         """min -g_i / (a_i . d) over the rows that d decreases."""
@@ -191,11 +191,11 @@ class AffineRows:
         cols = np.r_[idx[keep_lo], idx[keep_hi]][:, None]
         return cls(cols, sign, np.r_[-lo[keep_lo], hi[keep_hi]], label)
 
-    def evaluate(self, z, order):
+    def evaluate(self, z):
         vals = self._coef0 * z[self._col0] + self._off
         for col, coef in self._rest:
             vals += coef * z[col]
-        return vals, (self._grad if order else None), None
+        return vals, self._grad, None
 
 
 @dataclasses.dataclass
@@ -209,6 +209,8 @@ class SolveInfo:
     refined_directions: int  # Newton directions that took a refinement step
     kkt_residual: float
     mu_final: float
+    # set by any failed last stage: a failed factor, a non-ascent direction
+    # or an exhausted line search; the solver counts it as failed_solves
     line_search_failed: bool
     message: str = ""
 
@@ -414,7 +416,7 @@ class Scatter:
 
 
 class _Point(NamedTuple):
-    """Every block's order-2 rows at one z; phi = f_sum + mu * log_sum."""
+    """Every block's rows at one z; phi = f_sum + mu * log_sum."""
 
     obj: list
     rows: list
@@ -429,14 +431,14 @@ def _evaluate_point(objective, blocks, z) -> Optional[_Point]:
     sum is then not finite either)."""
     rows, log_sum = [], 0.0
     for blk in blocks:
-        e = blk.evaluate(z, 2)
+        e = blk.evaluate(z)
         if not (e[0] > 0).all():
             return None
         rows.append(e)
         log_sum += np.log(e[0]).sum()
     obj, f_sum = [], 0.0
     for src in objective:
-        e = src.evaluate(z, 2)
+        e = src.evaluate(z)
         total = e[0].sum()
         if not np.isfinite(total):
             return None
@@ -448,7 +450,7 @@ def _evaluate_point(objective, blocks, z) -> Optional[_Point]:
 def _start_error(blocks, z) -> InfeasibleStartError:
     """Why ``_evaluate_point`` rejected the start z."""
     for blk in blocks:
-        vals = blk.evaluate(z, 0)[0]
+        vals = blk.evaluate(z)[0]
         if not (vals > 0).all():
             bad = int(np.argmin(vals))
             return InfeasibleStartError(

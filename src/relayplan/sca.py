@@ -95,11 +95,10 @@ class TrajectoryBound:
         """A at the rows' psi values."""
         return self.base + self.dr * psi_r + self.dk * psi_k
 
-    def local(self, v, order):
-        """(values, grad, hess): row values (-inf where A <= 0), with
-        ``order`` >= 1 the (m, 2) gradients and with ``order`` 2 the
-        (m, 2, 2) Hessians over the scaled slot coordinates ``v``; None
-        beyond ``order``."""
+    def local(self, v):
+        """(values, grad, hess): row values (-inf where A <= 0), the
+        (m, 2) gradients and the (m, 2, 2) Hessians over the scaled slot
+        coordinates ``v``."""
         x, y = (self.scale * v).T
         xb, yb, xv, yv = x - self.bx, y - self.by, x - self.vx, y - self.vy
         a = self.argument(
@@ -112,16 +111,12 @@ class TrajectoryBound:
                 vals = np.where(bad, -np.inf, self.cm * np.log2(a))
         else:
             vals = self.cm * np.log2(a)
-        if order == 0:
-            return vals, None, None
         da = np.empty((len(a), 2))  # A's gradient over (x, y)
         da[:, 0] = self.dr * xb + self.dk * xv
         da[:, 1] = self.dr * yb + self.dk * yv
         da *= 2.0 * self.s
         slope = self.cm / (LN2 * a)
         grad = self.scale * slope[:, None] * da
-        if order == 1:
-            return vals, grad, None
         # A's Hessian is 2 s (dr + dk) I, so the row's is curv I - q da da^T;
         # -q da da^T + curv on the diagonal gives the same bits
         curv = slope * (2.0 * self.s * (self.dr + self.dk))
@@ -233,11 +228,10 @@ class PowerBound:
         for name in self.__slots__:
             setattr(self, name, fields[name])
 
-    def local(self, v, order):
+    def local(self, v):
         """(values, grad, hess): row values (-inf where a log argument
-        leaves its domain), with ``order`` >= 1 the (m, 3) gradients and
-        with ``order`` 2 the (m, 3, 3) Hessians over the scaled row
-        variables ``v``; None beyond ``order``."""
+        leaves its domain), the (m, 3) gradients and the (m, 3, 3)
+        Hessians over the scaled row variables ``v``."""
         a, b, r = (v * self.scale).T
         u = self.cu0 + self.g_k * r
         w = 1.0 + self.g_r * a + self.cv_b * b
@@ -246,16 +240,12 @@ class PowerBound:
             lin = self.t0 + self.t_a * a + self.t_b * b + self.t_r * r
             vals = self.cm * (np.log2(u) + np.log2(w) - lin)
         vals = np.where(bad, -np.inf, vals)
-        if order == 0:
-            return vals, None, None
         gw = self.cm / (LN2 * w)
         grad = np.empty((len(u), 3))
         grad[:, 0] = self.g_r * gw - self.cm * self.t_a
         grad[:, 1] = self.cv_b * gw - self.cm * self.t_b
         grad[:, 2] = self.g_k * self.cm / (LN2 * u) - self.cm * self.t_r
         grad *= self.scale
-        if order == 1:
-            return vals, grad, None
         cw = -self.cm / (LN2 * w * w)
         hess = np.zeros((len(u), 3, 3))
         hess[:, 0, 0] = cw * self.g_r * self.g_r

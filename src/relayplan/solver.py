@@ -204,28 +204,22 @@ class SlotRowBlock:
         self.cols = self.slots
         if epi_idx is not None:
             self.cols = np.column_stack([self.slots, np.full(self.count, epi_idx)])
-        self._last = (None, None, None)  # (z, order, result)
+        self._last = (None, None)  # (z, result)
 
-    def evaluate(self, z, order):
-        if self._last[0] is z and self._last[1] == order:
-            return self._last[2]
-        out = self._evaluate(z, order)
-        self._last = (z, order, out)
-        return out
-
-    def _evaluate(self, z, order):
-        vals, grad, hess = self.terms.local(z[self.slots], order)
-        if self.epi is None:
-            return vals, grad, hess
-        if order >= 1:
-            grad, local = np.empty((self.count, grad.shape[1] + 1)), grad
-            grad[:, :-1] = local
-            grad[:, -1] = -1.0
-        if order == 2:
-            d = hess.shape[1]
+    def evaluate(self, z):
+        if self._last[0] is z:
+            return self._last[1]
+        vals, grad, hess = self.terms.local(z[self.slots])
+        if self.epi is not None:
+            d = grad.shape[1]
+            grad, local = np.empty((self.count, d + 1)), grad
+            grad[:, :d] = local
+            grad[:, d] = -1.0
             hess, local = np.zeros((self.count, d + 1, d + 1)), hess
             hess[:, :d, :d] = local
-        return vals - z[self.epi], grad, hess
+            vals = vals - z[self.epi]
+        self._last = (z, (vals, grad, hess))
+        return self._last[1]
 
 
 class RowSubset:
@@ -238,11 +232,9 @@ class RowSubset:
         self.cols = rows.cols[idx]
         self.label = label
 
-    def evaluate(self, z, order):
-        vals, grad, hess = self.rows.evaluate(z, order)
-        return (vals[self.idx] - self.rhs,
-                None if grad is None else grad[self.idx],
-                None if hess is None else hess[self.idx])
+    def evaluate(self, z):
+        vals, grad, hess = self.rows.evaluate(z)
+        return vals[self.idx] - self.rhs, grad[self.idx], hess[self.idx]
 
 
 # ---- constraint blocks beyond the generic barrier ones ----
@@ -254,8 +246,7 @@ class VelocityChainBlock:
     Gap j joins slot j - 1 (or the start) to slot j (or the end), and its
     row reads both slots' (x, y), whose positions in z are rows of
     ``slots``.  The first and last gaps repeat their one slot's positions
-    with zero derivatives, so every row has four columns.  The gaps of the
-    last evaluation are kept for ``max_step`` at the same z array.
+    with zero derivatives, so every row has four columns.
     """
 
     # Hessian of -|q_right - q_left|^2 over (left x, left y, right x, right y)
@@ -276,7 +267,6 @@ class VelocityChainBlock:
         self.right = np.r_[np.ones(n), 0.0][:, None]  # gap n ends at uav_end
         side = np.hstack([self.left, self.left, self.right, self.right])
         self.hess = LENGTH_SCALE**2 * self._PAIR * side[:, :, None] * side[:, None, :]
-        self._last = (None, None)  # (z, gaps)
 
     def _gaps(self, z, start, end):
         q = LENGTH_SCALE * z[self.slots]
@@ -286,25 +276,22 @@ class VelocityChainBlock:
         gap[-1] = end - q[-1]
         return gap
 
-    def evaluate(self, z, order):
+    def evaluate(self, z):
         gap = self._gaps(z, self.start, self.end)
-        self._last = (z, gap)
         dx, dy = gap.T
         vals = self.r2 - dx * dx - dy * dy
-        if order == 0:
-            return vals, None, None
         g = 2.0 * LENGTH_SCALE * gap
         grad = np.empty((self.count, 4))
         grad[:, :2] = self.left * g
         grad[:, 2:] = -self.right * g
-        return vals, grad, (self.hess if order == 2 else None)
+        return vals, grad, self.hess
 
     def max_step(self, z, d, vals):
         """The smallest positive root of c - b alpha - a alpha^2 over the
         rows, with a = |dgap|^2, b = 2 gap . dgap and c the row's value;
         2c / (b + sqrt(b^2 + 4ac)) when b >= 0, and the cancellation-free
         (sqrt(b^2 + 4ac) - b) / 2a otherwise."""
-        gap = self._last[1] if self._last[0] is z else self._gaps(z, self.start, self.end)
+        gap = self._gaps(z, self.start, self.end)
         dgap = self._gaps(d, 0.0, 0.0)
         a = np.einsum("ij,ij->i", dgap, dgap)
         b = 2.0 * np.einsum("ij,ij->i", gap, dgap)
@@ -387,7 +374,7 @@ def _subproblem(sc, terms, row_slots, width, z0, blocks, objective: str, step: s
     (z, bound, info), bound being the subproblem's optimum.
     """
     rows = SlotRowBlock(terms, row_slots, "sum-rate objective")
-    start = rows.evaluate(z0, 0)[0]
+    start = rows.evaluate(z0)[0]
     blocks, band = list(blocks), (len(z0), width)
     if objective == "min":
         t_idx = len(z0)
@@ -415,7 +402,7 @@ def _subproblem(sc, terms, row_slots, width, z0, blocks, objective: str, step: s
     for reason in info.stage_exits:
         exits[reason] = exits.get(reason, 0) + 1
     diag["refined_directions"] = diag.get("refined_directions", 0) + info.refined_directions
-    bound = float(z[-1]) if objective == "min" else float(rows.evaluate(z, 0)[0].sum())
+    bound = float(z[-1]) if objective == "min" else float(rows.evaluate(z)[0].sum())
     return z, bound, info
 
 
@@ -522,8 +509,9 @@ def _alternate(sc: Scenario, objective: str, traj, powers: PowerAllocation,
     into the interior and takes one power step.  The loop stops once the
     exact objective's relative gain falls below ``REL_TOL``.  "min"
     schedules every slot orthogonally.  "sum" re-balances the powers for
-    the rate targets before each power step, can freeze the schedule, and
-    checks the targets on the exact rates of the returned plan.
+    the rate targets at the start and before each power step, can freeze
+    the schedule, and checks the targets on the exact rates of the
+    returned plan.
     ``phase_s`` holds the seconds spent so far on each phase; it becomes
     ``diagnostics["phase_s"]``.
     """
@@ -539,6 +527,11 @@ def _alternate(sc: Scenario, objective: str, traj, powers: PowerAllocation,
     with _timed(phase_s, "modes"):
         cs = channel_state(traj, sc)
         sched = mode_schedule(cs, policy)
+    if rebalance:
+        # the fairness powers suit OMA; slots the policy makes superposed
+        # need their BS split re-balanced before the targets hold
+        with _timed(phase_s, "rebalance"):
+            powers = _rebalance_for_targets(sc, cs, sched.modes, powers)
     prev = None
     for _ in range(MAX_OUTER):
         steps = 0
@@ -638,15 +631,7 @@ def algorithm3_joint(sc: Scenario) -> SolverResult:
     phase_s: Dict = {}
     with _timed(phase_s, "warm_start"):
         res = solve_minrate(sc)
-    with _timed(phase_s, "modes"):
-        cs = channel_state(res.trajectory, sc)
-        sched = mode_schedule(cs, sc)
-    # The fairness powers are balanced for the orthogonal mode; slots the
-    # policy flips to superposition need their BS split re-balanced before
-    # the per-slot targets hold.
-    with _timed(phase_s, "rebalance"):
-        powers = _rebalance_for_targets(sc, cs, sched.modes, res.powers)
-    return _alternate(sc, "sum", res.trajectory, powers, started, phase_s)
+    return _alternate(sc, "sum", res.trajectory, res.powers, started, phase_s)
 
 
 def feasible_init(sc: Scenario):

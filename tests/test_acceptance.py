@@ -228,11 +228,11 @@ def test_bounds_anchor_and_minorize():
         q = rng.uniform(0.05, 1.0, (3, 1))
         pb = sca.power_lb_build(np.full(n, mode), *np.tile(g, n), *np.tile(q, n), np.ones(3))
         # vehicle 2's rows read (p2, p1, pr): (own, other, relay) power
-        panchor = pb.local(own_order(np.tile(q.T, (n, 1))), 0)[0][(k - 1) * n]
+        panchor = pb.local(own_order(np.tile(q.T, (n, 1))))[0][(k - 1) * n]
         ptarget0 = sca.dc_rate_vehicle(mode, k, *g[:, 0], *q[:, 0])
         anchor_err = max(anchor_err, abs(panchor - ptarget0) / max(abs(ptarget0), 1e-12))
         ptrials = rng.uniform(1e-3, 2.0, size=(n, 3))
-        pbound = pb.local(own_order(ptrials), 0)[0][vehicle_k]
+        pbound = pb.local(own_order(ptrials))[0][vehicle_k]
         ptarget = sca.dc_rate_vehicle(mode, k, *g[:, 0], *ptrials.T)
         overshoot = max(overshoot, float((pbound - ptarget).max()))
     ok = anchor_err <= 1e-12 and overshoot <= 1e-9

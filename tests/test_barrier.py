@@ -12,8 +12,8 @@ from relayplan.solver import VelocityChainBlock
 
 
 class Whole:
-    """One objective row over all of z, from f(z, order) returning
-    (value,), (value, grad) or (value, grad, hess), or None off its domain."""
+    """One objective row over all of z, from f(z) returning
+    (value, grad, hess), or None off its domain."""
 
     label = "objective"
 
@@ -21,13 +21,11 @@ class Whole:
         self.f = f
         self.cols = np.arange(n)[None, :]
 
-    def evaluate(self, z, order):
-        res = self.f(z, order)
+    def evaluate(self, z):
+        res = self.f(z)
         if res is None:
             return np.array([-np.inf]), None, None
-        grad = res[1][None, :] if order >= 1 else None
-        hess = res[2][None] if order == 2 else None
-        return np.array([res[0]]), grad, hess
+        return np.array([res[0]]), res[1][None, :], res[2][None]
 
 
 def quadratic(q, lin=None):
@@ -35,14 +33,8 @@ def quadratic(q, lin=None):
     q = np.asarray(q, dtype=float)
     lin = np.zeros(q.shape[0]) if lin is None else np.asarray(lin, dtype=float)
 
-    def f(z, order):
-        val = -0.5 * z @ q @ z + lin @ z
-        if order == 0:
-            return (val,)
-        grad = -q @ z + lin
-        if order == 1:
-            return val, grad
-        return val, grad, -q
+    def f(z):
+        return -0.5 * z @ q @ z + lin @ z, -q @ z + lin, -q
 
     return [Whole(f, q.shape[0])]
 
@@ -63,16 +55,10 @@ def test_box_quadratic_reaches_origin():
 def test_log_budget_equal_split():
     n, budget = 5, 2.0
 
-    def f(z, order):
+    def f(z):
         if np.any(z <= -1):
             return None
-        val = float(np.sum(np.log1p(z)))
-        if order == 0:
-            return (val,)
-        grad = 1.0 / (1.0 + z)
-        if order == 1:
-            return val, grad
-        return val, grad, np.diag(-1.0 / (1.0 + z) ** 2)
+        return float(np.sum(np.log1p(z))), 1.0 / (1.0 + z), np.diag(-1.0 / (1.0 + z) ** 2)
 
     blocks = [
         AffineRows.box(np.arange(n), 0.0, np.inf, label="nonneg"),
@@ -124,7 +110,7 @@ def test_infeasible_start_raises_with_block_label():
 
 
 def test_objective_domain_start_rejected():
-    def f(z, order):
+    def f(z):
         return None
 
     with pytest.raises(barrier.InfeasibleStartError, match="domain"):
@@ -143,7 +129,7 @@ def test_barrier_stage_schedule_counts():
     n_c = 2 * n
     obj = quadratic(40.0 * np.eye(n), np.array([0.3, 0.0, -0.2]))
     for z0 in (np.zeros(n), np.full(n, 0.5)):
-        scale = max(1.0, abs(obj[0].evaluate(z0, 0)[0][0]))  # 1, then about 15
+        scale = max(1.0, abs(obj[0].evaluate(z0)[0][0]))  # 1, then about 15
         z, info = concave_max(obj, blocks, z0)
         # mu runs from scale / n_c down by factors of MU_FACTOR to a gap
         # n_c * mu of GAP_REL * scale
@@ -161,7 +147,7 @@ def test_last_stage_lands_on_the_gap_floor(monkeypatch):
     blocks = [AffineRows.box(np.arange(n), -1.0, 1.0)]
     obj = quadratic(40.0 * np.eye(n), np.array([0.3, 0.0, -0.2]))
     for z0 in (np.zeros(n), np.full(n, 0.5)):
-        scale = max(1.0, abs(obj[0].evaluate(z0, 0)[0][0]))
+        scale = max(1.0, abs(obj[0].evaluate(z0)[0][0]))
         z, info = concave_max(obj, blocks, z0)
         assert info.mu_final == barrier.GAP_REL * scale / (2 * n)
         assert info.stages == 1 + int(np.ceil(np.log(1 / 3e-9) / np.log(barrier.MU_FACTOR)))
@@ -194,11 +180,10 @@ def test_box_rows_match_their_formula_bit_for_bit():
         for _ in range(5):
             z = rng.normal(size=2 * n) * rng.choice([1e-3, 1.0, 1e3])
             for rows, coef, formula in blocks:
-                vals, grad, hess = rows.evaluate(z, 2)
+                vals, grad, hess = rows.evaluate(z)
                 assert np.array_equal(vals, formula(z))
                 assert rows.count == len(vals) == len(rows.cols)
                 assert np.array_equal(grad, coef) and hess is None
-                assert rows.evaluate(z, 0)[1] is None
 
 
 def test_capped_stages_counted(monkeypatch):
@@ -250,7 +235,7 @@ def test_warm_start_skips_stages_and_lands_on_the_same_gap():
     assert warm.stages == cold.stages - warm.skipped_stages
     assert warm.newton_steps < cold.newton_steps
     assert warm.mu_final == cold.mu_final  # scale is 1 at both starts
-    f_cold, f_warm = (obj[0].evaluate(z, 0)[0][0] for z in (z_cold, z_warm))
+    f_cold, f_warm = (obj[0].evaluate(z)[0][0] for z in (z_cold, z_warm))
     assert abs(f_warm - f_cold) <= barrier.GAP_REL
     assert warm.converged and warm.capped_stages == 0
 
@@ -301,15 +286,11 @@ class LogSlots:
         self.count = n
         self.cols = np.arange(2 * n).reshape(n, 2)
 
-    def evaluate(self, z, order):
+    def evaluate(self, z):
         x, y = z[self.cols].T
         with np.errstate(invalid="ignore", divide="ignore"):
             vals = np.log1p(3.0 * x) + y - y * y
-        if order == 0:
-            return vals, None, None
         grad = np.column_stack([3.0 / (1.0 + 3.0 * x), 1.0 - 2.0 * y])
-        if order == 1:
-            return vals, grad, None
         hess = np.zeros((self.count, 2, 2))
         hess[:, 0, 0] = -9.0 / (1.0 + 3.0 * x) ** 2
         hess[:, 1, 1] = -2.0
@@ -325,25 +306,20 @@ def test_accuracy_holds_as_copies_grow(n):
     z0 = np.full(2 * n, 0.5)
     z, info = concave_max(obj, blocks, z0, band=(2 * n, 1))
     best = n * (np.log(4.0) + 0.25)
-    scale = max(1.0, abs(obj[0].evaluate(z0, 0)[0].sum()))
+    scale = max(1.0, abs(obj[0].evaluate(z0)[0].sum()))
     assert info.converged and info.capped_stages == 0
-    assert 0.0 <= best - obj[0].evaluate(z, 0)[0].sum() <= barrier.GAP_REL * scale
+    assert 0.0 <= best - obj[0].evaluate(z)[0].sum() <= barrier.GAP_REL * scale
 
 
 def test_domain_rejection_shrinks_steps():
     """A spiky domain hole forces halvings but the solve still lands."""
     calls = {"rejected": 0}
 
-    def f(z, order):
+    def f(z):
         if z[0] > 0.6:  # pretend the bound's log argument went nonpositive
             calls["rejected"] += 1
             return None
-        val = z[0]
-        if order == 0:
-            return (val,)
-        if order == 1:
-            return val, np.array([1.0])
-        return val, np.array([1.0]), np.zeros((1, 1))
+        return z[0], np.array([1.0]), np.zeros((1, 1))
 
     blocks = [AffineRows.box(np.array([0]), -1.0, 2.0)]
     z, info = concave_max([Whole(f, 1)], blocks, np.array([0.0]))
@@ -361,12 +337,12 @@ def test_box_rejection_skips_the_objective():
     seen, outside = [], []
     real_obj, real_box = obj[0].evaluate, box.evaluate
 
-    def objective_evaluate(z, order):
+    def objective_evaluate(z):
         seen.append(z.copy())
-        return real_obj(z, order)
+        return real_obj(z)
 
-    def box_evaluate(z, order):
-        res = real_box(z, order)
+    def box_evaluate(z):
+        res = real_box(z)
         if np.any(res[0] <= 0):
             outside.append(z.copy())
         return res
@@ -398,8 +374,8 @@ def test_intermediate_stages_end_centred(monkeypatch):
     assert info.mu_final == full.mu_final
     assert info.converged and full.converged
     assert info.newton_steps < full.newton_steps
-    scale = max(1.0, abs(obj[0].evaluate(z0, 0)[0].sum()))
-    f, f_full = (obj[0].evaluate(x, 0)[0].sum() for x in (z, z_full))
+    scale = max(1.0, abs(obj[0].evaluate(z0)[0].sum()))
+    f, f_full = (obj[0].evaluate(x)[0].sum() for x in (z, z_full))
     assert abs(f - f_full) <= barrier.GAP_REL * scale
 
 
@@ -458,7 +434,7 @@ def _linear_problem(seed, n, d_scale):
 def test_max_step_is_the_largest_step_that_keeps_every_row_positive(seed, n, reach, d_scale, kind):
     blk, z, d = (_chain_problem(seed, n, reach, d_scale) if kind == "chain"
                  else _linear_problem(seed, n, d_scale))
-    vals = blk.evaluate(z, 0)[0]
+    vals = blk.evaluate(z)[0]
     assert np.all(vals > 0.0)
     cap = blk.max_step(z, d, vals)
     assert cap > 0.0
@@ -466,8 +442,8 @@ def test_max_step_is_the_largest_step_that_keeps_every_row_positive(seed, n, rea
         assert cap == np.inf
         return
     assert np.isfinite(cap)  # a circle's rows all turn once the step is long enough
-    assert np.all(blk.evaluate(z + (1 - 1e-9) * cap * d, 0)[0] > 0.0)
-    assert np.min(blk.evaluate(z + (1 + 1e-6) * cap * d, 0)[0]) <= 0.0
+    assert np.all(blk.evaluate(z + (1 - 1e-9) * cap * d)[0] > 0.0)
+    assert np.min(blk.evaluate(z + (1 + 1e-6) * cap * d)[0]) <= 0.0
 
 
 # ---- the structured Newton solve ----
@@ -625,9 +601,9 @@ class EdgeRow:
     count = 1
     cols = np.array([[0]])
 
-    def evaluate(self, z, order):
+    def evaluate(self, z):
         vals = np.array([1.0 - z[0] if z[0] < 1.0 else np.nan])
-        return vals, (np.array([[-1.0]]) if order else None), None
+        return vals, np.array([[-1.0]]), None
 
 
 def test_nan_constraint_row_is_out_of_domain():
@@ -638,9 +614,9 @@ def test_nan_constraint_row_is_out_of_domain():
     obj = linear([1.0])
     seen, real = [], obj[0].evaluate
 
-    def evaluate(z, order):
+    def evaluate(z):
         seen.append(z[0])
-        return real(z, order)
+        return real(z)
 
     obj[0].evaluate = evaluate
     z, info = concave_max(obj, [EdgeRow()], np.array([0.5]))
@@ -649,20 +625,20 @@ def test_nan_constraint_row_is_out_of_domain():
 
 
 class Counted:
-    """A block that records the z and order of each of its evaluations."""
+    """A block that records the z of each of its evaluations."""
 
     def __init__(self, blk):
         self.blk, self.calls = blk, []
         self.count, self.cols, self.label = getattr(blk, "count", 1), blk.cols, blk.label
 
-    def evaluate(self, z, order):
-        self.calls.append((z.copy(), order))
-        return self.blk.evaluate(z, order)
+    def evaluate(self, z):
+        self.calls.append(z.copy())
+        return self.blk.evaluate(z)
 
 
 def test_each_point_is_evaluated_once(monkeypatch):
-    """Every block is evaluated at order 2, once at the start and once per
-    line-search trial.  The accepted trial is the next Newton step's point,
+    """Every block is evaluated once at the start and once per line-search
+    trial.  The accepted trial is the next Newton step's point,
     and neither a new stage nor the final KKT check evaluates z again."""
     n = 3
     obj = [Counted(LogSlots(n))]
@@ -684,21 +660,20 @@ def test_each_point_is_evaluated_once(monkeypatch):
     # the first block runs at every point; after the start, each is a trial
     # z + 2^-j d of the latest Newton direction, the last one accepted
     first = blocks[0].calls
-    assert np.array_equal(first[0][0], z0)
+    assert np.array_equal(first[0], z0)
     point, trials, steps = z0, 0, 0
     for k, (at, d) in enumerate(directions):
         end = directions[k + 1][0] if k + 1 < len(directions) else len(first)
-        for j, (trial, _) in enumerate(first[at:end]):
+        for j, trial in enumerate(first[at:end]):
             assert np.array_equal(trial, point + 0.5**j * d)
         if end > at:
-            point, trials, steps = first[end - 1][0], trials + end - at, steps + 1
+            point, trials, steps = first[end - 1], trials + end - at, steps + 1
     assert len(first) == 1 + trials and steps == info.newton_steps
     for blk in obj + blocks:
-        assert {order for _, order in blk.calls} == {2}
-        assert len({z_.tobytes() for z_, _ in blk.calls}) == len(blk.calls)
+        assert len({z_.tobytes() for z_ in blk.calls}) == len(blk.calls)
     # the result and its KKT residual are the last accepted point's
     assert np.array_equal(z, point)
-    evals = [blk.blk.evaluate(z, 1) for blk in obj + blocks]
+    evals = [blk.blk.evaluate(z) for blk in obj + blocks]
     w1 = [np.ones(n)] + [info.mu_final / e[0] for e in evals[1:]]
     grad = Scatter(2 * n, (2 * n, 2 * n - 1), obj + blocks).gradient(evals, w1)
     assert info.kkt_residual == float(np.max(np.abs(grad)))

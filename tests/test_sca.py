@@ -33,7 +33,7 @@ def power_rows(mode, k, gains, powers, at):
     """Vehicle k's row of one slot's ``power_bound`` at each (p1, p2, pr)
     row of ``at``, one slot per point."""
     n = len(np.atleast_2d(at))
-    vals = power_bound(mode, gains, powers, n).local(own_order(at), 0)[0]
+    vals = power_bound(mode, gains, powers, n).local(own_order(at))[0]
     return vals[(k - 1) * n : k * n]
 
 
@@ -102,7 +102,7 @@ def test_trajectory_bound_zero_power_edge():
     b = traj_bound(1, (0.25, 0.25, 0.0), (0.02, 0.03))
     assert b.base[0] == 1.0 and b.dr[0] == 0.0 and b.dk[0] == 0.0
     assert traj_rows(1, 1, (0.25, 0.25, 0.0), (0.02, 0.03), 0.5, 0.5)[0] == 0.0
-    assert b.local(np.array([[100.0, 700.0]] * 2), 0)[0][0] == 0.0
+    assert b.local(np.array([[100.0, 700.0]] * 2))[0][0] == 0.0
 
 
 def test_trajectory_bound_rejects_bad_inputs():
@@ -122,7 +122,7 @@ def test_trajectory_bound_anchor_and_sign():
     powers = (0.3, 0.2, 0.5)
     for mode, k in MODE_K:
         b, row = traj_bound(mode, powers, psi_l), k - 1
-        anchor = b.local(np.tile(q_l, (2, 1)), 0)[0][row]
+        anchor = b.local(np.tile(q_l, (2, 1)))[0][row]
         assert anchor == pytest.approx(
             sca.convexified_rate(mode, k, *powers, *psi_l), rel=1e-12
         )
@@ -173,7 +173,7 @@ def test_trajectory_bound_midpoint_concave_in_position():
     qa, qb = rng.uniform(0.0, 1000.0, (2, 300, 2))
 
     def rows(q):  # vehicle 2's rows, one position each
-        return b.local(np.tile(q, (2, 1)), 0)[0][300:]
+        return b.local(np.tile(q, (2, 1)))[0][300:]
 
     mid = rows(0.5 * (qa + qb))
     ends = 0.5 * (rows(qa) + rows(qb))
@@ -185,7 +185,7 @@ def test_trajectory_bound_off_domain_is_minus_inf():
     assert b.argument(1e3, 1e3)[0] <= 0.0
     far = np.array([[1e5, 0.0]])  # psi of about 1e3 to both ends
     assert np.all(psi_at(far, 0.0) > 999.0) and np.all(psi_at(far, VEHICLE) > 989.0)
-    assert b.local(np.tile(far, (2, 1)), 0)[0][0] == -np.inf
+    assert b.local(np.tile(far, (2, 1)))[0][0] == -np.inf
 
 
 def dc_sum(mode, g_r, g_1, g_2, p1, p2, pr):
@@ -349,7 +349,7 @@ def test_mixed_mode_builds_match_references_and_single_mode_builds():
     pb = sca.power_lb_build(modes, *g, *p, ONES)
     tb = sca.trajectory_lb_build(modes, *p, psi_r, *psi, paths, **GEOMETRY)
     assert pb.cm.shape == tb.cm.shape == (2 * n,)
-    p_rows, t_rows = pb.local(own_order(p.T), 0)[0], tb.local(np.tile(q, (2, 1)), 0)[0]
+    p_rows, t_rows = pb.local(own_order(p.T))[0], tb.local(np.tile(q, (2, 1)))[0]
     for k in (1, 2):
         rows = np.arange(n) + (k - 1) * n
         dc = [sca.dc_rate_vehicle(m, k, *g[:, i], *p[:, i]) for i, m in enumerate(modes)]
@@ -374,8 +374,8 @@ def test_mixed_mode_builds_match_references_and_single_mode_builds():
 
 
 def reference_traj_local(b, v):
-    """``TrajectoryBound.local`` at order 2 as whole-array formulas: the
-    Hessian is curv I - q da da^T, then times scale^2."""
+    """``TrajectoryBound.local`` as whole-array formulas: the Hessian is
+    curv I - q da da^T, then times scale^2."""
     x, y = (b.scale * v).T
     a = b.argument(b.s * ((x - b.bx) ** 2 + (y - b.by) ** 2 + b.hh),
                    b.s * ((x - b.vx) ** 2 + (y - b.vy) ** 2 + b.hh))
@@ -419,7 +419,7 @@ def test_local_kernels_match_whole_array_formulas_bit_for_bit(n):
         pos = q[rows] + rng.uniform(-spread, spread, (2 * n, 2))
         if far:
             pos[-1] = (1e5, 0.0)
-        got = tb.local(pos / 100.0, 2)
+        got = tb.local(pos / 100.0)
         want = reference_traj_local(tb, pos / 100.0)
         assert np.isneginf(got[0][-1]) if far else np.isfinite(got[0]).all()
         for g, w in zip(got, want):
@@ -430,5 +430,5 @@ def test_local_kernels_match_whole_array_formulas_bit_for_bit(n):
     for spread in (0.0, 0.5, 3.0):
         v = own_order(p.T) / scale + rng.uniform(-spread, spread, (2 * n, 3))
         with np.errstate(divide="ignore", invalid="ignore"):
-            got, want = pb.local(v, 1)[1], reference_power_grad(pb, v)
+            got, want = pb.local(v)[1], reference_power_grad(pb, v)
         assert np.array_equal(got, want, equal_nan=True)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relayplan
-from relayplan import barrier, oracle, rates, sca, solver
+from relayplan import barrier, rates, sca, solver
 from relayplan.cli import main
 from relayplan.scenario import (
     channel_state,
@@ -20,6 +20,8 @@ from relayplan.scenario import (
 )
 from relayplan.modes import mode_schedule
 from relayplan.solver import InfeasibleProblemError, PowerAllocation
+
+from finite_diff import finite_diff_gradient, finite_diff_hessian
 
 SC8 = default_scenario(slots=8)
 
@@ -88,26 +90,33 @@ def test_p2_init_budget_equality_and_valid_trajectory():
 
 def test_p1_init_meets_targets_every_slot(monkeypatch):
     """The sum-rate loop starts from the fairness plan, re-balanced so that
-    every slot meets its rate targets on exact rates under the policy."""
+    every slot meets its rate targets on exact rates under the policy: its
+    first trajectory step is taken at such powers.  Vehicle 2's target is
+    one that the fairness powers miss."""
+    sc = dataclasses.replace(SC8, rate_targets=np.array([1.0, 1.2]))
     started = {}
-    loop = solver._alternate
+    step = solver._traj_step
 
-    def spy(sc, objective, traj, powers, t0, phase_s):
-        if objective == "min":
-            return loop(sc, objective, traj, powers, t0, phase_s)
-        started.update(traj=traj, powers=powers)
+    def spy(sc, powers, modes, start_traj, objective, diag):
+        if objective == "sum" and not started:
+            started.update(traj=start_traj, powers=powers)
+        return step(sc, powers, modes, start_traj, objective, diag)
 
-    monkeypatch.setattr(solver, "_alternate", spy)
-    solver.algorithm3_joint(SC8)
+    monkeypatch.setattr(solver, "_traj_step", spy)
+    solver.algorithm3_joint(sc)
+    fair = solver.solve_minrate(sc)
     traj, powers = started["traj"], started["powers"]
-    cs = channel_state(traj, SC8)
-    sched = mode_schedule(cs, SC8)
-    r1, r2 = rates.exact_rates(
-        sched.modes, cs.h_r, cs.h_1, cs.h_2, powers.p1, powers.p2, powers.pr,
-        SC8.noise_power,
-    )
-    assert np.all(r1 >= SC8.rate_targets[0] - 1e-6)
-    assert np.all(r2 >= SC8.rate_targets[1] - 1e-6)
+    assert np.array_equal(traj, fair.trajectory)
+    cs = channel_state(traj, sc)
+    sched = mode_schedule(cs, sc)
+
+    def exact(p):
+        return rates.exact_rates(sched.modes, cs.h_r, cs.h_1, cs.h_2, p.p1, p.p2, p.pr, sc.noise_power)
+
+    assert np.any(exact(fair.powers)[1] < sc.rate_targets[1])
+    r1, r2 = exact(powers)
+    assert np.all(r1 >= sc.rate_targets[0] - 1e-6)
+    assert np.all(r2 >= sc.rate_targets[1] - 1e-6)
 
 
 # ---- one side held still ----
@@ -169,6 +178,37 @@ def test_unreachable_targets_reported_with_slots():
         solver.algorithm3_joint(sc)
     assert err.value.slots == list(range(SC8.slot_count))
 
+
+# ---- known faults: strict xfails that the named ROADMAP item flips ----
+
+# plan-burst request 2 (catalogue seed 2) over the default scenario
+REQUEST_2 = {
+    "uav_start_m": [197.72199009230616, 384.84337930136485],
+    "uav_end_m": [197.72199009230616, 384.84337930136485],
+    "slot_count": 29,
+    "vehicle_initial_m": [[678.3249666160052, 68.7252569720098],
+                          [678.5462860873968, -15.870809585163514]],
+    "vehicle_velocity_mps": [[0, 18.91209409500579], [0, 17.755639424726894]],
+    "mode_threshold_bpshz": 0,
+}
+
+
+@pytest.mark.xfail(strict=True, raises=InfeasibleProblemError, reason="ROADMAP item 4")
+def test_sumrate_solves_request_2():
+    path = Path(relayplan.__file__).parent / "data" / "default_paper.json"
+    solver.algorithm3_joint(scenario_from_dict(dict(json.loads(path.read_text()), **REQUEST_2)))
+
+
+@pytest.mark.xfail(strict=True, raises=InfeasibleProblemError, reason="ROADMAP item 4")
+def test_sumrate_solves_the_100_slot_default():
+    solver.algorithm3_joint(default_scenario(slots=100))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 7")
+def test_sumrate_schedule_follows_the_mode_rule(joint50):
+    sc = default_scenario(slots=50)
+    modes = mode_schedule(channel_state(joint50.trajectory, sc), sc).modes
+    np.testing.assert_array_equal(modes, joint50.schedule.modes)
 
 
 def bisection_rebalance(sc, cs, modes, powers):
@@ -740,9 +780,9 @@ def local_calls_per_point(monkeypatch, driver):
     calls, kept = [0], [False]
     per_eval, per_accepted = [], []
     for cls in (sca.PowerBound, sca.TrajectoryBound):
-        def local(self, v, order, _real=cls.local):
+        def local(self, v, _real=cls.local):
             calls[0] += 1
-            return _real(self, v, order)
+            return _real(self, v)
         monkeypatch.setattr(cls, "local", local)
     real_eval = barrier._evaluate_point
 
@@ -783,9 +823,9 @@ def test_cheap_row_rejection_makes_no_local_call(monkeypatch):
     before the rate rows, without a ``local`` call."""
     calls, real = [], sca.TrajectoryBound.local
 
-    def local(self, v, order):
+    def local(self, v):
         calls.append(1)
-        return real(self, v, order)
+        return real(self, v)
 
     monkeypatch.setattr(sca.TrajectoryBound, "local", local)
     n = SC8.slot_count
@@ -821,27 +861,24 @@ def test_row_blocks_match_their_formulas_bit_for_bit():
                   else traj / solver.LENGTH_SCALE).ravel()
         idx = np.sort(rng.choice(2 * n, n, replace=False))
         rhs = rng.uniform(0.0, 0.5, n)
-        for order in (0, 1, 2):
-            z = anchor + rng.uniform(-0.01, 0.01, anchor.shape)
-            vals, grad, hess = terms.local(z[row_slots], order)
-            rows = solver.SlotRowBlock(terms, row_slots, "sum-rate objective")
-            full = rows.evaluate(z, order)
-            for f, w in zip(full, (vals, grad, hess)):
-                assert (f is None and w is None) or np.array_equal(f, w)
-            subset = solver.RowSubset(rows, idx, rhs)
-            np.testing.assert_array_equal(subset.cols, rows.cols[idx])
-            got = subset.evaluate(z, order)
-            assert np.array_equal(got[0], full[0][idx] - rhs)
-            for g, f in zip(got[1:], full[1:]):
-                assert (g is None and f is None) or np.array_equal(g, f[idx])
-            z = np.append(z, -0.3)
-            epi = solver.SlotRowBlock(terms, row_slots, "epigraph rate", epi_idx=d * n).evaluate(z, order)
-            assert np.array_equal(epi[0], vals - z[-1])
-            if order:
-                assert np.array_equal(epi[1], np.column_stack([grad, np.full(2 * n, -1.0)]))
-            if order == 2:
-                assert np.array_equal(epi[2][:, :d, :d], hess)
-                assert not epi[2][:, d].any() and not epi[2][:, :, d].any()
+        z = anchor + rng.uniform(-0.01, 0.01, anchor.shape)
+        vals, grad, hess = terms.local(z[row_slots])
+        rows = solver.SlotRowBlock(terms, row_slots, "sum-rate objective")
+        full = rows.evaluate(z)
+        for f, w in zip(full, (vals, grad, hess)):
+            assert np.array_equal(f, w)
+        subset = solver.RowSubset(rows, idx, rhs)
+        np.testing.assert_array_equal(subset.cols, rows.cols[idx])
+        got = subset.evaluate(z)
+        assert np.array_equal(got[0], full[0][idx] - rhs)
+        for g, f in zip(got[1:], full[1:]):
+            assert np.array_equal(g, f[idx])
+        z = np.append(z, -0.3)
+        epi = solver.SlotRowBlock(terms, row_slots, "epigraph rate", epi_idx=d * n).evaluate(z)
+        assert np.array_equal(epi[0], vals - z[-1])
+        assert np.array_equal(epi[1], np.column_stack([grad, np.full(2 * n, -1.0)]))
+        assert np.array_equal(epi[2][:, :d, :d], hess)
+        assert not epi[2][:, d].any() and not epi[2][:, :, d].any()
 
 
 def test_subproblem_derivatives_match_finite_differences(subproblems, dense_system):
@@ -859,31 +896,31 @@ def test_subproblem_derivatives_match_finite_differences(subproblems, dense_syst
         def assembled(blk, w1, w2):
             """(gradient, dense -H) of one block under the driver's band."""
             scatter = barrier.Scatter(size, band, [blk])
-            ev = blk.evaluate(z0, 2)
+            ev = blk.evaluate(z0)
             grad, system = scatter.newton([ev], [w1], [w2])
             return grad, dense_system(system)
 
         def value(z):
-            return sum(src.evaluate(z, 0)[0].sum() for src in objective)
+            return sum(src.evaluate(z)[0].sum() for src in objective)
 
         parts = [assembled(src, np.ones(src.count), None) for src in objective]
         grad = sum(p[0] for p in parts)
         hess = -sum(p[1] for p in parts)
-        assert_matches(grad, oracle.finite_diff_gradient(value, z0, step), size)
-        assert_matches(hess, oracle.finite_diff_hessian(value, z0, step), size)
+        assert_matches(grad, finite_diff_gradient(value, z0, step), size)
+        assert_matches(hess, finite_diff_hessian(value, z0, step), size)
         for blk in blocks:
             w = rng.uniform(0.5, 1.5, blk.count)
             zero = np.zeros(blk.count)
             where = (size, blk.label)
 
             def weighted(z):
-                return float(w @ blk.evaluate(z, 0)[0])
+                return float(w @ blk.evaluate(z)[0])
 
             got, neg_curv = assembled(blk, w, zero)
-            assert_matches(got, oracle.finite_diff_gradient(weighted, z0, step), where)
-            assert_matches(-neg_curv, oracle.finite_diff_hessian(weighted, z0, step), where)
+            assert_matches(got, finite_diff_gradient(weighted, z0, step), where)
+            assert_matches(-neg_curv, finite_diff_hessian(weighted, z0, step), where)
             jac = np.array([
-                oracle.finite_diff_gradient(lambda z: blk.evaluate(z, 0)[0][i], z0, step)
+                finite_diff_gradient(lambda z: blk.evaluate(z)[0][i], z0, step)
                 for i in range(blk.count)
             ])
             _, outer = assembled(blk, zero, w)
