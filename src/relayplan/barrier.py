@@ -520,11 +520,13 @@ def concave_max(
 
     ``band`` = (nb, bw) declares the first nb variables banded with
     bandwidth bw and the rest dense border; by default the band spans every
-    variable.  Returns the final iterate and a SolveInfo, converged when no
-    stage failed and the last one ended on a stop test; raises
-    InfeasibleStartError when z0 is not strictly interior.
+    variable.  Returns the final iterate (z0 itself when no step is taken)
+    and a SolveInfo, converged when no stage failed and the last one ended
+    on a stop test; raises InfeasibleStartError when z0 is not strictly
+    interior.  z0 is evaluated as given, so a block that cached its rows at
+    that array reuses them.
     """
-    z = np.asarray(z0, dtype=float).copy()
+    z = np.asarray(z0, dtype=float)  # never written into: each step makes a new array
     objective, blocks = list(objective), list(blocks)
     point = _evaluate_point(objective, blocks, z)
     if point is None:

@@ -3,10 +3,10 @@
 Exhaustive placement/power search over a discrete grid and
 exact-versus-asymptotic rate tabulation.  Everything
 here favours being simple enough to audit by eye over speed.  The search's
-two shortcuts, a per-mode weakest-link screen under rate targets and a
-smallest-gain bound on the min objective, skip only candidates that provably
-cannot win and leave every result unchanged bit for bit (see
-``static_placement_oracle``).
+three shortcuts, a mean-gain (Jensen) bound on the sum objective, a per-mode
+weakest-link screen under rate targets and a smallest-gain bound on the min
+objective, skip only candidates that provably cannot win and leave every
+result unchanged bit for bit (see ``static_placement_oracle``).
 """
 
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -28,31 +28,73 @@ def _axis(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(max(count, 0))
 
 
-def _weakest_link_ok(modes, h_r, h_1, h_2, p1, p2, pr, oma, s2, t1, t2):
-    """(cells, triples) mask of the candidates that may meet both rate targets.
+def _smallest(in_mode, h_k):
+    return np.where(in_mode, h_k, np.inf).min(axis=1)
 
-    R1 never reads h_2 and R2 never reads h_1, so the rate pair of a mode
-    at its smallest h_1 and smallest h_2 gives each vehicle its rate in a
-    real slot of that mode: a miss there is a miss in the exact per-slot
-    test, up to the rounding that the 1e-9 slack absorbs.  ``oma`` holds
-    each vehicle's distinct (p_k, pr) table and its row per triple.
+
+def _mean(in_mode, h_k):
+    return np.where(in_mode, h_k, 0.0).sum(axis=1) / in_mode.sum(axis=1)
+
+
+def _mode_rates(modes, h_r, h_1, h_2, p1, p2, pr, oma, s2, pick):
+    """Per mode present: (cells ci, their slot mask, R1, R2, columns).
+
+    Column ``cols[k][t]`` of vehicle k's rates is triple t's rate in the
+    mode at one gain per cell and vehicle, ``pick(in_mode, h_k)`` over that
+    cell's slots of the mode.  R1 never reads h_2 and R2 never reads h_1, so
+    each vehicle's rate is its own at the gain picked.  NOMA rates have one
+    column per triple.  OMA rates have one per distinct (p_k, pr) of
+    ``oma``, which also holds each triple's row of that table.
     """
-    ok = np.ones((h_r.size, p1.size), dtype=bool)
     for mode in (1, 2, 3):
         in_mode = modes == mode
         ci = np.nonzero(in_mode.any(axis=1))[0]
-        w1, w2 = (np.where(in_mode[ci], h_k[ci], np.inf).min(axis=1)[:, None] for h_k in (h_1, h_2))
+        if not ci.size:
+            continue
+        w1, w2 = (pick(in_mode[ci], h_k[ci])[:, None] for h_k in (h_1, h_2))
         if mode == 3:
-            # test each distinct (p_k, pr) once, then gather per triple
-            (own1, inv1), (own2, inv2) = oma
-            r1, r2 = (
-                oma_rate(h_r[ci, None], w, own[:, 0], own[:, 1], s2) for w, own in ((w1, own1), (w2, own2))
-            )
-            ok[ci] &= (r1 >= t1 - 1e-9)[:, inv1] & (r2 >= t2 - 1e-9)[:, inv2]
+            r1, r2 = (oma_rate(h_r[ci, None], w, own[:, 0], own[:, 1], s2) for w, (own, _) in zip((w1, w2), oma))
+            cols = tuple(inv for _, inv in oma)
         else:
             r1, r2 = rates_for_mode(mode, h_r[ci, None], w1, w2, p1, p2, pr, s2)
-            ok[ci] &= (r1 >= t1 - 1e-9) & (r2 >= t2 - 1e-9)
+            cols = (slice(None), slice(None))
+        yield ci, in_mode[ci], r1, r2, cols
+
+
+def _weakest_link_ok(modes, h_r, h_1, h_2, p1, p2, pr, oma, s2, t1, t2):
+    """(cells, triples) mask of the candidates that may meet both rate targets.
+
+    Each rate rises with its own gain, so the rate pair of a mode at its
+    smallest h_1 and smallest h_2 gives each vehicle its rate in a real slot
+    of that mode: a miss there is a miss in the exact per-slot test, up to
+    the rounding that the 1e-9 slack absorbs.
+    """
+    ok = np.ones((h_r.size, p1.size), dtype=bool)
+    for ci, _, r1, r2, (c1, c2) in _mode_rates(modes, h_r, h_1, h_2, p1, p2, pr, oma, s2, _smallest):
+        ok[ci] &= (r1 >= t1 - 1e-9)[:, c1] & (r2 >= t2 - 1e-9)[:, c2]
     return ok
+
+
+def _jensen_bound(modes, h_r, h_1, h_2, p1, p2, pr, oma, s2):
+    """(cells, triples) upper bound on each candidate's summed rate.
+
+    With h_r and the powers fixed, a vehicle's rate in one mode is
+    c_m log2(1 + a g / (b + c g)) in its own gain g, with a, c >= 0 and
+    b > 0, which is concave in g.  By Jensen's inequality its sum over the
+    mode's n slots is at most n times its rate at their mean gain.  Rounding
+    stays below the slack the caller allows: a relative 1e-9, and one
+    smallest normal float per slot where the rates are subnormal.
+    """
+    bound = np.zeros((h_r.size, p1.size))
+    for ci, in_mode, r1, r2, (c1, c2) in _mode_rates(modes, h_r, h_1, h_2, p1, p2, pr, oma, s2, _mean):
+        n = in_mode.sum(axis=1)[:, None]
+        part = (n * r1)[:, c1]
+        part += (n * r2)[:, c2]
+        if ci.size == len(bound):  # every cell uses the mode: add without a gather
+            bound += part
+        else:
+            bound[ci] += part
+    return bound
 
 
 def _pair_rates(modes, h_r, h_1, h_2, pc, pt, p1, p2, pr, oma, s2):
@@ -94,40 +136,63 @@ def _pair_rates(modes, h_r, h_1, h_2, pc, pt, p1, p2, pr, oma, s2):
     return r1, r2
 
 
+def _sum_scores(modes, h_r, h_1, h_2, pairs, n_tri, p1, p2, pr, oma, s2, t1, t2):
+    """Exact summed rates of the cell-major (cell, triple) ``pairs``,
+    -inf where a slot misses a rate target."""
+    pc = pairs // n_tri
+    r1, r2 = _pair_rates(modes, h_r, h_1, h_2, pc, pairs - pc * n_tri, p1, p2, pr, oma, s2)
+    score = (r1 + r2).sum(axis=1)
+    score[(r1.min(axis=1) < t1) | (r2.min(axis=1) < t2)] = -np.inf
+    return score
+
+
+def _square_gaps(axis, coord):
+    """(axis value, slot) table of (axis - coord)^2."""
+    gap = axis[:, None] - coord
+    return gap * gap
+
+
 def _grid_search(sc, xs, ys, p1_tri, p2_tri, pr_tri, objective):
     """Scan every (cell, triple) pair; first maximum in index order wins."""
-    paths = vehicle_paths(sc)
     bs = sc.bs_position[:2]
     s2 = sc.noise_power
     n_cells = xs.size * ys.size
     n_tri = p1_tri.size
     n_slots = sc.slot_count
     t1, t2 = (float(v) for v in sc.rate_targets)
-    targets = objective == "sum" and (t1 > 0.0 or t2 > 0.0)
+    targets = t1 > 0.0 or t2 > 0.0
+    floor = n_slots * np.finfo(float).tiny  # the bound's absolute slack
+    # A vehicle's gain at cell (x, y) is beta0 / ((x - vx)^2 + (y - vy)^2 + h^2),
+    # channel_gain's order of operations: one table per axis and vehicle.
+    gaps = [(_square_gaps(xs, path[:, 0]), _square_gaps(ys, path[:, 1])) for path in vehicle_paths(sc)]
     # An OMA rate reads only its own vehicle's power and pr: index each
-    # vehicle's distinct (p_k, pr) once, for the screen and the OMA rows.
+    # vehicle's distinct (p_k, pr) once, for the screen, the bound and the
+    # OMA rows.
     own1, inv1 = np.unique(np.stack([p1_tri, pr_tri], axis=1), axis=0, return_inverse=True)
     own2, inv2 = np.unique(np.stack([p2_tri, pr_tri], axis=1), axis=0, return_inverse=True)
     oma = ((own1, inv1), (own2, inv2))
+    tri = (p1_tri, p2_tri, pr_tri)
     chunk = max(1, int(CHUNK_EVALS // max(n_tri * n_slots, 1)))
     best_val, best_cell, best_tri = -np.inf, -1, -1
     for lo in range(0, n_cells, chunk):
         idx = np.arange(lo, min(lo + chunk, n_cells))
-        pos = np.stack([xs[idx // ys.size], ys[idx % ys.size]], axis=1)
-        h_r = channel_gain(pos, bs, sc.uav_height, sc.beta0)
-        h_1 = channel_gain(pos[:, None, :], paths[0], sc.uav_height, sc.beta0)
-        h_2 = channel_gain(pos[:, None, :], paths[1], sc.uav_height, sc.beta0)
+        col, row = idx // ys.size, idx % ys.size
+        h_r = channel_gain(np.stack([xs[col], ys[row]], axis=1), bs, sc.uav_height, sc.beta0)
+        h_1, h_2 = (sc.beta0 / (dx2[col] + dy2[row] + sc.uav_height**2) for dx2, dy2 in gaps)
         if objective == "min":
             # The OMA rate rises with the vehicle's own gain, so each score is
             # its value at the vehicles' smallest gains up to rounding (a gain
-            # a few ulps larger can give a rate an ulp lower).  Only the cells
-            # within a relative 1e-12 of the chunk's best such value can hold
-            # its maximum; they alone are scored exactly, per slot.
+            # a few ulps larger can give a rate an ulp lower), and never
+            # above it.  Only the cells within a relative 1e-12 of the best
+            # such value, or of the running best, can hold a new maximum;
+            # they alone are scored exactly, per slot.
             near = np.minimum(*(
                 oma_rate(h_r[:, None], h_k.min(axis=1)[:, None], own[:, 0], own[:, 1], s2)[:, inv]
                 for h_k, own, inv in ((h_1, own1, inv1), (h_2, own2, inv2))
             ))
-            cells = (near >= (1.0 - 1e-12) * near.max()).any(axis=1)
+            cells = (near >= (1.0 - 1e-12) * max(near.max(), best_val)).any(axis=1)
+            if not cells.any():
+                continue
             idx, h_r, h_1, h_2 = idx[cells], h_r[cells], h_1[cells], h_2[cells]
             o1, o2 = (
                 oma_rate(h_r[:, None, None], h_k[:, None, :], own[None, :, :1], own[None, :, 1:], s2)
@@ -137,20 +202,25 @@ def _grid_search(sc, xs, ys, p1_tri, p2_tri, pr_tri, objective):
             kept = np.arange(score.size)
         else:
             modes = MODE_OF_STATE[policy_states(h_r[:, None], h_1, h_2, sc.mode_threshold)]
+            # Only the pairs whose bound reaches the running best can beat
+            # it, and the screen runs on their cells alone.
+            bound = _jensen_bound(modes, h_r, h_1, h_2, *tri, oma, s2)
+            ok = bound >= (best_val - floor) / (1.0 + 1e-9)
             if targets:
-                ok = _weakest_link_ok(modes, h_r, h_1, h_2, p1_tri, p2_tri, pr_tri, oma, s2, t1, t2)
-            else:
-                ok = np.ones((idx.size, n_tri), dtype=bool)
-            # score exactly the pairs the screen keeps, cell-major, so the
-            # first maximum in index order still wins
+                ci = np.nonzero(ok.any(axis=1))[0]
+                ok[ci] &= _weakest_link_ok(modes[ci], h_r[ci], h_1[ci], h_2[ci], *tri, oma, s2, t1, t2)
             kept = np.flatnonzero(ok)
             if not kept.size:
                 continue
-            pc = kept // n_tri
-            r1, r2 = _pair_rates(modes, h_r, h_1, h_2, pc, kept - pc * n_tri, p1_tri, p2_tri, pr_tri, oma, s2)
-            score = (r1 + r2).sum(axis=1)
-            if targets:
-                score[(r1.min(axis=1) < t1) | (r2.min(axis=1) < t2)] = -np.inf
+            # Score the top-bound pair first: a pair whose bound falls short
+            # of an attained score is strictly below it, so it cannot be the
+            # first maximum.  The rest are scored cell-major.
+            args = (modes, h_r, h_1, h_2)
+            bound = bound.ravel()
+            top = kept[np.argmax(bound[kept])]
+            bar = max(best_val, _sum_scores(*args, top[None], n_tri, *tri, oma, s2, t1, t2)[0])
+            kept = kept[bound[kept] >= (bar - floor) / (1.0 + 1e-9)]
+            score = _sum_scores(*args, kept, n_tri, *tri, oma, s2, t1, t2)
         j = int(np.argmax(score))
         if score[j] > best_val:
             best_val = float(score[j])
@@ -187,18 +257,26 @@ def static_placement_oracle(
     The sum search scores (cell, triple) pairs exactly, per slot: each
     vehicle's OMA rates come from one row per distinct (cell, (p_k, pr)),
     and its NOMA rates are evaluated only at the pair's mode-1 and mode-2
-    slots.  Under positive targets a weakest-link screen first picks the
-    pairs to score.  In every mode a vehicle's rate reads only h_r and its
-    own link gain, and rises with that gain, so its worst slot of a mode is
-    the one with its smallest gain.  The screen evaluates each mode present
-    once at those smallest gains and keeps only the pairs that clear every
-    target there (less 1e-9 for rounding); without targets every pair is
-    kept.  Every pair dropped misses a target in a real slot, and the kept
-    ones are scored exactly as without the screen, so the result is the
-    same bit for bit.
+    slots.  Two shortcuts pick the pairs to score.  In every mode a
+    vehicle's rate reads only h_r and its own link gain.  It is concave in
+    that gain, so by Jensen's inequality its sum over a mode's n slots is at
+    most n times its rate at the mean gain.  Each chunk of cells evaluates
+    each mode present once at those mean gains, for every pair, and keeps
+    only the pairs whose bound reaches the best score found so far, less a
+    relative 1e-9 and one smallest normal float per slot for rounding.  The kept pair with the top bound is scored
+    first and raises that bar.  The rate also rises with its own gain, so
+    a vehicle's worst slot of a mode is the one with its smallest gain.
+    Under positive targets a weakest-link screen evaluates each mode
+    present once at those smallest gains, on the cells the bound keeps, and
+    keeps only the pairs that clear every target there (less 1e-9 for
+    rounding).  Every pair dropped is strictly below a score already
+    attained or misses a target in a real slot, and the kept ones are
+    scored exactly as without the shortcuts, so the first maximum in index
+    order, and the result, are the same bit for bit.
     The min objective likewise rates each vehicle once, at its smallest gain
     over the horizon, and scores per slot only the cells whose rate there
-    comes within a relative 1e-12 of the best, so it too keeps every result.
+    comes within a relative 1e-12 of the best, in the chunk or so far, so
+    it too keeps every result.
 
     Returns (position(2,), powers(3,), best objective value).
     """

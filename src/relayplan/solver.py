@@ -190,9 +190,10 @@ class SlotRowBlock:
     ``terms.local`` gives each row's value, gradient and Hessian over its
     slot's d variables, whose positions in z are the row of ``slots``; rows
     may share a slot.  An epigraph scalar's position is appended to every
-    row's ``cols``.  The last evaluation is kept, so a ``RowSubset`` of
-    these rows and the block itself, evaluated at the same z array, share
-    one ``local`` call.
+    row's ``cols``.  The last ``local`` result is kept with its z array, so
+    a ``RowSubset`` of these rows and the block itself, evaluated at the
+    same array, share one call; it never reads the epigraph scalar, which
+    is subtracted at every evaluation.
     """
 
     def __init__(self, terms, slots, label, epi_idx=None):
@@ -204,12 +205,12 @@ class SlotRowBlock:
         self.cols = self.slots
         if epi_idx is not None:
             self.cols = np.column_stack([self.slots, np.full(self.count, epi_idx)])
-        self._last = (None, None)  # (z, result)
+        self._last = (None, None)  # (z, local(z[slots]))
 
     def evaluate(self, z):
-        if self._last[0] is z:
-            return self._last[1]
-        vals, grad, hess = self.terms.local(z[self.slots])
+        if self._last[0] is not z:
+            self._last = (z, self.terms.local(z[self.slots]))
+        vals, grad, hess = self._last[1]
         if self.epi is not None:
             d = grad.shape[1]
             grad, local = np.empty((self.count, d + 1)), grad
@@ -218,8 +219,7 @@ class SlotRowBlock:
             hess, local = np.zeros((self.count, d + 1, d + 1)), hess
             hess[:, :d, :d] = local
             vals = vals - z[self.epi]
-        self._last = (z, (vals, grad, hess))
-        return self._last[1]
+        return vals, grad, hess
 
 
 class RowSubset:
@@ -373,13 +373,19 @@ def _subproblem(sc, terms, row_slots, width, z0, blocks, objective: str, step: s
     refined Newton directions are counted in ``diag``.  Returns
     (z, bound, info), bound being the subproblem's optimum.
     """
-    rows = SlotRowBlock(terms, row_slots, "sum-rate objective")
-    start = rows.evaluate(z0)[0]
     blocks, band = list(blocks), (len(z0), width)
     if objective == "min":
+        # the barrier starts from this array, so it reuses the rows' start
+        # evaluation; the epigraph scalar is set once the rows are known
         t_idx = len(z0)
-        z0 = np.append(z0, _epigraph_start(float(start.min())))
-        blocks.append(SlotRowBlock(terms, row_slots, "epigraph rate", epi_idx=t_idx))
+        z0 = np.append(z0, 0.0)
+        rows = SlotRowBlock(terms, row_slots, "epigraph rate", epi_idx=t_idx)
+    else:
+        rows = SlotRowBlock(terms, row_slots, "sum-rate objective")
+    start = rows.evaluate(z0)[0]
+    if objective == "min":
+        z0[t_idx] = _epigraph_start(float(start.min()))
+        blocks.append(rows)
         obj = [AffineRows([[t_idx]], 1.0, 0.0, "epigraph objective")]
     else:
         targets = np.repeat(sc.rate_targets, len(row_slots) // 2)

@@ -307,19 +307,77 @@ def test_matches_plain_enumeration_when_targets_rule_out_some_cells(monkeypatch)
     sc = moving_scenario(rate_targets_bpshz=[0.5, 2.0])
     grid = dict(xy_step=20.0, power_step=0.2)
     kept = []
-    real = oracle._pair_rates
+    real = oracle._weakest_link_ok
 
-    def spy(modes, h_r, h_1, h_2, pc, pt, p1, *rest):
-        kept.extend(np.bincount(pc, minlength=modes.shape[0]) / p1.size)
-        return real(modes, h_r, h_1, h_2, pc, pt, p1, *rest)
+    def spy(*args):
+        ok = real(*args)
+        kept.extend(ok.mean(axis=1))
+        return ok
 
-    monkeypatch.setattr(oracle, "_pair_rates", spy)
+    monkeypatch.setattr(oracle, "_weakest_link_ok", spy)
     assert matches_plain_enumeration(sc, "sum", **grid)
     assert any(0.0 < share < 1.0 for share in kept)
     x_min, x_max, y_min, y_max = sc.flight_box
     cells = itertools.product(grid_axis(x_min, x_max, 20.0), grid_axis(y_min, y_max, 20.0))
     feasible = [matches_plain_enumeration(one_cell(sc, x, y), "sum", **grid) for x, y in cells]
     assert any(feasible) and not all(feasible)
+
+
+def moving_grid_chunk(sc, power_step):
+    """The moving grid's cells and every feasible triple, as ``_grid_search``
+    holds one chunk: (modes, h_r, h_1, h_2, p1, p2, pr, oma)."""
+    x_min, x_max, y_min, y_max = sc.flight_box
+    step = MOVING_GRID["xy_step"]
+    cells = [cell_gains(sc, x, y) for x, y in itertools.product(
+        grid_axis(x_min, x_max, step), grid_axis(y_min, y_max, step))]
+    h_r = np.array([c[0] for c in cells])
+    h_1, h_2 = (np.array([c[k] for c in cells]) for k in (1, 2))
+    modes = np.array([cell_modes(sc, *c) for c in cells])
+    bs_levels = grid_axis(0.0, 2 * sc.avg_bs_power, power_step * sc.avg_bs_power)
+    relay_levels = grid_axis(0.0, sc.avg_relay_power, power_step * sc.avg_relay_power)
+    p1, p2, pr = np.array([t for t in itertools.product(bs_levels, bs_levels, relay_levels)
+                           if t[0] + t[1] <= sc.avg_bs_power * (1 + 1e-12)]).T
+    oma = tuple(np.unique(np.stack([p, pr], axis=1), axis=0, return_inverse=True) for p in (p1, p2))
+    return modes, h_r, h_1, h_2, p1, p2, pr, oma
+
+
+@pytest.mark.parametrize("targets", [[0.0, 0.0], [1.5, 1.5]], ids=["no-targets", "targets"])
+def test_jensen_bound_covers_every_exact_score(targets):
+    # every cell of the moving grid, the mixed-mode ones included, and every
+    # triple of the grid at every relay power
+    sc = moving_scenario(rate_targets_bpshz=targets)
+    modes, h_r, h_1, h_2, p1, p2, pr, oma = moving_grid_chunk(sc, MOVING_GRID["power_step"])
+    assert any({1, 2, 3} <= set(m) for m in modes)
+    bound = oracle._jensen_bound(modes, h_r, h_1, h_2, p1, p2, pr, oma, sc.noise_power)
+    t1, t2 = sc.rate_targets
+    for c in range(len(h_r)):
+        shape = (p1.size, modes.shape[1])
+        r1, r2 = exact_rates(np.broadcast_to(modes[c], shape), h_r[c], h_1[c], h_2[c],
+                             p1[:, None], p2[:, None], pr[:, None], sc.noise_power)
+        total = (r1 + r2).sum(axis=1)
+        assert np.all(bound[c] >= total * (1.0 - 1e-12))
+        score = np.where((r1.min(axis=1) >= t1) & (r2.min(axis=1) >= t2), total, -np.inf)
+        assert np.all(bound[c] >= score)
+
+
+def test_bound_leaves_few_pairs_to_score(monkeypatch):
+    # Without targets every pair passes the screen; the bound alone prunes.
+    sc = moving_scenario()
+    assert not sc.rate_targets.any()
+    scored = []
+    real = oracle._pair_rates
+
+    def spy(modes, h_r, h_1, h_2, pc, *rest):
+        scored.append(pc.size)
+        return real(modes, h_r, h_1, h_2, pc, *rest)
+
+    monkeypatch.setattr(oracle, "_pair_rates", spy)
+    # the result itself is checked by test_matches_plain_enumeration_across_modes
+    oracle.static_placement_oracle(sc, objective="sum", **MOVING_GRID)
+    # the top-pr scan's (cell, (p1, p2)) pairs
+    levels = grid_axis(0.0, 2 * sc.avg_bs_power, MOVING_GRID["power_step"] * sc.avg_bs_power)
+    n_pairs = 9 * sum(a + b <= sc.avg_bs_power * (1 + 1e-12) for a, b in itertools.product(levels, levels))
+    assert 0 < sum(scored) <= n_pairs // 20
 
 
 def test_screen_keeps_a_cell_that_meets_its_target_by_a_hair():

@@ -179,6 +179,39 @@ def test_rate_reads_only_its_own_gain_and_rises_with_it(mode, h_r, own, other, p
         assert rate(hi, other[0]) >= rate(lo, other[0]) * (1.0 - 1e-12)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    mode=st.sampled_from([1, 2, 3]),
+    h_r=GAINS,
+    own=st.lists(GAINS, min_size=1, max_size=12),
+    other=GAINS,
+    powers=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+)
+@example(mode=1, h_r=2e-12, own=[3e-12] * 7, other=1e-12, powers=(0.3, 0.2, 0.5))  # equal gains: tight
+@example(mode=2, h_r=2e-12, own=[3e-12] * 7, other=1e-12, powers=(0.3, 0.2, 0.5))
+@example(mode=3, h_r=2e-12, own=[3e-12] * 7, other=1e-12, powers=(0.3, 0.2, 0.5))
+@example(mode=1, h_r=5e-13, own=[4e-12], other=1e-12, powers=(0.1, 0.4, 0.5))  # one slot
+@example(mode=3, h_r=5e-13, own=[1e-16, 1e-8], other=1e-12, powers=(0.0, 0.0, 0.0))  # zero powers
+@example(mode=2, h_r=5e-13, own=[1e-16, 1e-8], other=1e-12, powers=(0.2, 0.3, 0.0))
+# a subnormal pr makes every rate subnormal, a few ulps from exact
+@example(mode=1, h_r=1.3836785243958987e-09, own=[9.907856526910299e-09, 1.0647857936007686e-09],
+         other=7.9956642485535e-09, powers=(1.0, 1.0, 5e-324))
+def test_rate_at_the_mean_gain_bounds_the_summed_rate(mode, h_r, own, other, powers):
+    """The sum oracle's bound rests on this: with h_r and the powers fixed,
+    each vehicle's rate in a mode is c_m log2(1 + a g / (b + c g)) in its own
+    gain g, which is concave, so by Jensen's inequality n R(mean g) is at
+    least the sum of R(g_i) over any n gains, up to a relative 1e-12, and up
+    to one smallest normal float per gain where the rates are subnormal."""
+    g = np.array(own)
+    tiny = np.finfo(float).tiny
+    for k in (0, 1):
+        def rate(h_own):
+            gains = (h_own, other) if k == 0 else (other, h_own)
+            return rates.rates_for_mode(mode, h_r, *gains, *powers, S2)[k]
+
+        assert g.size * rate(g.sum() / g.size) >= rate(g).sum() * (1.0 - 1e-12) - g.size * tiny
+
+
 def test_high_snr_forms():
     noma_sum = rates.high_snr_rates("NOMA", "sum", 1e6, 1e5, 1e4, 0.4, 0.6)
     assert noma_sum == pytest.approx(np.log2(1 + 1e5 * 1e6 / (1e5 + 1e6)), rel=1e-12)

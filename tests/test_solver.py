@@ -776,18 +776,25 @@ def test_subproblems_cover_every_block_kind(subproblems):
 def local_calls_per_point(monkeypatch, driver):
     """Run ``driver`` on SC8 and count the bounds' ``local`` calls of each
     barrier point evaluation: (every point, in-domain points, whether any
-    subproblem kept target rows)."""
-    calls, kept = [0], [False]
+    subproblem kept target rows).  A solve's start point counts the calls
+    made since its subproblem began: ``_subproblem`` evaluates the rows
+    there, and the barrier reuses that evaluation."""
+    calls, kept, start = [0], [False], [None]
     per_eval, per_accepted = [], []
     for cls in (sca.PowerBound, sca.TrajectoryBound):
         def local(self, v, _real=cls.local):
             calls[0] += 1
             return _real(self, v)
         monkeypatch.setattr(cls, "local", local)
-    real_eval = barrier._evaluate_point
+    real_eval, real_subproblem = barrier._evaluate_point, solver._subproblem
+
+    def subproblem(*args):
+        start[0] = calls[0]
+        return real_subproblem(*args)
 
     def counted(objective, blocks, z):
-        before = calls[0]
+        before = calls[0] if start[0] is None else start[0]
+        start[0] = None
         kept[0] = kept[0] or any(isinstance(b, solver.RowSubset) for b in blocks)
         res = real_eval(objective, blocks, z)
         per_eval.append(calls[0] - before)
@@ -796,6 +803,7 @@ def local_calls_per_point(monkeypatch, driver):
         return res
 
     monkeypatch.setattr(barrier, "_evaluate_point", counted)
+    monkeypatch.setattr(solver, "_subproblem", subproblem)
     driver(SC8)
     return set(per_eval), set(per_accepted), kept[0]
 
