@@ -8,7 +8,6 @@ right limit: equal links make the NOMA gain zero.
 """
 
 import dataclasses
-from typing import Tuple
 
 import numpy as np
 
@@ -20,39 +19,17 @@ STATE_MODE = {1: 1, 2: 3, 3: 1, 4: 3, 5: 3, 6: 2, 7: 3, 8: 2, 9: 3, 10: 3}
 MODE_OF_STATE = np.array([0] + [STATE_MODE[s] for s in range(1, 11)])
 
 
-def select_mode(h_r: float, h_1: float, h_2: float, r_th: float) -> Tuple[int, int]:
-    """One slot's (state, mode) from the three gains and the threshold.
-
-    The scalar reference that ``policy_states`` is tested against.
-    """
-    if h_r <= 0 or h_1 <= 0 or h_2 <= 0:
-        raise ValueError("gains must be positive")
-    if h_1 >= h_2:
-        if h_r > h_1:
-            state = 1 if 0.5 * np.log2(h_1 / h_2) > r_th else 2
-        elif h_r > h_2:
-            state = 3 if 0.5 * np.log2(h_r / h_2) > r_th else 4
-        else:
-            state = 5
-    else:
-        if h_r > h_2:
-            state = 6 if 0.5 * np.log2(h_2 / h_1) > r_th else 7
-        elif h_r > h_1:
-            state = 8 if 0.5 * np.log2(h_r / h_1) > r_th else 9
-        else:
-            state = 10
-    return state, STATE_MODE[state]
-
-
 def policy_states(h_r, h_1, h_2, r_th: float) -> np.ndarray:
-    """Array version of ``select_mode``'s state classifier.
+    """Each slot's policy state 1-10 from its three gains and the threshold.
 
-    Both branches of the scalar selector compare the relay with the nearer
-    and the farther vehicle, so each slot takes one gain ratio and one log:
-    the nearer gain over the farther one with the relay above both, the
-    relay's gain over the farther one with the relay between them.  States
-    6-10 are states 1-5 with the vehicles swapped.  A whole horizon, or a
-    grid of candidate relay positions, is classified at once.
+    With vehicle 1 the nearer (h_1 >= h_2): state 1 or 2 with the relay
+    above both vehicles, NOMA (1) when half the log of the nearer gain over
+    the farther one exceeds R_th; state 3 or 4 with the relay between them,
+    NOMA (3) when half the log of the relay's gain over the farther one
+    does; state 5 with the relay below both.  States 6-10 are states 1-5
+    with the vehicles swapped, so each slot takes one gain ratio and one
+    log.  A whole horizon, or a grid of candidate relay positions, is
+    classified at once.
     """
     h_r, h_1, h_2 = np.broadcast_arrays(*np.atleast_1d(h_r, h_1, h_2))
     if np.any(h_r <= 0) or np.any(h_1 <= 0) or np.any(h_2 <= 0):
@@ -60,7 +37,7 @@ def policy_states(h_r, h_1, h_2, r_th: float) -> np.ndarray:
     first = h_1 >= h_2
     near, far = np.where(first, h_1, h_2), np.where(first, h_2, h_1)
     above, between = h_r > near, h_r > far
-    # the ratio form of select_mode: a difference of two logs can round a
+    # one log of the gain ratio: a difference of two logs can round a
     # one-ulp gain ratio to zero and classify a near-tie the other way
     noma = 0.5 * np.log2(np.where(above, near, h_r) / far) > r_th
     return np.where(above, 1, np.where(between, 3, 5)) + (between & ~noma) + np.where(first, 0, 5)

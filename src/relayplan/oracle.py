@@ -2,11 +2,16 @@
 
 Exhaustive placement/power search over a discrete grid and
 exact-versus-asymptotic rate tabulation.  Everything
-here favours being simple enough to audit by eye over speed.  The search's
-three shortcuts, a mean-gain (Jensen) bound on the sum objective, a per-mode
-weakest-link screen under rate targets and a smallest-gain bound on the min
-objective, skip only candidates that provably cannot win and leave every
-result unchanged bit for bit (see ``static_placement_oracle``).
+here favours being simple enough to audit by eye over speed.  The search
+runs in two passes.  The first builds every cell's per-slot gains, and
+under the sum objective classifies every (cell, slot) once, reducing them
+to per-(cell, mode) slot counts, gain sums and smallest gains.  The second
+reads only those statistics to rule candidates out: a mean-gain (Jensen)
+bound on the sum objective, a per-mode weakest-link screen under rate
+targets and a smallest-gain bound on the min objective.  Each skips only
+candidates that provably cannot win, and the ones left are scored per slot
+with the arithmetic of a plain scan, so every result is unchanged bit for
+bit (see ``static_placement_oracle``).
 """
 
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -28,40 +33,49 @@ def _axis(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(max(count, 0))
 
 
-def _smallest(in_mode, h_k):
-    return np.where(in_mode, h_k, np.inf).min(axis=1)
+def _mode_stats(modes, h_1, h_2, smallest):
+    """(5, cells, 3) statistics of each cell's slots per mode, column m - 1
+    for mode m: the slot count, the sums of h_1 and of h_2 and, with
+    ``smallest``, their minima (+inf where the mode has no slot; 0 without
+    ``smallest``)."""
+    size = 3 * len(modes)
+    key = (modes + (3 * np.arange(len(modes)) - 1)[:, None]).ravel()
+    stats = np.zeros((5, size))
+    stats[0] = np.bincount(key, minlength=size)
+    for k, h_k in enumerate((h_1.ravel(), h_2.ravel())):
+        stats[1 + k] = np.bincount(key, h_k, size)
+        if smallest:
+            stats[3 + k] = np.inf
+            np.minimum.at(stats[3 + k], key, h_k)
+    return stats.reshape(5, -1, 3)
 
 
-def _mean(in_mode, h_k):
-    return np.where(in_mode, h_k, 0.0).sum(axis=1) / in_mode.sum(axis=1)
+def _mode_rates(count, g_1, g_2, h_r, p1, p2, pr, oma, s2):
+    """Per mode present: (cells ci, their slot counts n, R1, R2, columns).
 
-
-def _mode_rates(modes, h_r, h_1, h_2, p1, p2, pr, oma, s2, pick):
-    """Per mode present: (cells ci, their slot mask, R1, R2, columns).
-
-    Column ``cols[k][t]`` of vehicle k's rates is triple t's rate in the
-    mode at one gain per cell and vehicle, ``pick(in_mode, h_k)`` over that
-    cell's slots of the mode.  R1 never reads h_2 and R2 never reads h_1, so
-    each vehicle's rate is its own at the gain picked.  NOMA rates have one
-    column per triple.  OMA rates have one per distinct (p_k, pr) of
-    ``oma``, which also holds each triple's row of that table.
+    ``count``, ``g_1`` and ``g_2`` are (cells, 3), column m - 1 for mode m:
+    each cell's slot count in the mode and the one gain per vehicle its
+    rates there are taken at.  Column ``cols[k][t]`` of vehicle k's rates
+    is triple t's rate.  R1 never reads g_2 and R2 never reads g_1, so each
+    vehicle's rate is its own at the gain given.  NOMA rates have one column
+    per triple.  OMA rates have one per distinct (p_k, pr) of ``oma``,
+    which also holds each triple's row of that table.
     """
     for mode in (1, 2, 3):
-        in_mode = modes == mode
-        ci = np.nonzero(in_mode.any(axis=1))[0]
+        ci = np.flatnonzero(count[:, mode - 1])
         if not ci.size:
             continue
-        w1, w2 = (pick(in_mode[ci], h_k[ci])[:, None] for h_k in (h_1, h_2))
+        w1, w2 = (g[ci, mode - 1, None] for g in (g_1, g_2))
         if mode == 3:
             r1, r2 = (oma_rate(h_r[ci, None], w, own[:, 0], own[:, 1], s2) for w, (own, _) in zip((w1, w2), oma))
             cols = tuple(inv for _, inv in oma)
         else:
             r1, r2 = rates_for_mode(mode, h_r[ci, None], w1, w2, p1, p2, pr, s2)
             cols = (slice(None), slice(None))
-        yield ci, in_mode[ci], r1, r2, cols
+        yield ci, count[ci, mode - 1, None], r1, r2, cols
 
 
-def _weakest_link_ok(modes, h_r, h_1, h_2, p1, p2, pr, oma, s2, t1, t2):
+def _weakest_link_ok(count, low_1, low_2, h_r, p1, p2, pr, oma, s2, t1, t2):
     """(cells, triples) mask of the candidates that may meet both rate targets.
 
     Each rate rises with its own gain, so the rate pair of a mode at its
@@ -70,31 +84,35 @@ def _weakest_link_ok(modes, h_r, h_1, h_2, p1, p2, pr, oma, s2, t1, t2):
     the rounding that the 1e-9 slack absorbs.
     """
     ok = np.ones((h_r.size, p1.size), dtype=bool)
-    for ci, _, r1, r2, (c1, c2) in _mode_rates(modes, h_r, h_1, h_2, p1, p2, pr, oma, s2, _smallest):
+    for ci, _, r1, r2, (c1, c2) in _mode_rates(count, low_1, low_2, h_r, p1, p2, pr, oma, s2):
         ok[ci] &= (r1 >= t1 - 1e-9)[:, c1] & (r2 >= t2 - 1e-9)[:, c2]
     return ok
 
 
-def _jensen_bound(modes, h_r, h_1, h_2, p1, p2, pr, oma, s2):
-    """(cells, triples) upper bound on each candidate's summed rate.
+def _jensen_bound(count, sum_1, sum_2, h_r, p1, p2, pr, oma, s2, out):
+    """(cells, triples) upper bound on each candidate's summed rate, in
+    ``out``, from ``_mode_stats``' slot counts and gain sums.
 
     With h_r and the powers fixed, a vehicle's rate in one mode is
     c_m log2(1 + a g / (b + c g)) in its own gain g, with a, c >= 0 and
     b > 0, which is concave in g.  By Jensen's inequality its sum over the
     mode's n slots is at most n times its rate at their mean gain.  Rounding
     stays below the slack the caller allows: a relative 1e-9, and one
-    smallest normal float per slot where the rates are subnormal.
+    smallest normal float per slot where the rates are subnormal.  A mean
+    summed in any order is within about n ulps of the exact one, and a rate
+    moves by at most the relative change of its own gain, so the order of
+    the sums costs about n * 1e-16 relative.
     """
-    bound = np.zeros((h_r.size, p1.size))
-    for ci, in_mode, r1, r2, (c1, c2) in _mode_rates(modes, h_r, h_1, h_2, p1, p2, pr, oma, s2, _mean):
-        n = in_mode.sum(axis=1)[:, None]
-        part = (n * r1)[:, c1]
-        part += (n * r2)[:, c2]
-        if ci.size == len(bound):  # every cell uses the mode: add without a gather
-            bound += part
-        else:
-            bound[ci] += part
-    return bound
+    out.fill(0.0)
+    mean_1, mean_2 = (np.divide(s, count, out=np.zeros_like(s), where=count > 0) for s in (sum_1, sum_2))
+    for ci, n, r1, r2, cols in _mode_rates(count, mean_1, mean_2, h_r, p1, p2, pr, oma, s2):
+        for r, c in zip((r1, r2), cols):
+            r *= n
+            if ci.size == len(out):  # every cell uses the mode: add without a gather
+                out += r[:, c]
+            else:
+                out[ci] += r[:, c]
+    return out
 
 
 def _pair_rates(modes, h_r, h_1, h_2, pc, pt, p1, p2, pr, oma, s2):
@@ -136,11 +154,10 @@ def _pair_rates(modes, h_r, h_1, h_2, pc, pt, p1, p2, pr, oma, s2):
     return r1, r2
 
 
-def _sum_scores(modes, h_r, h_1, h_2, pairs, n_tri, p1, p2, pr, oma, s2, t1, t2):
-    """Exact summed rates of the cell-major (cell, triple) ``pairs``,
+def _sum_scores(modes, h_r, h_1, h_2, pc, pt, p1, p2, pr, oma, s2, t1, t2):
+    """Exact summed rates of the cell-major (cell, triple) pairs ``pc, pt``,
     -inf where a slot misses a rate target."""
-    pc = pairs // n_tri
-    r1, r2 = _pair_rates(modes, h_r, h_1, h_2, pc, pairs - pc * n_tri, p1, p2, pr, oma, s2)
+    r1, r2 = _pair_rates(modes, h_r, h_1, h_2, pc, pt, p1, p2, pr, oma, s2)
     score = (r1 + r2).sum(axis=1)
     score[(r1.min(axis=1) < t1) | (r2.min(axis=1) < t2)] = -np.inf
     return score
@@ -153,7 +170,13 @@ def _square_gaps(axis, coord):
 
 
 def _grid_search(sc, xs, ys, p1_tri, p2_tri, pr_tri, objective):
-    """Scan every (cell, triple) pair; first maximum in index order wins."""
+    """Scan every (cell, triple) pair; first maximum in index order wins.
+
+    Pass 1 builds each cell's per-slot gains, and for "sum" its per-slot
+    modes, once, and keeps only ``_mode_stats``.  Pass 2 bounds and screens
+    every pair from those statistics, and rebuilds the per-slot arrays for
+    the cells it scores alone.
+    """
     bs = sc.bs_position[:2]
     s2 = sc.noise_power
     n_cells = xs.size * ys.size
@@ -162,9 +185,20 @@ def _grid_search(sc, xs, ys, p1_tri, p2_tri, pr_tri, objective):
     t1, t2 = (float(v) for v in sc.rate_targets)
     targets = t1 > 0.0 or t2 > 0.0
     floor = n_slots * np.finfo(float).tiny  # the bound's absolute slack
+    cells = np.arange(n_cells)
+    h_r = channel_gain(np.stack([xs[cells // ys.size], ys[cells % ys.size]], axis=1), bs, sc.uav_height, sc.beta0)
     # A vehicle's gain at cell (x, y) is beta0 / ((x - vx)^2 + (y - vy)^2 + h^2),
     # channel_gain's order of operations: one table per axis and vehicle.
     gaps = [(_square_gaps(xs, path[:, 0]), _square_gaps(ys, path[:, 1])) for path in vehicle_paths(sc)]
+
+    def slot_gains(idx):
+        """(cells, slots) h_1 and h_2 of the cells ``idx``."""
+        col, row = idx // ys.size, idx % ys.size
+        return [sc.beta0 / (dx2[col] + dy2[row] + sc.uav_height**2) for dx2, dy2 in gaps]
+
+    def slot_modes(idx, h_1, h_2):
+        return MODE_OF_STATE[policy_states(h_r[idx, None], h_1, h_2, sc.mode_threshold)]
+
     # An OMA rate reads only its own vehicle's power and pr: index each
     # vehicle's distinct (p_k, pr) once, for the screen, the bound and the
     # OMA rows.
@@ -172,13 +206,54 @@ def _grid_search(sc, xs, ys, p1_tri, p2_tri, pr_tri, objective):
     own2, inv2 = np.unique(np.stack([p2_tri, pr_tri], axis=1), axis=0, return_inverse=True)
     oma = ((own1, inv1), (own2, inv2))
     tri = (p1_tri, p2_tri, pr_tri)
-    chunk = max(1, int(CHUNK_EVALS // max(n_tri * n_slots, 1)))
+
+    # Pass 1, in chunks of (cells, slots) arrays no larger than a scored
+    # chunk's.  "min" schedules every slot OMA, and its bound reads only the
+    # smallest gains.
+    per_slot = max(1, int(CHUNK_EVALS // max(n_tri * n_slots, 1)))
+    parts = []
+    for lo in range(0, n_cells, per_slot):
+        idx = cells[lo:lo + per_slot]
+        h_1, h_2 = slot_gains(idx)
+        if objective == "min":
+            part = np.zeros((5, idx.size, 3))
+            part[0, :, 2] = n_slots
+            part[3:, :, 2] = h_1.min(axis=1), h_2.min(axis=1)
+        else:
+            part = _mode_stats(slot_modes(idx, h_1, h_2), h_1, h_2, targets)
+        parts.append(part)
+    count, sum_1, sum_2, low_1, low_2 = np.concatenate(parts, axis=1)
+    del parts
+
+    def scores(pc, pt=None):
+        """Exact scores, per slot, of the cell-major pairs (pc, pt), or with
+        ``pt`` None of every triple of each cell pc; pass 1's number of
+        cells at a time."""
+        first = np.r_[True, pc[1:] != pc[:-1]]
+        rank = np.cumsum(first) - 1  # each pair's cell among the distinct ones
+        out = []
+        for g in range(0, rank[-1] + 1, per_slot):
+            a, b = np.searchsorted(rank, [g, g + per_slot])
+            idx = pc[a:b][first[a:b]]
+            h_1, h_2 = slot_gains(idx)
+            if pt is None:
+                o1, o2 = (
+                    oma_rate(h_r[idx, None, None], h_k[:, None, :], own[None, :, :1], own[None, :, 1:], s2)
+                    for h_k, own in ((h_1, own1), (h_2, own2))
+                )
+                score = o1.min(axis=2)[:, inv1]
+                out.append(np.minimum(score, o2.min(axis=2)[:, inv2], out=score).ravel())
+            else:
+                modes = slot_modes(idx, h_1, h_2)
+                out.append(_sum_scores(modes, h_r[idx], h_1, h_2, rank[a:b] - g, pt[a:b], *tri, oma, s2, t1, t2))
+        return out[0] if len(out) == 1 else np.concatenate(out)
+
+    # Pass 2, in chunks of (cells, triples) arrays.
+    per_pair = max(1, int(CHUNK_EVALS // n_tri))
+    buffer = np.empty((min(per_pair, n_cells), n_tri)) if objective == "sum" else None
     best_val, best_cell, best_tri = -np.inf, -1, -1
-    for lo in range(0, n_cells, chunk):
-        idx = np.arange(lo, min(lo + chunk, n_cells))
-        col, row = idx // ys.size, idx % ys.size
-        h_r = channel_gain(np.stack([xs[col], ys[row]], axis=1), bs, sc.uav_height, sc.beta0)
-        h_1, h_2 = (sc.beta0 / (dx2[col] + dy2[row] + sc.uav_height**2) for dx2, dy2 in gaps)
+    for lo in range(0, n_cells, per_pair):
+        rows = slice(lo, lo + per_pair)
         if objective == "min":
             # The OMA rate rises with the vehicle's own gain, so each score is
             # its value at the vehicles' smallest gains up to rounding (a gain
@@ -186,46 +261,39 @@ def _grid_search(sc, xs, ys, p1_tri, p2_tri, pr_tri, objective):
             # above it.  Only the cells within a relative 1e-12 of the best
             # such value, or of the running best, can hold a new maximum;
             # they alone are scored exactly, per slot.
-            near = np.minimum(*(
-                oma_rate(h_r[:, None], h_k.min(axis=1)[:, None], own[:, 0], own[:, 1], s2)[:, inv]
-                for h_k, own, inv in ((h_1, own1, inv1), (h_2, own2, inv2))
-            ))
-            cells = (near >= (1.0 - 1e-12) * max(near.max(), best_val)).any(axis=1)
-            if not cells.any():
+            ((_, _, r1, r2, (c1, c2)),) = _mode_rates(count[rows], low_1[rows], low_2[rows], h_r[rows], *tri, oma, s2)
+            near = r1[:, c1]
+            np.minimum(near, r2[:, c2], out=near)
+            pc = lo + np.flatnonzero((near >= (1.0 - 1e-12) * max(near.max(), best_val)).any(axis=1))
+            if not pc.size:
                 continue
-            idx, h_r, h_1, h_2 = idx[cells], h_r[cells], h_1[cells], h_2[cells]
-            o1, o2 = (
-                oma_rate(h_r[:, None, None], h_k[:, None, :], own[None, :, :1], own[None, :, 1:], s2)
-                for h_k, own in ((h_1, own1), (h_2, own2))
-            )
-            score = np.minimum(o1.min(axis=2)[:, inv1], o2.min(axis=2)[:, inv2]).ravel()
-            kept = np.arange(score.size)
+            score, pt = scores(pc), None
         else:
-            modes = MODE_OF_STATE[policy_states(h_r[:, None], h_1, h_2, sc.mode_threshold)]
             # Only the pairs whose bound reaches the running best can beat
             # it, and the screen runs on their cells alone.
-            bound = _jensen_bound(modes, h_r, h_1, h_2, *tri, oma, s2)
+            stats = (count[rows], sum_1[rows], sum_2[rows], h_r[rows])
+            bound = _jensen_bound(*stats, *tri, oma, s2, buffer[: n_cells - lo])
             ok = bound >= (best_val - floor) / (1.0 + 1e-9)
             if targets:
-                ci = np.nonzero(ok.any(axis=1))[0]
-                ok[ci] &= _weakest_link_ok(modes[ci], h_r[ci], h_1[ci], h_2[ci], *tri, oma, s2, t1, t2)
-            kept = np.flatnonzero(ok)
-            if not kept.size:
+                ci = np.flatnonzero(ok.any(axis=1))
+                at = lo + ci
+                ok[ci] &= _weakest_link_ok(count[at], low_1[at], low_2[at], h_r[at], *tri, oma, s2, t1, t2)
+            pc, pt = np.nonzero(ok)  # cell-major
+            if not pc.size:
                 continue
             # Score the top-bound pair first: a pair whose bound falls short
             # of an attained score is strictly below it, so it cannot be the
             # first maximum.  The rest are scored cell-major.
-            args = (modes, h_r, h_1, h_2)
-            bound = bound.ravel()
-            top = kept[np.argmax(bound[kept])]
-            bar = max(best_val, _sum_scores(*args, top[None], n_tri, *tri, oma, s2, t1, t2)[0])
-            kept = kept[bound[kept] >= (bar - floor) / (1.0 + 1e-9)]
-            score = _sum_scores(*args, kept, n_tri, *tri, oma, s2, t1, t2)
+            bound = bound[pc, pt]
+            top = np.argmax(bound)
+            bar = max(best_val, scores(lo + pc[top:top + 1], pt[top:top + 1])[0])
+            keep = bound >= (bar - floor) / (1.0 + 1e-9)
+            pc, pt = lo + pc[keep], pt[keep]
+            score = scores(pc, pt)
         j = int(np.argmax(score))
         if score[j] > best_val:
-            best_val = float(score[j])
-            best_cell = int(idx[kept[j] // n_tri])
-            best_tri = int(kept[j] % n_tri)
+            cell, t = (pc[j], pt[j]) if pt is not None else (pc[j // n_tri], j % n_tri)
+            best_val, best_cell, best_tri = float(score[j]), int(cell), int(t)
     return best_val, best_cell, best_tri
 
 
@@ -254,16 +322,29 @@ def static_placement_oracle(
     p1 > p2.  The sum optimum therefore sits on the edge of the region where
     the policy keeps a single SIC order, and that edge moves with R_th.
 
+    The search runs in two passes.  The first builds every cell's per-slot
+    gains once, in chunks of cells, and under the sum objective classifies
+    every (cell, slot) once.  It keeps per (cell, mode) the slot count, the
+    sums of h_1 and of h_2 and, under positive targets, their smallest
+    values; the min objective keeps each vehicle's smallest gain over the
+    horizon.  The second pass reads only those statistics to pick the
+    pairs to score, and rebuilds per-slot gains and modes for the cells it
+    scores alone, with the same elementwise arithmetic.
+
     The sum search scores (cell, triple) pairs exactly, per slot: each
     vehicle's OMA rates come from one row per distinct (cell, (p_k, pr)),
     and its NOMA rates are evaluated only at the pair's mode-1 and mode-2
     slots.  Two shortcuts pick the pairs to score.  In every mode a
     vehicle's rate reads only h_r and its own link gain.  It is concave in
     that gain, so by Jensen's inequality its sum over a mode's n slots is at
-    most n times its rate at the mean gain.  Each chunk of cells evaluates
-    each mode present once at those mean gains, for every pair, and keeps
-    only the pairs whose bound reaches the best score found so far, less a
-    relative 1e-9 and one smallest normal float per slot for rounding.  The kept pair with the top bound is scored
+    most n times its rate at the mean gain.  The second pass evaluates each
+    mode present once at those mean gains, for every pair, and keeps only
+    the pairs whose bound reaches the best score found so far, less a
+    relative 1e-9 and one smallest normal float per slot for rounding.  A
+    mean summed in any order is within about n ulps of the exact mean, and
+    a rate changes by at most the relative change of its own gain, so the
+    order of the per-mode sums moves the bound by about n * 1e-16 relative,
+    far inside that slack.  The kept pair with the top bound is scored
     first and raises that bar.  The rate also rises with its own gain, so
     a vehicle's worst slot of a mode is the one with its smallest gain.
     Under positive targets a weakest-link screen evaluates each mode

