@@ -130,9 +130,9 @@ def _write_plan(args, stem: str, sc: Scenario, traj, powers: PowerAllocation,
         "wall_time_s": 0.0,
         **summary,
         "energy": {
-            "bs_used": float(np.sum(powers.p1 + powers.p2)),
+            "bs_used": powers.bs_sum(),
             "bs_budget": float(sc.bs_energy),
-            "relay_used": float(np.sum(powers.pr)),
+            "relay_used": powers.relay_sum(),
             "relay_budget": float(sc.relay_energy),
         },
         "mode_percentages": {str(m): 100.0 * float(np.mean(sched.modes == m)) for m in (1, 2, 3)},

@@ -1,17 +1,17 @@
 """Slow-but-trustworthy references for the iterative machinery.
 
 Exhaustive placement/power search over a discrete grid and
-exact-versus-asymptotic rate tabulation.  Everything
-here favours being simple enough to audit by eye over speed.  The search
-runs in two passes.  The first builds every cell's per-slot gains, and
-under the sum objective classifies every (cell, slot) once, reducing them
-to per-(cell, mode) slot counts, gain sums and smallest gains.  The second
-reads only those statistics to rule candidates out: a mean-gain (Jensen)
-bound on the sum objective, a per-mode weakest-link screen under rate
-targets and a smallest-gain bound on the min objective.  Each skips only
-candidates that provably cannot win, and the ones left are scored per slot
-with the arithmetic of a plain scan, so every result is unchanged bit for
-bit (see ``static_placement_oracle``).
+exact-versus-asymptotic rate tabulation.  The search runs in two passes.
+The first builds every cell's per-slot gains, and under the sum objective
+classifies every (cell, slot) once, reducing them to per-(cell, mode) slot
+counts, gain sums and smallest gains.  The second reads only those
+statistics to rule candidates out: a mean-gain (Jensen) bound on the sum
+objective, a per-mode weakest-link screen under rate targets and a
+smallest-gain bound on the min objective.  Each skips only candidates that
+provably cannot win, and its proof sits at the code that relies on it.
+Every candidate left is scored per slot by one ``rates.exact_rates`` call,
+the planner's own rate kernel, so the result is a plain scan's bit for bit;
+auditing the search means checking those proofs and that one call.
 """
 
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -19,10 +19,14 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from relayplan.modes import MODE_OF_STATE, policy_states
-from relayplan.rates import high_snr_rates, oma_rate, rates_for_mode
+from relayplan.rates import exact_rates, high_snr_rates, oma_rate, rates_for_mode
 from relayplan.scenario import Scenario, channel_gain, vehicle_paths
 
-CHUNK_EVALS = 8e5  # rate evaluations (cells x triples x slots) per chunk of the grid search
+# Rate evaluations (cells x triples x slots) per chunk of the grid search.
+# Pass 2 has no slot axis, but it holds several (cells x triples) float
+# temporaries at once: about eight in the sum's bound and screen, two in the
+# min's smallest-gain table.  Its chunks take that fraction of the pairs.
+CHUNK_EVALS = 8e5
 
 
 # ---- exhaustive placement / power search ----
@@ -115,54 +119,6 @@ def _jensen_bound(count, sum_1, sum_2, h_r, p1, p2, pr, oma, s2, out):
     return out
 
 
-def _pair_rates(modes, h_r, h_1, h_2, pc, pt, p1, p2, pr, oma, s2):
-    """(pairs, slots) rates R1 and R2 of the (cell, triple) pairs ``pc, pt``,
-    given cell-major, under each cell's per-slot policy ``modes``.
-
-    Every slot starts from OMA: one row per distinct (cell, (p_k, pr)) of
-    each vehicle, gathered to its pairs.  A cell's NOMA slots are then
-    evaluated at that cell's contiguous block of pairs only.
-    """
-    n_cells, n_slots = modes.shape
-    rates = []
-    for h_k, (own, inv) in zip((h_1, h_2), oma):
-        # mark the (cell, own row) keys in use; no sort, as pairs can far
-        # outnumber slots
-        key = pc * len(own) + inv[pt]
-        used = np.zeros(n_cells * len(own), dtype=bool)
-        used[key] = True
-        c, o = np.divmod(np.flatnonzero(used), len(own))
-        row = np.cumsum(used) - 1
-        rates.append(oma_rate(h_r[c, None], h_k[c], own[o, :1], own[o, 1:], s2)[row[key]])
-    r1, r2 = rates
-    bounds = np.searchsorted(pc, np.arange(n_cells + 1))  # each cell's block of pairs
-    start, count = bounds[:-1], np.diff(bounds)
-    for mode in (1, 2):
-        ci, si = np.nonzero(modes == mode)
-        reps = count[ci]  # each (cell, slot) entry is evaluated at its cell's pairs
-        total = int(reps.sum())
-        if not total:
-            continue
-        pair = np.arange(total) + np.repeat(start[ci] - (np.cumsum(reps) - reps), reps)
-        tri = pt[pair]
-        spread = lambda v: np.repeat(v, reps)
-        x1, x2 = rates_for_mode(
-            mode, spread(h_r[ci]), spread(h_1[ci, si]), spread(h_2[ci, si]), p1[tri], p2[tri], pr[tri], s2
-        )
-        flat = pair * n_slots + spread(si)
-        r1.reshape(-1)[flat], r2.reshape(-1)[flat] = x1, x2
-    return r1, r2
-
-
-def _sum_scores(modes, h_r, h_1, h_2, pc, pt, p1, p2, pr, oma, s2, t1, t2):
-    """Exact summed rates of the cell-major (cell, triple) pairs ``pc, pt``,
-    -inf where a slot misses a rate target."""
-    r1, r2 = _pair_rates(modes, h_r, h_1, h_2, pc, pt, p1, p2, pr, oma, s2)
-    score = (r1 + r2).sum(axis=1)
-    score[(r1.min(axis=1) < t1) | (r2.min(axis=1) < t2)] = -np.inf
-    return score
-
-
 def _square_gaps(axis, coord):
     """(axis value, slot) table of (axis - coord)^2."""
     gap = axis[:, None] - coord
@@ -200,8 +156,7 @@ def _grid_search(sc, xs, ys, p1_tri, p2_tri, pr_tri, objective):
         return MODE_OF_STATE[policy_states(h_r[idx, None], h_1, h_2, sc.mode_threshold)]
 
     # An OMA rate reads only its own vehicle's power and pr: index each
-    # vehicle's distinct (p_k, pr) once, for the screen, the bound and the
-    # OMA rows.
+    # vehicle's distinct (p_k, pr) once, for the screen and the bounds.
     own1, inv1 = np.unique(np.stack([p1_tri, pr_tri], axis=1), axis=0, return_inverse=True)
     own2, inv2 = np.unique(np.stack([p2_tri, pr_tri], axis=1), axis=0, return_inverse=True)
     oma = ((own1, inv1), (own2, inv2))
@@ -225,31 +180,29 @@ def _grid_search(sc, xs, ys, p1_tri, p2_tri, pr_tri, objective):
     count, sum_1, sum_2, low_1, low_2 = np.concatenate(parts, axis=1)
     del parts
 
-    def scores(pc, pt=None):
-        """Exact scores, per slot, of the cell-major pairs (pc, pt), or with
-        ``pt`` None of every triple of each cell pc; pass 1's number of
-        cells at a time."""
+    def scores(pc, pt):
+        """Exact scores of the cell-major (cell, triple) pairs (pc, pt), per
+        slot, pass 1's number of cells at a time: the summed rate, -inf where
+        a slot misses a target, or the smaller worst-slot OMA rate for "min"."""
         first = np.r_[True, pc[1:] != pc[:-1]]
         rank = np.cumsum(first) - 1  # each pair's cell among the distinct ones
         out = []
         for g in range(0, rank[-1] + 1, per_slot):
             a, b = np.searchsorted(rank, [g, g + per_slot])
             idx = pc[a:b][first[a:b]]
+            c, t = rank[a:b] - g, pt[a:b, None]
             h_1, h_2 = slot_gains(idx)
-            if pt is None:
-                o1, o2 = (
-                    oma_rate(h_r[idx, None, None], h_k[:, None, :], own[None, :, :1], own[None, :, 1:], s2)
-                    for h_k, own in ((h_1, own1), (h_2, own2))
-                )
-                score = o1.min(axis=2)[:, inv1]
-                out.append(np.minimum(score, o2.min(axis=2)[:, inv2], out=score).ravel())
+            modes = np.full(h_1.shape, 3) if objective == "min" else slot_modes(idx, h_1, h_2)
+            r1, r2 = exact_rates(modes[c], h_r[idx[c], None], h_1[c], h_2[c], p1_tri[t], p2_tri[t], pr_tri[t], s2)
+            low1, low2 = r1.min(axis=1), r2.min(axis=1)
+            if objective == "min":
+                out.append(np.minimum(low1, low2))
             else:
-                modes = slot_modes(idx, h_1, h_2)
-                out.append(_sum_scores(modes, h_r[idx], h_1, h_2, rank[a:b] - g, pt[a:b], *tri, oma, s2, t1, t2))
+                out.append(np.where((low1 < t1) | (low2 < t2), -np.inf, (r1 + r2).sum(axis=1)))
         return out[0] if len(out) == 1 else np.concatenate(out)
 
     # Pass 2, in chunks of (cells, triples) arrays.
-    per_pair = max(1, int(CHUNK_EVALS // n_tri))
+    per_pair = max(1, int(CHUNK_EVALS // ((8 if objective == "sum" else 2) * n_tri)))
     buffer = np.empty((min(per_pair, n_cells), n_tri)) if objective == "sum" else None
     best_val, best_cell, best_tri = -np.inf, -1, -1
     for lo in range(0, n_cells, per_pair):
@@ -267,7 +220,7 @@ def _grid_search(sc, xs, ys, p1_tri, p2_tri, pr_tri, objective):
             pc = lo + np.flatnonzero((near >= (1.0 - 1e-12) * max(near.max(), best_val)).any(axis=1))
             if not pc.size:
                 continue
-            score, pt = scores(pc), None
+            pc, pt = np.repeat(pc, n_tri), np.tile(np.arange(n_tri), pc.size)
         else:
             # Only the pairs whose bound reaches the running best can beat
             # it, and the screen runs on their cells alone.
@@ -289,11 +242,10 @@ def _grid_search(sc, xs, ys, p1_tri, p2_tri, pr_tri, objective):
             bar = max(best_val, scores(lo + pc[top:top + 1], pt[top:top + 1])[0])
             keep = bound >= (bar - floor) / (1.0 + 1e-9)
             pc, pt = lo + pc[keep], pt[keep]
-            score = scores(pc, pt)
+        score = scores(pc, pt)
         j = int(np.argmax(score))
         if score[j] > best_val:
-            cell, t = (pc[j], pt[j]) if pt is not None else (pc[j // n_tri], j % n_tri)
-            best_val, best_cell, best_tri = float(score[j]), int(cell), int(t)
+            best_val, best_cell, best_tri = float(score[j]), int(pc[j]), int(pt[j])
     return best_val, best_cell, best_tri
 
 
@@ -322,42 +274,8 @@ def static_placement_oracle(
     p1 > p2.  The sum optimum therefore sits on the edge of the region where
     the policy keeps a single SIC order, and that edge moves with R_th.
 
-    The search runs in two passes.  The first builds every cell's per-slot
-    gains once, in chunks of cells, and under the sum objective classifies
-    every (cell, slot) once.  It keeps per (cell, mode) the slot count, the
-    sums of h_1 and of h_2 and, under positive targets, their smallest
-    values; the min objective keeps each vehicle's smallest gain over the
-    horizon.  The second pass reads only those statistics to pick the
-    pairs to score, and rebuilds per-slot gains and modes for the cells it
-    scores alone, with the same elementwise arithmetic.
-
-    The sum search scores (cell, triple) pairs exactly, per slot: each
-    vehicle's OMA rates come from one row per distinct (cell, (p_k, pr)),
-    and its NOMA rates are evaluated only at the pair's mode-1 and mode-2
-    slots.  Two shortcuts pick the pairs to score.  In every mode a
-    vehicle's rate reads only h_r and its own link gain.  It is concave in
-    that gain, so by Jensen's inequality its sum over a mode's n slots is at
-    most n times its rate at the mean gain.  The second pass evaluates each
-    mode present once at those mean gains, for every pair, and keeps only
-    the pairs whose bound reaches the best score found so far, less a
-    relative 1e-9 and one smallest normal float per slot for rounding.  A
-    mean summed in any order is within about n ulps of the exact mean, and
-    a rate changes by at most the relative change of its own gain, so the
-    order of the per-mode sums moves the bound by about n * 1e-16 relative,
-    far inside that slack.  The kept pair with the top bound is scored
-    first and raises that bar.  The rate also rises with its own gain, so
-    a vehicle's worst slot of a mode is the one with its smallest gain.
-    Under positive targets a weakest-link screen evaluates each mode
-    present once at those smallest gains, on the cells the bound keeps, and
-    keeps only the pairs that clear every target there (less 1e-9 for
-    rounding).  Every pair dropped is strictly below a score already
-    attained or misses a target in a real slot, and the kept ones are
-    scored exactly as without the shortcuts, so the first maximum in index
-    order, and the result, are the same bit for bit.
-    The min objective likewise rates each vehicle once, at its smallest gain
-    over the horizon, and scores per slot only the cells whose rate there
-    comes within a relative 1e-12 of the best, in the chunk or so far, so
-    it too keeps every result.
+    The search prunes only candidates that provably cannot win (see the
+    module docstring), so it returns the first maximum of a plain scan.
 
     Returns (position(2,), powers(3,), best objective value).
     """

@@ -29,7 +29,7 @@ and ``dc_rate_vehicle``.
 
 import numpy as np
 
-LN2 = np.log(2.0)
+from relayplan.rates import LN2
 
 
 def _log2(x):

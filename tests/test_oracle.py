@@ -191,12 +191,13 @@ def assert_chunking_ignored(monkeypatch, sc, **grid):
     and of 7 cells in either pass as with its default chunks: each grid
     search gets ``CHUNK_EVALS`` set to that many cells' rate evaluations,
     once per slot (pass 1's chunks and the scoring's) and once per triple
-    (pass 2's chunks)."""
+    and pass-2 temporary (pass 2's chunks: eight for "sum", two for "min")."""
     runs = [oracle.static_placement_oracle(sc, **grid)]
     real = oracle._grid_search
     for cells, per_slot in itertools.product((1, 7), (True, False)):
         def search(sc_, xs, ys, p1_tri, *rest, cells=cells, per_slot=per_slot):
-            evals = cells * p1_tri.size * (sc_.slot_count if per_slot else 1)
+            temporaries = 8 if rest[-1] == "sum" else 2
+            evals = cells * p1_tri.size * (sc_.slot_count if per_slot else temporaries)
             monkeypatch.setattr(oracle, "CHUNK_EVALS", evals)
             return real(sc_, xs, ys, p1_tri, *rest)
 
@@ -373,13 +374,13 @@ def test_bound_leaves_few_pairs_to_score(monkeypatch):
     sc = moving_scenario()
     assert not sc.rate_targets.any()
     scored = []
-    real = oracle._pair_rates
+    real = oracle.exact_rates
 
-    def spy(modes, h_r, h_1, h_2, pc, *rest):
-        scored.append(pc.size)
-        return real(modes, h_r, h_1, h_2, pc, *rest)
+    def spy(modes, *rest):
+        scored.append(len(modes))  # one row of slots per pair
+        return real(modes, *rest)
 
-    monkeypatch.setattr(oracle, "_pair_rates", spy)
+    monkeypatch.setattr(oracle, "exact_rates", spy)
     # the result itself is checked by test_matches_plain_enumeration_across_modes
     oracle.static_placement_oracle(sc, objective="sum", **MOVING_GRID)
     # the top-pr scan's (cell, (p1, p2)) pairs
@@ -388,34 +389,38 @@ def test_bound_leaves_few_pairs_to_score(monkeypatch):
     assert 0 < sum(scored) <= n_pairs // 20
 
 
-@pytest.fixture(scope="module")
-def default_sum_search_calls():
-    """The cells that the 20 m default sum search hands ``policy_states``
-    and ``_pair_rates``, one (h_r, h_1, h_2 at slot 1) key per cell and
-    call, and the number of ``_pair_rates`` calls."""
+def default_search_calls(objective):
+    """The cells that the 20 m default search hands ``policy_states`` and
+    ``exact_rates``, one (h_r, h_1, h_2 at slot 1) key per cell and call,
+    and the number of ``exact_rates`` calls."""
     sc = default_scenario()
-    classified, scored, pair_calls = [], [], []
+    classified, scored, rate_calls = [], [], []
 
     def keys(h_r, h_1, h_2):
         assert h_1.shape == h_2.shape == (h_r.size, sc.slot_count)  # whole horizons
         return list(zip(np.ravel(h_r), h_1[:, 0], h_2[:, 0]))
 
-    real_states, real_rates = oracle.policy_states, oracle._pair_rates
+    real_states, real_rates = oracle.policy_states, oracle.exact_rates
 
     def states(h_r, h_1, h_2, r_th):
         classified.extend(keys(h_r, h_1, h_2))
         return real_states(h_r, h_1, h_2, r_th)
 
-    def pair_rates(modes, h_r, h_1, h_2, *rest):
-        scored.extend(keys(h_r, h_1, h_2))
-        pair_calls.append(1)
+    def rates(modes, h_r, h_1, h_2, *rest):
+        scored.extend(set(keys(h_r, h_1, h_2)))  # one row per pair: each cell once per call
+        rate_calls.append(1)
         return real_rates(modes, h_r, h_1, h_2, *rest)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "policy_states", states)
-        mp.setattr(oracle, "_pair_rates", pair_rates)
-        oracle.static_placement_oracle(sc, xy_step=20.0, power_step=0.2, objective="sum")
-    return Counter(classified), Counter(scored), len(pair_calls)
+        mp.setattr(oracle, "exact_rates", rates)
+        oracle.static_placement_oracle(sc, xy_step=20.0, power_step=0.2, objective=objective)
+    return Counter(classified), Counter(scored), len(rate_calls)
+
+
+@pytest.fixture(scope="module")
+def default_sum_search_calls():
+    return default_search_calls("sum")
 
 
 def test_sum_search_classifies_each_slot_once(default_sum_search_calls):
@@ -430,6 +435,11 @@ def test_sum_search_classifies_each_slot_once(default_sum_search_calls):
 def test_sum_search_scores_in_few_calls(default_sum_search_calls):
     # the top-bound pair, then the pairs whose bound reaches its score
     assert default_sum_search_calls[2] <= 3
+    # the min search scores every triple of the cells near its
+    # smallest-gain bound's best, here one cell, in one call
+    classified, scored, calls = default_search_calls("min")
+    assert not classified
+    assert sum(scored.values()) == 1 and calls == 1
 
 
 def test_screen_keeps_a_cell_that_meets_its_target_by_a_hair():
